@@ -30,6 +30,13 @@ class NodeOutsideArea(ScenarioValidationError):
         self.position = position
 
 
+class NonFiniteValue(ScenarioValidationError):
+    def __init__(self, field: str, value: float):
+        super().__init__(f"{field} must be finite, got {value}")
+        self.field = field
+        self.value = value
+
+
 class NonPositiveRange(ScenarioValidationError):
     def __init__(self, value: float):
         super().__init__(f"transmission_range must be > 0, got {value}")
@@ -107,6 +114,10 @@ class AmbiguousProfile(SimulatorError):
             f"no strictly dominant weight in {weights}; network type is undefined for ties"
         )
         self.weights = weights
+
+
+class InternalError(SimulatorError):
+    """A self-check failed: a bug in this package, not a problem with the input."""
 
 
 class EndpointMismatch(SimulatorError):

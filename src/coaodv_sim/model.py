@@ -20,6 +20,7 @@ from .errors import (
     NegativeEnergy,
     NegativeThreshold,
     NodeOutsideArea,
+    NonFiniteValue,
     NonPositiveRange,
     ScenarioFormatError,
     ZeroElapsedTime,
@@ -233,13 +234,22 @@ class SimMetrics:
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """Return `config` unchanged iff every invariant holds, else raise.
 
-    Checks: unique nonnegative ids, both position epochs inside the area,
-    nonnegative energies, positive transmission range, nonnegative threshold,
+    Checks: finite area, range, threshold, energies and elapsed times; unique
+    nonnegative ids, both position epochs inside the area, nonnegative
+    energies, positive transmission range, nonnegative threshold,
     probabilities in [0, 1], positive elapsed times.
     """
-    if config.transmission_range <= 0 or math.isnan(config.transmission_range):
+    for name, value in (
+        ("area width", config.area[0]),
+        ("area height", config.area[1]),
+        ("transmission_range", config.transmission_range),
+        ("energy_threshold", config.energy_threshold),
+    ):
+        if not math.isfinite(value):
+            raise NonFiniteValue(name, value)
+    if config.transmission_range <= 0:
         raise NonPositiveRange(config.transmission_range)
-    if config.energy_threshold < 0 or math.isnan(config.energy_threshold):
+    if config.energy_threshold < 0:
         raise NegativeThreshold(config.energy_threshold)
     if not 0.0 <= config.non_coop_drop_prob <= 1.0:
         raise InvalidProbability("non_coop_drop_prob", config.non_coop_drop_prob)
@@ -252,11 +262,16 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
         if node.id in seen:
             raise DuplicateNodeId(node.id)
         seen.add(node.id)
+        # a finite area also rejects infinite and NaN coordinates here
         for pos in (node.mobility_record.pos_t1, node.mobility_record.pos_t2):
             if not (0.0 <= pos.x <= width and 0.0 <= pos.y <= height):
                 raise NodeOutsideArea(node.id, (pos.x, pos.y), config.area)
-        if node.energy < 0 or math.isnan(node.energy):
+        if not math.isfinite(node.energy):
+            raise NonFiniteValue(f"node {node.id} energy", node.energy)
+        if node.energy < 0:
             raise NegativeEnergy(node.id, node.energy)
+        if not math.isfinite(node.mobility_record.elapsed):
+            raise NonFiniteValue(f"node {node.id} elapsed time", node.mobility_record.elapsed)
         if not node.mobility_record.elapsed > 0:
             raise ZeroElapsedTime(node.id)
     return config
@@ -309,7 +324,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             non_coop_drop_prob=float(doc.get("non_coop_drop_prob", 1.0)),
             rng_seed=int(doc.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
     return config
 

@@ -10,13 +10,22 @@ exempt. The destination picks the lowest-hop fully-cooperative path.
 
 from __future__ import annotations
 
+import math
+import sys
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 from .coopmath import distance, is_cooperative
 from .coopmath import mobility as mobility_rate
-from .errors import EndpointMismatch, NoCooperativeRoute, NoRoute, UnknownNode
+from .errors import (
+    EndpointMismatch,
+    InternalError,
+    NoCooperativeRoute,
+    NoRoute,
+    UnknownNode,
+)
 from .model import Route, RouteRequest, ScenarioConfig
 
 
@@ -42,17 +51,47 @@ class RouteReply:
     reply_path: tuple[int, ...]
 
 
+# Cells are a hair wider than the range: a pair that passes the final
+# `distance <= range` test is then at most one cell apart on each axis even
+# after rounding in `coordinate / width`. Capping the cells per axis keeps
+# that rounding (and the index itself) bounded when the range is tiny.
+_CELL_MARGIN = 1 + 2**-20
+_MAX_CELLS = 2**30
+
+
 def _adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
-    """In-range neighbor ids per node, sorted for deterministic iteration."""
-    ids = sorted(n.id for n in config.nodes)
-    by_id = config.node_map()
-    adj: dict[int, list[int]] = {i: [] for i in ids}
-    for i, u in enumerate(ids):
-        for v in ids[i + 1 :]:
-            d = distance(by_id[u].position, by_id[v].position, config.distance_metric)
-            if d <= config.transmission_range:
-                adj[u].append(v)
-                adj[v].append(u)
+    """In-range neighbor ids per node, sorted for deterministic iteration.
+
+    Cell lists: nodes are binned into square cells at least one range wide,
+    and each node is tested only against the 3x3 block of cells around it,
+    so the build costs O(n * degree) instead of O(n^2).
+    """
+    pos = {n.id: n.position for n in config.nodes}
+    ids = sorted(pos)
+    metric, reach = config.distance_metric, config.transmission_range
+    coords = [c for p in pos.values() for c in (p.x, p.y)]
+    extent = max(map(abs, coords), default=0.0)
+    width = max(reach, extent / _MAX_CELLS, sys.float_info.min) * _CELL_MARGIN
+    if width < math.inf and all(map(math.isfinite, coords)):
+        home = {u: (math.floor(pos[u].x / width), math.floor(pos[u].y / width)) for u in ids}
+    else:  # a non-finite value: one cell for all nodes, i.e. the all-pairs scan
+        home = dict.fromkeys(ids, (0, 0))
+    cells: dict[tuple[int, int], list[int]] = {}
+    for u in ids:
+        cells.setdefault(home[u], []).append(u)
+
+    adj: dict[int, list[int]] = {u: [] for u in ids}
+    for u in ids:
+        cx, cy = home[u]
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for v in cells.get((cx + dx, cy + dy), ()):
+                    # each pair once, smaller id first, so edges match an all-pairs scan
+                    if v > u and distance(pos[u], pos[v], metric) <= reach:
+                        adj[u].append(v)
+                        adj[v].append(u)
+    for neighbors in adj.values():
+        neighbors.sort()
     return adj
 
 
@@ -75,6 +114,25 @@ def exchange_hello(config: ScenarioConfig, hello_round: int = 0) -> dict[int, Ne
             )
         tables[owner] = NeighborTable(owner=owner, entries=entries)
     return tables
+
+
+# One-slot cache of the last scenario's topology, keyed by the identity of its
+# ScenarioConfig through a weak reference, so it never keeps a config alive.
+# Discovery only reads what it holds; exchange_hello's callers get fresh tables.
+_topology_cache: tuple[weakref.ref, dict[int, list[int]], dict[int, NeighborTable]] | None = None
+
+
+def _topology(config: ScenarioConfig) -> tuple[dict[int, list[int]], dict[int, NeighborTable]]:
+    """The scenario's adjacency and HELLO tables, built once per config object."""
+    global _topology_cache
+    cached = _topology_cache
+    if cached is not None and cached[0]() is config:
+        return cached[1], cached[2]
+    tables = exchange_hello(config)
+    # HELLO tables list each owner's neighbors in adjacency order
+    adj = {owner: list(table.entries) for owner, table in tables.items()}
+    _topology_cache = (weakref.ref(config), adj, tables)
+    return adj, tables
 
 
 def _check_endpoints(source: int, dest: int, config: ScenarioConfig) -> None:
@@ -115,14 +173,13 @@ def _greedy_path(source: int, dest: int, adj, hops: dict[int, int], allowed=None
 
 def completed_request(path: tuple[int, ...], config: ScenarioConfig) -> RouteRequest:
     """The discovery packet as the destination sees it: full path plus the
-    cooperative flag each relaying intermediate appended."""
-    by_id = config.node_map()
-    adj = _adjacency(config)
+    cooperative flag each relaying intermediate appended (False for a hop
+    that is out of range)."""
+    _, tables = _topology(config)
     flags = []
-    for i in range(1, len(path) - 1):
-        prev = by_id[path[i - 1]]
-        peers = [by_id[v] for v in adj[path[i - 1]]]
-        flags.append(is_cooperative(by_id[path[i]], prev, peers, config).cooperative)
+    for prev, cur in zip(path, path[1:-1]):
+        entry = tables[prev].entries.get(cur)
+        flags.append(entry is not None and entry.coop_status)
     return RouteRequest(
         source=path[0],
         destination=path[-1],
@@ -146,7 +203,7 @@ def aodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     _check_endpoints(source, dest, config)
     if source == dest:
         return Route(path=(source,), hop_count=0, fully_cooperative=True)
-    adj = _adjacency(config)
+    adj, _ = _topology(config)
     hops = _hops_to(dest, adj)
     if source not in hops:
         raise NoRoute(source, dest)
@@ -163,8 +220,7 @@ def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     _check_endpoints(source, dest, config)
     if source == dest:
         return Route(path=(source,), hop_count=0, fully_cooperative=True)
-    adj = _adjacency(config)
-    tables = exchange_hello(config)
+    adj, tables = _topology(config)
 
     def allowed(u: int, v: int) -> bool:
         # Directed: u relays to v. Final hops into the destination are exempt.
@@ -178,7 +234,8 @@ def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     route = _route_from_path(
         _greedy_path(source, dest, adj, coop_hops, allowed=allowed), config
     )
-    assert route.fully_cooperative
+    if not route.fully_cooperative:
+        raise InternalError(f"cooperative discovery chose non-cooperative path {route.path}")
     return route
 
 

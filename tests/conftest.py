@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from coaodv_sim.model import (
+    DistanceMetric,
     MobilityRecord,
     NodeState,
     Position,
@@ -77,3 +78,26 @@ def dense_random_scenario(rng: random.Random) -> ScenarioConfig:
         for i in range(n)
     ]
     return make_scenario(nodes)
+
+
+def seeded_scenario(
+    n: int, seed: int, distance_metric: DistanceMetric = DistanceMetric.MANHATTAN
+) -> ScenarioConfig:
+    """n nodes at whole-thousandth coordinates on a square sized for a mean
+    Manhattan degree near 9 at r=20. About 40% are stationary relays above
+    the energy threshold, so some flows have cooperative routes and some are
+    refused; the rest move up to 3 units and may have any energy."""
+    rng = random.Random(f"seeded-{n}-{seed}")
+    side = max(20, round((n * 800 / 9) ** 0.5))
+    top = side * 1000
+    nodes = []
+    for i in range(n):
+        x, y = rng.randint(0, top), rng.randint(0, top)
+        if rng.random() < 0.4:
+            energy, x2, y2 = rng.randint(501, 2000), x, y
+        else:
+            energy = rng.randint(100, 2000)
+            x2 = min(max(x + rng.randint(-3000, 3000), 0), top)
+            y2 = min(max(y + rng.randint(-3000, 3000), 0), top)
+        nodes.append(make_node(i, x / 1000, y / 1000, x2 / 1000, y2 / 1000, energy=energy))
+    return make_scenario(nodes, area=(float(side), float(side)), distance_metric=distance_metric)

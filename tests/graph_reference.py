@@ -1,0 +1,77 @@
+"""Test-only references for the range graph and for route discovery.
+
+`brute_force_adjacency` is the all-pairs O(n^2) scan that the cell-list
+build in `protocol._adjacency` must reproduce edge for edge, order included.
+The route references are networkx BFS searches over an explicit graph, so
+no graph-walking code is shared with the protocol module; they scale to the
+benchmark's sizes, unlike the exhaustive simple-path oracle.
+"""
+
+from __future__ import annotations
+
+import networkx as nx
+
+from coaodv_sim.coopmath import distance, is_cooperative
+from coaodv_sim.model import ScenarioConfig
+
+
+def brute_force_adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
+    """In-range neighbor ids per node, from every pair of nodes."""
+    ids = sorted(n.id for n in config.nodes)
+    by_id = config.node_map()
+    adj: dict[int, list[int]] = {i: [] for i in ids}
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+            d = distance(by_id[u].position, by_id[v].position, config.distance_metric)
+            if d <= config.transmission_range:
+                adj[u].append(v)
+                adj[v].append(u)
+    return adj
+
+
+def range_graph(config: ScenarioConfig) -> nx.Graph:
+    graph = nx.Graph()
+    for u, neighbors in brute_force_adjacency(config).items():
+        graph.add_node(u)
+        graph.add_edges_from((u, v) for v in neighbors)
+    return graph
+
+
+def cooperative_edges(config: ScenarioConfig, graph: nx.Graph) -> nx.DiGraph:
+    """u -> v for every range edge where v is cooperative with respect to u,
+    its peers being all of u's range neighbors."""
+    by_id = config.node_map()
+    coop = nx.DiGraph()
+    coop.add_nodes_from(graph)
+    for u in graph:
+        peers = [by_id[w] for w in graph[u]]
+        for v in graph[u]:
+            if is_cooperative(by_id[v], by_id[u], peers, config).cooperative:
+                coop.add_edge(u, v)
+    return coop
+
+
+def lowest_id_shortest_path(graph, source: int, dest: int) -> tuple[int, ...] | None:
+    """The lexicographically smallest minimum-hop path, or None if there is
+    none: exact hop counts to `dest` from a networkx BFS, then the lowest
+    successor id that is one hop closer at every step."""
+    towards = graph.reverse(copy=False) if graph.is_directed() else graph
+    hops = nx.single_source_shortest_path_length(towards, dest)
+    if source not in hops:
+        return None
+    path = [source]
+    while path[-1] != dest:
+        cur = path[-1]
+        successors = graph.successors(cur) if graph.is_directed() else graph.neighbors(cur)
+        path.append(min(v for v in successors if hops.get(v) == hops[cur] - 1))
+    return tuple(path)
+
+
+def cooperative_route(
+    graph: nx.Graph, coop: nx.DiGraph, source: int, dest: int
+) -> tuple[int, ...] | None:
+    """Minimum-hop path where u -> v is allowed iff v is the destination or
+    v is cooperative with respect to u; ties go to the lowest id."""
+    allowed = nx.DiGraph(coop)
+    allowed.add_edges_from((u, dest) for u in graph[dest])
+    return lowest_id_shortest_path(allowed, source, dest)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -249,3 +250,60 @@ def test_log_env_rejects_unknown_gracefully(monkeypatch, capsys):
     monkeypatch.setenv("COAODV_SIM_LOG", "loud")
     assert main(["validate", str(PAPER_SCENARIO)]) == 0
     assert "COAODV_SIM_LOG" in capsys.readouterr().err
+
+
+def _compare_doc(tmp_path, doc, *extra):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))  # float("inf") is written as Infinity
+    return main(["compare", str(path), "--flows", "0:9:5", "4:9:5", *extra])
+
+
+def _infinite_position(doc):
+    doc["nodes"][0]["pos_t1"] = [math.inf, 0]
+
+
+def _infinite_area_and_position(doc):
+    doc["area"] = [math.inf, math.inf]
+    _infinite_position(doc)
+
+
+NON_FINITE = {
+    "infinite-area-and-position": _infinite_area_and_position,
+    "infinite-position": _infinite_position,
+    "nan-position": lambda d: d["nodes"][0].update(pos_t2=[10, math.nan]),
+    "infinite-energy": lambda d: d["nodes"][3].update(energy=math.inf),
+    "nan-energy": lambda d: d["nodes"][3].update(energy=math.nan),
+    "infinite-threshold": lambda d: d.update(energy_threshold=math.inf),
+    "infinite-range": lambda d: d.update(transmission_range=math.inf),
+    "nan-range": lambda d: d.update(transmission_range=math.nan),
+    "infinite-elapsed-time": lambda d: d.update(elapsed_time=math.inf),
+    "infinite-drop-probability": lambda d: d.update(non_coop_drop_prob=math.inf),
+    "nan-drop-probability": lambda d: d.update(non_coop_drop_prob=math.nan),
+    "infinite-seed": lambda d: d.update(seed=math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_scenario_values_are_invalid(tmp_path, capsys, case):
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    NON_FINITE[case](doc)
+    assert _compare_doc(tmp_path, doc) == 2
+    assert "invalid scenario" in capsys.readouterr().err
+
+
+def test_infinite_range_override_is_invalid_scenario(capsys):
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "0:9:5", "--range", "inf"]
+    assert main(argv) == 2
+    assert "transmission_range must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_tiny_positive_range_isolates_every_node(tmp_path, capsys, where):
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    if where == "file":
+        doc["transmission_range"] = 1e-310
+        assert _compare_doc(tmp_path, doc) == 0
+    else:
+        assert _compare_doc(tmp_path, doc, "--range", "1e-310") == 0
+    summary = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert summary == [["aodv", "0/2", "-", "-"], ["coaodv", "0/2", "-", "-"]]

@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from coaodv_sim import oracle
+from coaodv_sim import oracle, protocol
 from coaodv_sim.coopmath import distance, is_cooperative
 from coaodv_sim.errors import (
     EndpointMismatch,
+    InternalError,
     NoCooperativeRoute,
     NoRoute,
     UnknownNode,
@@ -19,7 +24,15 @@ from coaodv_sim.protocol import (
     exchange_hello,
 )
 
-from .conftest import dense_random_scenario, make_node, make_scenario, random_scenario
+from . import graph_reference
+from .conftest import (
+    PAPER_SCENARIO,
+    dense_random_scenario,
+    make_node,
+    make_scenario,
+    random_scenario,
+    seeded_scenario,
+)
 
 # adjacency of the bundled 10-node scenario under Manhattan distance, r=20,
 # positions taken at the first epoch; every edge checked by hand
@@ -218,3 +231,69 @@ def test_request_invariants_hold_on_random_discoveries():
         assert request.hop_count == len(request.path) - 1
         assert len(set(request.path)) == len(request.path)
         assert len(request.route_stability) == len(request.intermediates())
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000])
+def test_routes_match_networkx_reference_at_scale(n):
+    config = seeded_scenario(n, seed=5)
+    graph = graph_reference.range_graph(config)
+    coop = graph_reference.cooperative_edges(config, graph)
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range(40):
+        source, dest = rng.sample(range(n), 2)
+        plain = graph_reference.lowest_id_shortest_path(graph, source, dest)
+        try:
+            route = aodv_discover(source, dest, config)
+        except NoRoute:
+            route = None
+        assert (route and route.path) == plain
+        if plain is not None:
+            assert route.hop_count == len(plain) - 1
+
+        expected = graph_reference.cooperative_route(graph, coop, source, dest)
+        try:
+            route = coaodv_discover(source, dest, config)
+            outcomes.add("routed")
+        except NoCooperativeRoute:
+            route = None
+            outcomes.add("refused")
+            assert plain is not None
+        except NoRoute:
+            route = None
+            assert plain is None
+        assert (route and route.path) == expected
+        if expected is not None:
+            assert route.hop_count == len(expected) - 1
+    assert outcomes == {"routed", "refused"}
+
+
+def test_cooperative_self_check_raises_a_named_error(paper_scenario, monkeypatch):
+    def all_refused(path, config):
+        return RouteRequest(path[0], path[-1], path, len(path) - 1, (False,) * (len(path) - 2))
+
+    monkeypatch.setattr(protocol, "completed_request", all_refused)
+    with pytest.raises(InternalError):
+        coaodv_discover(4, 9, paper_scenario)
+
+
+def test_cooperative_self_check_survives_optimized_mode():
+    script = (
+        "from coaodv_sim import protocol\n"
+        "from coaodv_sim.errors import InternalError\n"
+        "from coaodv_sim.model import RouteRequest, load_scenario\n"
+        f"config = load_scenario({str(PAPER_SCENARIO)!r})\n"
+        "protocol.completed_request = lambda path, config: RouteRequest(\n"
+        "    path[0], path[-1], path, len(path) - 1, (False,) * (len(path) - 2))\n"
+        "try:\n"
+        "    protocol.coaodv_discover(4, 9, config)\n"
+        "except InternalError:\n"
+        "    print('raised')\n"
+    )
+    src = Path(protocol.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
