@@ -1,98 +1,3 @@
 """Round-based ad hoc network simulator with cooperative route discovery."""
 
-from .classifier import ClassificationResult, classify_network, rank_candidates
-from .coopmath import (
-    CoopVerdict,
-    composite_score,
-    euclidean_distance,
-    has_comm_capability,
-    is_cooperative,
-    manhattan_distance,
-    minmax_normalize,
-    mobility,
-    normalize_candidates,
-)
-from .model import (
-    CANONICAL_PROFILES,
-    DistanceMetric,
-    FlowMetrics,
-    MobilityMetric,
-    MobilityRecord,
-    NetworkType,
-    NodeState,
-    Position,
-    Protocol,
-    Route,
-    RouteRequest,
-    ScenarioConfig,
-    SimMetrics,
-    WeightProfile,
-    load_scenario,
-    scenario_from_dict,
-    scenario_from_json,
-    scenario_to_dict,
-    scenario_to_json,
-    validate_scenario,
-)
-from .protocol import (
-    NeighborEntry,
-    NeighborTable,
-    RouteReply,
-    aodv_discover,
-    build_route_reply,
-    coaodv_discover,
-    completed_request,
-    exchange_hello,
-)
-from .sim import Flow, SimRun, compare, mean_hops, mean_pdr, run
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CANONICAL_PROFILES",
-    "ClassificationResult",
-    "CoopVerdict",
-    "DistanceMetric",
-    "Flow",
-    "FlowMetrics",
-    "MobilityMetric",
-    "MobilityRecord",
-    "NeighborEntry",
-    "NeighborTable",
-    "NetworkType",
-    "NodeState",
-    "Position",
-    "Protocol",
-    "Route",
-    "RouteReply",
-    "RouteRequest",
-    "ScenarioConfig",
-    "SimMetrics",
-    "SimRun",
-    "WeightProfile",
-    "aodv_discover",
-    "build_route_reply",
-    "classify_network",
-    "coaodv_discover",
-    "compare",
-    "completed_request",
-    "composite_score",
-    "euclidean_distance",
-    "exchange_hello",
-    "has_comm_capability",
-    "is_cooperative",
-    "load_scenario",
-    "manhattan_distance",
-    "mean_hops",
-    "mean_pdr",
-    "minmax_normalize",
-    "mobility",
-    "normalize_candidates",
-    "rank_candidates",
-    "run",
-    "scenario_from_dict",
-    "scenario_from_json",
-    "scenario_to_dict",
-    "scenario_to_json",
-    "validate_scenario",
-]

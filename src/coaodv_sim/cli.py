@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import sim
@@ -53,34 +52,6 @@ REPORT_HEADER = (
 )
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    scenario: str
-    protocol: str
-    seed: int
-    flow_src: int
-    flow_dst: int
-    hop_count: int | None
-    packets_sent: int
-    packets_delivered: int
-    pdr: float | None
-    route_discoveries: int
-
-    def as_csv(self) -> list[str]:
-        return [
-            self.scenario,
-            self.protocol,
-            str(self.seed),
-            str(self.flow_src),
-            str(self.flow_dst),
-            "" if self.hop_count is None else str(self.hop_count),
-            str(self.packets_sent),
-            str(self.packets_delivered),
-            "" if self.pdr is None else repr(self.pdr),
-            str(self.route_discoveries),
-        ]
 
 
 class UsageError(Exception):
@@ -196,26 +167,28 @@ def _load_effective_scenario(args) -> ScenarioConfig:
     return validate_scenario(config)
 
 
-def _write_report(path: str, rows: list[ReportRow]) -> None:
+def _write_report(path: str, rows: list[tuple]) -> None:
+    # csv.writer prints None as an empty field and a float as its repr
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
-        writer.writerows(row.as_csv() for row in rows)
+        writer.writerows(rows)
 
 
-def _metric_rows(name: str, seed: int, metrics: SimMetrics) -> list[ReportRow]:
+def _metric_rows(name: str, seed: int, metrics: SimMetrics) -> list[tuple]:
+    """One report row per flow, raw values in REPORT_HEADER order."""
     return [
-        ReportRow(
-            scenario=name,
-            protocol=metrics.protocol.value,
-            seed=seed,
-            flow_src=f.source,
-            flow_dst=f.destination,
-            hop_count=f.hop_count,
-            packets_sent=f.packets_sent,
-            packets_delivered=f.packets_delivered,
-            pdr=f.packet_delivery_ratio,
-            route_discoveries=1,
+        (
+            name,
+            metrics.protocol.value,
+            seed,
+            f.source,
+            f.destination,
+            f.hop_count,
+            f.packets_sent,
+            f.packets_delivered,
+            f.packet_delivery_ratio,
+            1,
         )
         for f in metrics.per_flow
     ]
@@ -263,7 +236,7 @@ def cmd_compare(args) -> int:
     seeds = [config.rng_seed + i for i in range(args.seeds)]
     results = sim.compare(config, flows, seeds)
 
-    rows: list[ReportRow] = []
+    rows: list[tuple] = []
     name = Path(args.path).stem
     for seed, pair in zip(seeds, results):
         for metrics in pair:
@@ -330,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: not valid JSON: {exc}", file=sys.stderr)

@@ -30,6 +30,12 @@ class NodeOutsideArea(ScenarioValidationError):
         self.position = position
 
 
+class NegativeArea(ScenarioValidationError):
+    def __init__(self, area):
+        super().__init__(f"area width and height must be >= 0, got {area[0]}x{area[1]}")
+        self.area = area
+
+
 class NonFiniteValue(ScenarioValidationError):
     def __init__(self, field: str, value: float):
         super().__init__(f"{field} must be finite, got {value}")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .coopmath import distance, is_cooperative
-from .coopmath import mobility as mobility_rate
 from .errors import (
     EndpointMismatch,
     InternalError,
@@ -31,9 +30,6 @@ from .model import Route, RouteRequest, ScenarioConfig
 
 @dataclass(frozen=True)
 class NeighborEntry:
-    last_hello_round: int
-    energy: float
-    mobility: float
     coop_status: bool
 
 
@@ -95,23 +91,18 @@ def _adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
     return adj
 
 
-def exchange_hello(config: ScenarioConfig, hello_round: int = 0) -> dict[int, NeighborTable]:
-    """One beacon round: every node learns its in-range neighbors along with
-    their relay-relevant state (energy, mobility, cooperative status)."""
+def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
+    """One beacon round: every node learns its in-range neighbors and whether
+    each is cooperative with respect to it."""
     adj = _adjacency(config)
     by_id = config.node_map()
     tables: dict[int, NeighborTable] = {}
     for owner, neighbor_ids in adj.items():
         peers = [by_id[v] for v in neighbor_ids]
-        entries = {}
-        for v in neighbor_ids:
-            verdict = is_cooperative(by_id[v], by_id[owner], peers, config)
-            entries[v] = NeighborEntry(
-                last_hello_round=hello_round,
-                energy=by_id[v].energy,
-                mobility=mobility_rate(by_id[v].mobility_record, config.mobility_metric),
-                coop_status=verdict.cooperative,
-            )
+        entries = {
+            v: NeighborEntry(is_cooperative(by_id[v], by_id[owner], peers, config).cooperative)
+            for v in neighbor_ids
+        }
         tables[owner] = NeighborTable(owner=owner, entries=entries)
     return tables
 
@@ -191,18 +182,14 @@ def completed_request(path: tuple[int, ...], config: ScenarioConfig) -> RouteReq
 
 def _route_from_path(path: tuple[int, ...], config: ScenarioConfig) -> Route:
     request = completed_request(path, config)
-    return Route(
-        path=request.path,
-        hop_count=request.hop_count,
-        fully_cooperative=all(request.route_stability),
-    )
+    return Route(request.path, request.hop_count, request.route_stability)
 
 
 def aodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     """Minimum-hop route over the range graph (first-arrival flood semantics)."""
     _check_endpoints(source, dest, config)
     if source == dest:
-        return Route(path=(source,), hop_count=0, fully_cooperative=True)
+        return Route(path=(source,), hop_count=0, route_stability=())
     adj, _ = _topology(config)
     hops = _hops_to(dest, adj)
     if source not in hops:
@@ -219,7 +206,7 @@ def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     """
     _check_endpoints(source, dest, config)
     if source == dest:
-        return Route(path=(source,), hop_count=0, fully_cooperative=True)
+        return Route(path=(source,), hop_count=0, route_stability=())
     adj, tables = _topology(config)
 
     def allowed(u: int, v: int) -> bool:

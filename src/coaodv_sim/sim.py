@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import protocol
-from .errors import NoCooperativeRoute, NoRoute, UnknownNode
+from .errors import NoCooperativeRoute, NoRoute
 from .model import FlowMetrics, Protocol, ScenarioConfig, SimMetrics
 
 log = logging.getLogger("coaodv_sim.sim")
@@ -43,12 +43,8 @@ _DISCOVER = {
 
 
 def _check_flows(flows: tuple[Flow, ...], scenario: ScenarioConfig) -> None:
-    ids = {n.id for n in scenario.nodes}
     for flow in flows:
-        if flow.source not in ids:
-            raise UnknownNode(flow.source)
-        if flow.destination not in ids:
-            raise UnknownNode(flow.destination)
+        protocol._check_endpoints(flow.source, flow.destination, scenario)
         if flow.packets < 1:
             raise ValueError(f"flow {flow.source}->{flow.destination}: packets must be >= 1")
 
@@ -64,23 +60,13 @@ def run(simrun: SimRun) -> SimMetrics:
     for flow in simrun.flows:
         try:
             route = discover(flow.source, flow.destination, simrun.scenario)
-        except NoRoute:
-            per_flow.append(
-                FlowMetrics(flow.source, flow.destination, None, 0, 0, failure="no_route")
-            )
-            log.info("flow %s->%s: no route", flow.source, flow.destination)
-            continue
-        except NoCooperativeRoute:
-            per_flow.append(
-                FlowMetrics(
-                    flow.source, flow.destination, None, 0, 0, failure="no_cooperative_route"
-                )
-            )
-            log.info("flow %s->%s: no cooperative route", flow.source, flow.destination)
+        except (NoRoute, NoCooperativeRoute) as exc:
+            failure = "no_route" if isinstance(exc, NoRoute) else "no_cooperative_route"
+            per_flow.append(FlowMetrics(flow.source, flow.destination, None, 0, 0, failure))
+            log.info("flow %s->%s: %s", flow.source, flow.destination, failure.replace("_", " "))
             continue
 
-        request = protocol.completed_request(route.path, simrun.scenario)
-        droppable = [not ok for ok in request.route_stability]
+        droppable = [not ok for ok in route.route_stability]
         delivered = 0
         for _ in range(flow.packets):
             lost = False

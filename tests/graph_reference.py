@@ -2,9 +2,10 @@
 
 `brute_force_adjacency` is the all-pairs O(n^2) scan that the cell-list
 build in `protocol._adjacency` must reproduce edge for edge, order included.
-The route references are networkx BFS searches over an explicit graph, so
-no graph-walking code is shared with the protocol module; they scale to the
-benchmark's sizes, unlike the exhaustive simple-path oracle.
+The route references are networkx searches over an explicit graph, so no
+graph-walking code is shared with the protocol module. `bfs_shortest` and
+the BFS route references scale to the benchmark's sizes; the exhaustive
+simple-path oracle `cooperative_shortest` is meant for 12 nodes or fewer.
 """
 
 from __future__ import annotations
@@ -35,6 +36,47 @@ def range_graph(config: ScenarioConfig) -> nx.Graph:
         graph.add_node(u)
         graph.add_edges_from((u, v) for v in neighbors)
     return graph
+
+
+def bfs_shortest(source: int, dest: int, config: ScenarioConfig) -> int | None:
+    """Exact minimum hop count on the range graph, or None if unreachable."""
+    graph = range_graph(config)
+    if source not in graph or dest not in graph:
+        return None
+    try:
+        return nx.shortest_path_length(graph, source, dest)
+    except nx.NetworkXNoPath:
+        return None
+
+
+def cooperative_shortest(source: int, dest: int, config: ScenarioConfig) -> int | None:
+    """Minimum hop count over simple paths whose every intermediate is
+    cooperative with respect to its predecessor, or None if no such path.
+
+    Enumerates all simple paths (feasible for the test-scale node counts) and
+    applies the cooperative predicate per path position, so peer-set-relative
+    clauses are evaluated exactly as route discovery encounters them.
+    """
+    if source == dest:
+        return 0 if any(n.id == source for n in config.nodes) else None
+    graph = range_graph(config)
+    if source not in graph or dest not in graph:
+        return None
+    by_id = config.node_map()
+    best: int | None = None
+    for path in nx.all_simple_paths(graph, source, dest):
+        if best is not None and len(path) - 1 >= best:
+            continue
+        ok = True
+        for i in range(1, len(path) - 1):
+            prev = by_id[path[i - 1]]
+            peers = [by_id[v] for v in graph.neighbors(path[i - 1])]
+            if not is_cooperative(by_id[path[i]], prev, peers, config).cooperative:
+                ok = False
+                break
+        if ok:
+            best = len(path) - 1
+    return best
 
 
 def cooperative_edges(config: ScenarioConfig, graph: nx.Graph) -> nx.DiGraph:

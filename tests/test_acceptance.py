@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from coaodv_sim import oracle, sim
+from coaodv_sim import sim
 from coaodv_sim.classifier import classify_network
 from coaodv_sim.cli import main
 from coaodv_sim.coopmath import (
@@ -31,6 +31,7 @@ from coaodv_sim.model import (
 )
 from coaodv_sim.protocol import aodv_discover, coaodv_discover, exchange_hello
 
+from . import graph_reference
 from .conftest import PAPER_SCENARIO, dense_random_scenario, random_scenario
 
 
@@ -142,8 +143,8 @@ def _sweep(rng, generator, count):
                 "aodv": aodv_hops,
                 "coaodv": coaodv_hops,
                 "coaodv_error": coaodv_error,
-                "bfs": oracle.bfs_shortest(source, dest, config),
-                "coop": oracle.cooperative_shortest(source, dest, config),
+                "bfs": graph_reference.bfs_shortest(source, dest, config),
+                "coop": graph_reference.cooperative_shortest(source, dest, config),
             }
         )
     return results
@@ -221,8 +222,8 @@ def test_criterion_6_pdr_dominance(paper_scenario):
 
         # the 0->9 flow legitimately has no cooperative route (oracle-verified),
         # so its runs report zero packets rather than contributing to the mean
-        assert oracle.cooperative_shortest(0, 9, scenario) is None
-        assert oracle.cooperative_shortest(4, 9, scenario) == 2
+        assert graph_reference.cooperative_shortest(0, 9, scenario) is None
+        assert graph_reference.cooperative_shortest(4, 9, scenario) == 2
         for m in coaodv_all:
             f09 = next(f for f in m.per_flow if (f.source, f.destination) == (0, 9))
             assert f09.failure == "no_cooperative_route" and f09.packets_sent == 0

@@ -1,9 +1,17 @@
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from coaodv_sim import cli
 from coaodv_sim.cli import REPORT_HEADER, main
+from coaodv_sim.errors import NegativeArea
+from coaodv_sim.model import scenario_from_dict, validate_scenario
 
 from .conftest import PAPER_SCENARIO
 
@@ -307,3 +315,96 @@ def test_tiny_positive_range_isolates_every_node(tmp_path, capsys, where):
         assert _compare_doc(tmp_path, doc, "--range", "1e-310") == 0
     summary = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert summary == [["aodv", "0/2", "-", "-"], ["coaodv", "0/2", "-", "-"]]
+
+
+def _validate_doc(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return main(["validate", str(path)])
+
+
+WRONG_TYPE = {
+    "strict-as-string": (
+        lambda d: d.update(threshold_strict="false"),
+        "threshold_strict must be true or false",
+    ),
+    "fractional-seed": (lambda d: d.update(seed=1.9), "seed must be an integer, got 1.9"),
+    "bool-seed": (lambda d: d.update(seed=True), "seed must be an integer, got True"),
+    "bool-energy": (
+        lambda d: d["nodes"][3].update(energy=True),
+        "node 3: positions and energy must be numbers",
+    ),
+    "string-drop-probability": (
+        lambda d: d.update(non_coop_drop_prob="0.5"),
+        "non_coop_drop_prob must be a number",
+    ),
+    "string-range": (
+        lambda d: d.update(transmission_range="20"),
+        "transmission_range must be a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPE))
+def test_scalars_of_the_wrong_type_are_invalid(tmp_path, capsys, case):
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    change, message = WRONG_TYPE[case]
+    change(doc)
+    assert _validate_doc(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and message in err
+
+
+@pytest.mark.parametrize("area", [[-5, -5], [10, -1], [-1, 10]])
+def test_negative_area_is_invalid(tmp_path, capsys, area):
+    doc = {"nodes": [], "area": area, "transmission_range": 20, "energy_threshold": 500}
+    with pytest.raises(NegativeArea):
+        validate_scenario(scenario_from_dict(doc))
+    assert _validate_doc(tmp_path, doc) == 2
+    assert "area width and height must be >= 0" in capsys.readouterr().err
+
+
+def _argv(command, path):
+    flows = ["--flows", "4:9:1"]
+    return {
+        "validate": ["validate", str(path)],
+        "run": ["run", str(path), "--protocol", "aodv", *flows],
+        "compare": ["compare", str(path), *flows],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+def test_directory_path_is_a_read_error(tmp_path, capsys, command):
+    assert main(_argv(command, tmp_path)) == 1
+    assert f"error: cannot read {tmp_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+def test_permission_denied_is_a_read_error(monkeypatch, capsys, command):
+    # chmod cannot deny a root user, so raise what an unreadable file raises
+    def denied(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert main(_argv(command, PAPER_SCENARIO)) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read {PAPER_SCENARIO}: {os.strerror(errno.EACCES)}" in err
+
+
+def test_runtime_needs_no_networkx():
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['networkx'] = None  # any import of networkx now fails\n"
+        "import coaodv_sim\n"
+        "for info in pkgutil.iter_modules(coaodv_sim.__path__):\n"
+        "    importlib.import_module(f'coaodv_sim.{info.name}')\n"
+        "from coaodv_sim.cli import main\n"
+        f"sys.exit(main(['compare', {str(PAPER_SCENARIO)!r}, '--flows', '0:9:10', '4:9:10']))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("protocol")

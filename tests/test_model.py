@@ -156,17 +156,26 @@ def test_route_request_invariants_enforced():
         RouteRequest(
             source=0, destination=2, path=(0, 1, 1, 2), hop_count=3, route_stability=(True, True)
         )
+    with pytest.raises(ValueError):  # the path must end at the destination
+        RouteRequest(
+            source=0, destination=3, path=(0, 1, 2), hop_count=2, route_stability=(True, True)
+        )
     ok = RouteRequest(source=0, destination=2, path=(0, 1, 2), hop_count=2, route_stability=(True,))
     assert ok.intermediates() == (1,)
 
 
 def test_route_invariants_enforced():
     with pytest.raises(ValueError):
-        Route(path=(0, 1), hop_count=2, fully_cooperative=True)
+        Route(path=(0, 1), hop_count=2, route_stability=())
     with pytest.raises(ValueError):
-        Route(path=(0, 1, 0), hop_count=2, fully_cooperative=True)
-    route = Route(path=(0, 1, 2), hop_count=2, fully_cooperative=False)
+        Route(path=(0, 1, 0), hop_count=2, route_stability=(True,))
+    with pytest.raises(ValueError):
+        Route(path=(0, 1, 2), hop_count=2, route_stability=(True, True))
+    route = Route(path=(0, 1, 2), hop_count=2, route_stability=(False,))
     assert route.source == 0 and route.destination == 2
+    assert not route.fully_cooperative
+    assert Route(path=(0, 1, 2), hop_count=2, route_stability=(True,)).fully_cooperative
+    assert Route(path=(3,), hop_count=0, route_stability=()).fully_cooperative
 
 
 def test_weight_profile_helpers():

@@ -1,6 +1,5 @@
-from coaodv_sim.oracle import bfs_shortest, cooperative_shortest
-
 from .conftest import make_node, make_scenario
+from .graph_reference import bfs_shortest, cooperative_shortest
 
 
 def line_scenario(bridge_energy=1000.0):

