@@ -169,10 +169,13 @@ def _load_effective_scenario(args) -> ScenarioConfig:
 
 def _write_report(path: str, rows: list[tuple]) -> None:
     # csv.writer prints None as an empty field and a float as its repr
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(REPORT_HEADER)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _metric_rows(name: str, seed: int, metrics: SimMetrics) -> list[tuple]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyPeerSet, WeightsNotNormalized, ZeroElapsedTime
 from .model import (
@@ -63,6 +63,11 @@ def mobility(rec: MobilityRecord, metric: MobilityMetric = MobilityMetric.EUCLID
     return moved / rec.elapsed
 
 
+def mobility_rates(nodes: Iterable[NodeState], metric: MobilityMetric) -> dict[int, float]:
+    """Each node's mobility under `metric`, by node id."""
+    return {n.id: mobility(n.mobility_record, metric) for n in nodes}
+
+
 @dataclass(frozen=True)
 class CoopVerdict:
     """Outcome of the cooperative predicate, clause by clause."""
@@ -82,13 +87,17 @@ def is_cooperative(
     prev: NodeState,
     peers: Sequence[NodeState],
     config: ScenarioConfig,
+    rates: Mapping[int, float],
 ) -> CoopVerdict:
     """Evaluate whether `candidate` is a cooperative next hop after `prev`.
 
     peers are the rival next-hop candidates (the in-range neighbors of prev).
     Clauses: residual energy above the threshold (strictly, unless the
     scenario relaxes it), candidate in range of prev, and candidate's mobility
-    minimal over the peers' mobilities (ties pass).
+    minimal over the peers' mobilities (ties pass). `rates` maps node ids to
+    their mobility under the scenario's metric (see `mobility_rates`) and must
+    cover the candidate and every peer, so a caller that judges many edges
+    computes each mobility once.
     """
     if not peers:
         raise EmptyPeerSet()
@@ -101,8 +110,7 @@ def is_cooperative(
             prev.position, candidate.position, config.transmission_range, config.distance_metric
         )
     )
-    least = min(mobility(p.mobility_record, config.mobility_metric) for p in peers)
-    mobility_ok = mobility(candidate.mobility_record, config.mobility_metric) <= least
+    mobility_ok = rates[candidate.id] <= min(rates[p.id] for p in peers)
     return CoopVerdict(
         cooperative=energy_ok and range_ok and mobility_ok,
         energy_ok=energy_ok,

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .coopmath import distance, is_cooperative
+from .coopmath import distance, is_cooperative, mobility_rates
 from .errors import (
     EndpointMismatch,
     InternalError,
@@ -93,14 +93,21 @@ def _adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
 
 def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
     """One beacon round: every node learns its in-range neighbors and whether
-    each is cooperative with respect to it."""
+    each is cooperative with respect to it.
+
+    Each node's mobility is computed once per round. Only an owner's least
+    mobile neighbor sets the mobility bar, so it stands in for all the peers.
+    """
     adj = _adjacency(config)
     by_id = config.node_map()
+    rates = mobility_rates((by_id[u] for u, nbrs in adj.items() if nbrs), config.mobility_metric)
     tables: dict[int, NeighborTable] = {}
     for owner, neighbor_ids in adj.items():
-        peers = [by_id[v] for v in neighbor_ids]
+        bar = [by_id[min(neighbor_ids, key=rates.__getitem__)]] if neighbor_ids else []
         entries = {
-            v: NeighborEntry(is_cooperative(by_id[v], by_id[owner], peers, config).cooperative)
+            v: NeighborEntry(
+                is_cooperative(by_id[v], by_id[owner], bar, config, rates).cooperative
+            )
             for v in neighbor_ids
         }
         tables[owner] = NeighborTable(owner=owner, entries=entries)

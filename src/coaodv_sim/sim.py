@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import protocol
 from .errors import NoCooperativeRoute, NoRoute
@@ -49,6 +50,26 @@ def _check_flows(flows: tuple[Flow, ...], scenario: ScenarioConfig) -> None:
             raise ValueError(f"flow {flow.source}->{flow.destination}: packets must be >= 1")
 
 
+def _delivered(rng: random.Random, packets: int, drops: int, drop_prob: float) -> int:
+    """How many of `packets` cross a route with `drops` droppable hops.
+
+    Each packet draws once per droppable hop, in route order, and is lost at
+    the first draw below `drop_prob`; a route with no droppable hop draws
+    nothing. Cooperative hops never draw, so only the droppable ones are counted.
+    """
+    if not drops:
+        return packets
+    draw = rng.random
+    hops = (None,) * drops
+    lost = 0
+    for _ in repeat(None, packets):
+        for _ in hops:
+            if draw() < drop_prob:
+                lost += 1
+                break
+    return packets - lost
+
+
 def run(simrun: SimRun) -> SimMetrics:
     """Execute one seeded run and aggregate its metrics."""
     _check_flows(simrun.flows, simrun.scenario)
@@ -66,16 +87,8 @@ def run(simrun: SimRun) -> SimMetrics:
             log.info("flow %s->%s: %s", flow.source, flow.destination, failure.replace("_", " "))
             continue
 
-        droppable = [not ok for ok in route.route_stability]
-        delivered = 0
-        for _ in range(flow.packets):
-            lost = False
-            for drops in droppable:
-                if drops and rng.random() < drop_prob:
-                    lost = True
-                    break
-            if not lost:
-                delivered += 1
+        drops = route.route_stability.count(False)
+        delivered = _delivered(rng, flow.packets, drops, drop_prob)
         per_flow.append(
             FlowMetrics(flow.source, flow.destination, route.hop_count, flow.packets, delivered)
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from coaodv_sim.coopmath import distance, is_cooperative
+from coaodv_sim.coopmath import distance, is_cooperative, mobility_rates
 from coaodv_sim.model import ScenarioConfig
 
 
@@ -63,6 +63,7 @@ def cooperative_shortest(source: int, dest: int, config: ScenarioConfig) -> int 
     if source not in graph or dest not in graph:
         return None
     by_id = config.node_map()
+    rates = mobility_rates(config.nodes, config.mobility_metric)
     best: int | None = None
     for path in nx.all_simple_paths(graph, source, dest):
         if best is not None and len(path) - 1 >= best:
@@ -71,7 +72,7 @@ def cooperative_shortest(source: int, dest: int, config: ScenarioConfig) -> int 
         for i in range(1, len(path) - 1):
             prev = by_id[path[i - 1]]
             peers = [by_id[v] for v in graph.neighbors(path[i - 1])]
-            if not is_cooperative(by_id[path[i]], prev, peers, config).cooperative:
+            if not is_cooperative(by_id[path[i]], prev, peers, config, rates).cooperative:
                 ok = False
                 break
         if ok:
@@ -83,12 +84,13 @@ def cooperative_edges(config: ScenarioConfig, graph: nx.Graph) -> nx.DiGraph:
     """u -> v for every range edge where v is cooperative with respect to u,
     its peers being all of u's range neighbors."""
     by_id = config.node_map()
+    rates = mobility_rates(config.nodes, config.mobility_metric)
     coop = nx.DiGraph()
     coop.add_nodes_from(graph)
     for u in graph:
         peers = [by_id[w] for w in graph[u]]
         for v in graph[u]:
-            if is_cooperative(by_id[v], by_id[u], peers, config).cooperative:
+            if is_cooperative(by_id[v], by_id[u], peers, config, rates).cooperative:
                 coop.add_edge(u, v)
     return coop
 

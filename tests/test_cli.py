@@ -391,6 +391,23 @@ def test_permission_denied_is_a_read_error(monkeypatch, capsys, command):
     assert f"error: cannot read {PAPER_SCENARIO}: {os.strerror(errno.EACCES)}" in err
 
 
+def test_report_to_a_directory_is_a_write_error(tmp_path, capsys):
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "4:9:1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}" in err
+    assert "cannot read" not in err
+
+
+def test_report_in_a_missing_directory_is_a_write_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.csv"
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "4:9:1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: {os.strerror(errno.ENOENT)}" in err
+    assert "file not found" not in err
+
+
 def test_runtime_needs_no_networkx():
     script = (
         "import importlib, pkgutil, sys\n"

@@ -11,6 +11,7 @@ from coaodv_sim.coopmath import (
     manhattan_distance,
     minmax_normalize,
     mobility,
+    mobility_rates,
     normalize_candidates,
 )
 from coaodv_sim.errors import EmptyPeerSet, WeightsNotNormalized, ZeroElapsedTime
@@ -72,6 +73,10 @@ def test_mobility_manhattan_mode_differs_on_diagonal_movement():
     assert mobility(rec, MobilityMetric.EUCLIDEAN_RATE) == pytest.approx(math.sqrt(18))
 
 
+def rates(*nodes):
+    return mobility_rates(nodes, MobilityMetric.EUCLIDEAN_RATE)
+
+
 def test_mobility_zero_elapsed_raises():
     rec = MobilityRecord(Position(0, 0), Position(1, 1), elapsed=0.0)
     with pytest.raises(ZeroElapsedTime):
@@ -82,7 +87,7 @@ def test_low_energy_candidate_is_never_cooperative():
     config = make_scenario([], energy_threshold=500.0)
     prev = make_node(0, 10, 10)
     candidate = make_node(3, 30, 10, 34, 10, energy=300)
-    verdict = is_cooperative(candidate, prev, [candidate], config)
+    verdict = is_cooperative(candidate, prev, [candidate], config, rates(candidate))
     assert not verdict.energy_ok
     assert not verdict.cooperative
 
@@ -92,7 +97,7 @@ def test_least_mobile_energized_candidate_is_cooperative():
     prev = make_node(0, 30, 30)
     candidate = make_node(4, 30, 31, 33, 31, energy=700)  # moves 3 per unit time
     rivals = [candidate, make_node(5, 31, 30, 35, 30, energy=900), make_node(6, 29, 30, 34, 35, energy=800)]
-    verdict = is_cooperative(candidate, prev, rivals, config)
+    verdict = is_cooperative(candidate, prev, rivals, config, rates(*rivals))
     assert verdict.energy_ok and verdict.range_ok and verdict.mobility_ok
     assert verdict.cooperative
 
@@ -101,7 +106,7 @@ def test_singleton_peer_set_passes_mobility():
     config = make_scenario([], energy_threshold=500.0)
     prev = make_node(0, 10, 10)
     candidate = make_node(1, 15, 10, energy=600)  # stationary
-    assert is_cooperative(candidate, prev, [candidate], config).cooperative
+    assert is_cooperative(candidate, prev, [candidate], config, rates(candidate)).cooperative
 
 
 def test_threshold_boundary_depends_on_strictness():
@@ -109,8 +114,8 @@ def test_threshold_boundary_depends_on_strictness():
     candidate = make_node(1, 15, 10, energy=500)
     strict = make_scenario([], energy_threshold=500.0, threshold_strict=True)
     relaxed = make_scenario([], energy_threshold=500.0, threshold_strict=False)
-    assert not is_cooperative(candidate, prev, [candidate], strict).energy_ok
-    assert is_cooperative(candidate, prev, [candidate], relaxed).energy_ok
+    assert not is_cooperative(candidate, prev, [candidate], strict, rates(candidate)).energy_ok
+    assert is_cooperative(candidate, prev, [candidate], relaxed, rates(candidate)).energy_ok
 
 
 def test_mobility_ties_pass():
@@ -118,15 +123,15 @@ def test_mobility_ties_pass():
     prev = make_node(0, 10, 10)
     a = make_node(1, 15, 10, 16, 10, energy=900)
     b = make_node(2, 12, 10, 13, 10, energy=900)  # same rate as a
-    assert is_cooperative(a, prev, [a, b], config).mobility_ok
-    assert is_cooperative(b, prev, [a, b], config).mobility_ok
+    assert is_cooperative(a, prev, [a, b], config, rates(a, b)).mobility_ok
+    assert is_cooperative(b, prev, [a, b], config, rates(a, b)).mobility_ok
 
 
 def test_empty_peer_set_raises():
     config = make_scenario([])
     node = make_node(0, 1, 1)
     with pytest.raises(EmptyPeerSet):
-        is_cooperative(node, node, [], config)
+        is_cooperative(node, node, [], config, rates(node))
 
 
 def test_composite_score_examples():

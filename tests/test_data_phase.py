@@ -1,0 +1,117 @@
+"""The data phase's draws: `sim._delivered` against the per-packet walk it
+replaced, which draws at each non-cooperative intermediate in route order."""
+
+import dataclasses
+import random
+import types
+
+import pytest
+
+from coaodv_sim import sim
+from coaodv_sim.errors import NoCooperativeRoute, NoRoute
+from coaodv_sim.model import Protocol
+
+from .conftest import random_scenario
+
+
+def walk_delivered(rng, packets, route_stability, drop_prob):
+    """Reference: visit every intermediate of every packet; a
+    non-cooperative one draws and drops the packet below drop_prob."""
+    delivered = 0
+    for _ in range(packets):
+        lost = False
+        for cooperative in route_stability:
+            if not cooperative and rng.random() < drop_prob:
+                lost = True
+                break
+        if not lost:
+            delivered += 1
+    return delivered
+
+
+PACKETS = (1, 2, 3, 5, 17, 64, 255, 300)
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, 1.0, 0.5, "random"])
+@pytest.mark.parametrize("drops", range(7))
+def test_delivered_makes_the_walks_draws(drops, drop_prob):
+    shape = random.Random(f"shape-{drops}-{drop_prob}")
+    for packets in PACKETS:
+        p = shape.random() if drop_prob == "random" else drop_prob
+        # the droppable hops among a random number of cooperative ones
+        flags = [False] * drops + [True] * shape.randrange(4)
+        shape.shuffle(flags)
+        seed = shape.randrange(2**32)
+        ours, walk = random.Random(seed), random.Random(seed)
+        delivered = sim._delivered(ours, packets, drops, p)
+        assert delivered == walk_delivered(walk, packets, flags, p)
+        assert ours.getstate() == walk.getstate()
+
+
+def test_delivered_without_droppable_hops_draws_nothing():
+    rng = random.Random(5)
+    before = rng.getstate()
+    assert sim._delivered(rng, 10**6, 0, 1.0) == 10**6
+    assert rng.getstate() == before
+
+
+def _walk_run(simrun):
+    """sim.run's per-flow delivered counts, recomputed with the walk on one
+    generator shared by all flows in order."""
+    rng = random.Random(simrun.seed)
+    discover = sim._DISCOVER[simrun.protocol]
+    counts = []
+    for flow in simrun.flows:
+        try:
+            route = discover(flow.source, flow.destination, simrun.scenario)
+        except (NoRoute, NoCooperativeRoute):
+            counts.append(0)
+            continue
+        p = simrun.scenario.non_coop_drop_prob
+        counts.append(walk_delivered(rng, flow.packets, route.route_stability, p))
+    return counts
+
+
+def test_later_flows_see_the_draws_of_earlier_flows(paper_scenario):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    flows = (sim.Flow(0, 9, 40), sim.Flow(4, 9, 7), sim.Flow(0, 9, 40), sim.Flow(2, 9, 13))
+    for seed in range(20):
+        simrun = sim.SimRun(half, Protocol.AODV, flows, seed)
+        delivered = [f.packets_delivered for f in sim.run(simrun).per_flow]
+        assert delivered == _walk_run(simrun)
+
+
+def test_multi_flow_runs_match_the_walk_on_random_scenarios():
+    rng = random.Random(404)
+    for _ in range(40):
+        config = dataclasses.replace(random_scenario(rng), non_coop_drop_prob=rng.random())
+        ids = [n.id for n in config.nodes]
+        flows = tuple(sim.Flow(*rng.sample(ids, 2), rng.randint(1, 60)) for _ in range(4))
+        for proto in Protocol:
+            simrun = sim.SimRun(config, proto, flows, rng.randrange(2**32))
+            delivered = [f.packets_delivered for f in sim.run(simrun).per_flow]
+            assert delivered == _walk_run(simrun)
+
+
+def _counting_random(monkeypatch):
+    """Make sim's `random.Random` count its draws; returns the counter."""
+    draws = [0]
+
+    class CountingRandom(random.Random):
+        def random(self):
+            draws[0] += 1
+            return super().random()
+
+    monkeypatch.setattr(sim, "random", types.SimpleNamespace(Random=CountingRandom))
+    return draws
+
+
+def test_fully_cooperative_route_draws_nothing(monkeypatch, paper_scenario):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    draws = _counting_random(monkeypatch)
+    flows = (sim.Flow(4, 9, 1000), sim.Flow(0, 9, 1000))
+    coaodv = sim.run(sim.SimRun(half, Protocol.COAODV, flows, seed=1))
+    assert coaodv.packets_delivered == 1000  # 4->9 routed, 0->9 refused
+    assert draws[0] == 0
+    sim.run(sim.SimRun(half, Protocol.AODV, flows, seed=1))
+    assert draws[0] > 0  # the counter sees aodv's droppable hops

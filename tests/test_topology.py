@@ -8,9 +8,9 @@ import weakref
 
 import pytest
 
-from coaodv_sim import protocol, sim
+from coaodv_sim import coopmath, protocol, sim
 from coaodv_sim.errors import NoCooperativeRoute
-from coaodv_sim.model import DistanceMetric, load_scenario
+from coaodv_sim.model import DistanceMetric, MobilityMetric, load_scenario
 
 from .conftest import PAPER_SCENARIO, make_node, make_scenario, seeded_scenario
 from .graph_reference import brute_force_adjacency
@@ -184,3 +184,38 @@ def test_cache_does_not_keep_config_alive():
     del config
     gc.collect()
     assert ref() is None
+
+
+# -- HELLO: one mobility per node, verdicts of the full peer set -------------
+
+
+@pytest.mark.parametrize("mobility_metric", list(MobilityMetric))
+@pytest.mark.parametrize("n", [50, 300])
+def test_hello_computes_each_mobility_once(monkeypatch, n, mobility_metric):
+    config = dataclasses.replace(seeded_scenario(n, 1), mobility_metric=mobility_metric)
+    by_id = config.node_map()
+    adj = protocol._adjacency(config)
+    all_rates = coopmath.mobility_rates(config.nodes, mobility_metric)
+    full_peers = {
+        (owner, v): coopmath.is_cooperative(
+            by_id[v], by_id[owner], [by_id[u] for u in nbrs], config, all_rates
+        ).cooperative
+        for owner, nbrs in adj.items()
+        for v in nbrs
+    }
+    assert 0 < sum(full_peers.values()) < len(full_peers)
+
+    rates = []
+    original = coopmath.mobility
+
+    def counted(*args, **kwargs):
+        rates.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coopmath, "mobility", counted)
+    checks = _counting(monkeypatch, "is_cooperative")
+    tables = protocol.exchange_hello(config)
+    assert len(rates) <= n
+    assert len(checks) == len(full_peers)  # one check per directed edge
+    hello = {(o, v): e.coop_status for o, t in tables.items() for v, e in t.entries.items()}
+    assert hello == full_peers
