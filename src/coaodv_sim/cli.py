@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -59,6 +59,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no prefix matching: --seed is not --seeds
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 1 on bad usage instead of argparse's 2
         raise UsageError(message)
 
@@ -83,31 +86,33 @@ def _configure_logging() -> None:
         root.setLevel(level)
 
 
+def _enum_choices(enum) -> dict:
+    """argparse keywords for an option naming an enum member by its value; other
+    text stays text, so that the choices check reports an invalid choice."""
+    members = {m.value: m for m in enum}
+    return {"type": lambda text: members.get(text, text), "choices": list(members)}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="coaodv-sim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_overrides(p):
-        p.add_argument("--threshold", type=float, help="override energy threshold")
-        p.add_argument("--range", type=float, dest="range_", help="override transmission range")
-        p.add_argument(
-            "--distance-metric", choices=[m.value for m in DistanceMetric], help="override metric"
-        )
-        p.add_argument(
-            "--mobility-metric",
-            choices=[m.value for m in MobilityMetric],
-            help="override mobility mode",
-        )
-        p.add_argument(
-            "--strict",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="energy strictly above threshold (--no-strict allows equality)",
-        )
-        p.add_argument("--drop-prob", type=float, help="override non-cooperative drop probability")
+    def add_overrides(p):  # each dest is the ScenarioConfig field the option replaces
+        p.add_argument("--threshold", type=float, dest="energy_threshold", metavar="THRESHOLD",
+                       help="override energy threshold")
+        p.add_argument("--range", type=float, dest="transmission_range", metavar="RANGE",
+                       help="override transmission range")
+        p.add_argument("--distance-metric", **_enum_choices(DistanceMetric), help="override metric")
+        p.add_argument("--mobility-metric", **_enum_choices(MobilityMetric),
+                       help="override mobility mode")
+        p.add_argument("--strict", action=argparse.BooleanOptionalAction, dest="threshold_strict",
+                       help="energy strictly above threshold (--no-strict allows equality)")
+        p.add_argument("--drop-prob", type=float, dest="non_coop_drop_prob", metavar="DROP_PROB",
+                       help="override non-cooperative drop probability")
 
     p_validate = sub.add_parser("validate", help="check a scenario file")
     p_validate.add_argument("path")
+    p_validate.set_defaults(handler=cmd_validate)
 
     p_run = sub.add_parser("run", help="run one protocol over the given flows")
     p_run.add_argument("path")
@@ -118,6 +123,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.add_argument("--out", help="write a CSV report here")
     add_overrides(p_run)
+    p_run.set_defaults(handler=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run both protocols over seeded repetitions")
     p_cmp.add_argument("path")
@@ -125,9 +131,11 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--seeds", type=int, default=1, help="number of seeds (default 1)")
     p_cmp.add_argument("--out", help="write a CSV report here")
     add_overrides(p_cmp)
+    p_cmp.set_defaults(handler=cmd_compare)
 
     p_cls = sub.add_parser("classify", help="label the network type for a weight profile")
     p_cls.add_argument("--weights", required=True, metavar="W1,W2,W3")
+    p_cls.set_defaults(handler=cmd_classify)
 
     return parser
 
@@ -135,36 +143,51 @@ def build_parser() -> _Parser:
 def _parse_flows(specs: list[str]) -> tuple[sim.Flow, ...]:
     flows = []
     for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"flow {spec!r} must look like SRC:DST:COUNT")
         try:
-            src, dst, count = (int(p) for p in parts)
-        except ValueError:
-            raise UsageError(f"flow {spec!r} must contain integers") from None
-        flows.append(sim.Flow(source=src, destination=dst, packets=count))
+            src, dst, count = map(int, spec.split(":"))
+        except ValueError:  # not three parts, or a part that is not an integer
+            raise UsageError(f"flow {spec!r} must be SRC:DST:COUNT, three integers") from None
+        try:
+            flows.append(sim.Flow(source=src, destination=dst, packets=count))
+        except ValueError as exc:
+            raise UsageError(f"flow {spec!r}: {exc}") from None
     return tuple(flows)
 
 
 def _load_effective_scenario(args) -> ScenarioConfig:
-    text = Path(args.path).read_text(encoding="utf-8")
-    config = scenario_from_json(text)
-    replacements = {}
-    if getattr(args, "threshold", None) is not None:
-        replacements["energy_threshold"] = args.threshold
-    if getattr(args, "range_", None) is not None:
-        replacements["transmission_range"] = args.range_
-    if getattr(args, "distance_metric", None) is not None:
-        replacements["distance_metric"] = DistanceMetric(args.distance_metric)
-    if getattr(args, "mobility_metric", None) is not None:
-        replacements["mobility_metric"] = MobilityMetric(args.mobility_metric)
-    if getattr(args, "strict", None) is not None:
-        replacements["threshold_strict"] = args.strict
-    if getattr(args, "drop_prob", None) is not None:
-        replacements["non_coop_drop_prob"] = args.drop_prob
-    if replacements:
-        config = dataclasses.replace(config, **replacements)
-    return validate_scenario(config)
+    """Read, parse and validate the scenario at args.path, with the command's
+    overrides applied; the one place a scenario enters the CLI."""
+    try:
+        text = Path(args.path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"file not found: {args.path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot read {args.path}: {reason}") from None
+    try:
+        config = scenario_from_json(text)
+    except (ValueError, RecursionError) as exc:
+        # json.loads: scenario_from_dict reports its own failures as ScenarioFormatError
+        raise UsageError(f"not valid JSON: {exc}") from None
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(config)
+        if getattr(args, f.name, None) is not None
+    }
+    return validate_scenario(dataclasses.replace(config, **overrides))
+
+
+def _shown(text: str) -> str:
+    """argv text as UTF-8, its bytes that are not UTF-8 escaped as \\xNN."""
+    return os.fsencode(text).decode("utf-8", "backslashreplace")
+
+
+def _report_name(args) -> str:
+    """The report's scenario column, the file stem; a report needs it in UTF-8."""
+    name = Path(args.path).stem
+    if args.out and _shown(name) != name:
+        raise UsageError(f"cannot write {args.out}: scenario name {_shown(name)} is not UTF-8")
+    return name
 
 
 def _write_report(path: str, rows: list[tuple]) -> None:
@@ -212,21 +235,22 @@ def _flow_summary(metrics: SimMetrics) -> None:
 
 
 def cmd_validate(args) -> int:
-    validate_scenario(scenario_from_json(Path(args.path).read_text(encoding="utf-8")))
-    print(f"{args.path}: OK")
+    _load_effective_scenario(args)
+    print(f"{_shown(args.path)}: OK")
     return 0
 
 
 def cmd_run(args) -> int:
     config = _load_effective_scenario(args)
     flows = _parse_flows(args.flows)
+    name = _report_name(args)
     seed = args.seed if args.seed is not None else config.rng_seed
     metrics = sim.run(
         sim.SimRun(scenario=config, protocol=Protocol(args.protocol), flows=flows, seed=seed)
     )
     _flow_summary(metrics)
     if args.out:
-        _write_report(args.out, _metric_rows(Path(args.path).stem, seed, metrics))
+        _write_report(args.out, _metric_rows(name, seed, metrics))
         log.info("report written to %s", args.out)
     return 0
 
@@ -236,11 +260,11 @@ def cmd_compare(args) -> int:
         raise UsageError("--seeds must be >= 1")
     config = _load_effective_scenario(args)
     flows = _parse_flows(args.flows)
+    name = _report_name(args)
     seeds = [config.rng_seed + i for i in range(args.seeds)]
     results = sim.compare(config, flows, seeds)
 
     rows: list[tuple] = []
-    name = Path(args.path).stem
     for seed, pair in zip(seeds, results):
         for metrics in pair:
             rows.extend(_metric_rows(name, seed, metrics))
@@ -265,14 +289,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    parts = args.weights.split(",")
-    if len(parts) != 3:
-        raise UsageError("--weights must look like W1,W2,W3")
     try:
-        w1, w2, w3 = (float(p) for p in parts)
+        weights = [float(p) for p in args.weights.split(",")]
     except ValueError:
-        raise UsageError("--weights must contain three numbers") from None
-    result = classify_network(WeightProfile(w1, w2, w3))
+        weights = []
+    if len(weights) != 3 or not all(map(math.isfinite, weights)):
+        raise UsageError("--weights must be three finite numbers W1,W2,W3")
+    result = classify_network(WeightProfile(*weights))
     print(
         f"{result.network_type.label} (e.g. {result.network_type.example_networks}); "
         f"dominant criterion: {result.dominant_weight}"
@@ -280,43 +303,21 @@ def cmd_classify(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "run": cmd_run,
-    "compare": cmd_compare,
-    "classify": cmd_classify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-
-    try:
-        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: not valid JSON: {exc}", file=sys.stderr)
         return 1
     except (ScenarioFormatError, ScenarioValidationError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return 2
-    except (WeightsNotNormalized, AmbiguousProfile, UnknownNode, ValueError) as exc:
+    except (WeightsNotNormalized, AmbiguousProfile, UnknownNode) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

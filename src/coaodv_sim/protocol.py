@@ -133,11 +133,10 @@ def _topology(config: ScenarioConfig) -> tuple[dict[int, list[int]], dict[int, N
     return adj, tables
 
 
-def _check_endpoints(source: int, dest: int, config: ScenarioConfig) -> None:
-    ids = {n.id for n in config.nodes}
-    if source not in ids:
+def _check_endpoints(source: int, dest: int, adj: dict[int, list[int]]) -> None:
+    if source not in adj:
         raise UnknownNode(source)
-    if dest not in ids:
+    if dest not in adj:
         raise UnknownNode(dest)
 
 
@@ -194,10 +193,10 @@ def _route_from_path(path: tuple[int, ...], config: ScenarioConfig) -> Route:
 
 def aodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     """Minimum-hop route over the range graph (first-arrival flood semantics)."""
-    _check_endpoints(source, dest, config)
+    adj, _ = _topology(config)
+    _check_endpoints(source, dest, adj)
     if source == dest:
         return Route(path=(source,), hop_count=0, route_stability=())
-    adj, _ = _topology(config)
     hops = _hops_to(dest, adj)
     if source not in hops:
         raise NoRoute(source, dest)
@@ -211,10 +210,10 @@ def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     drops candidate paths containing any CO=0 intermediate and answers the
     lowest-hop survivor. Source and destination themselves are never filtered.
     """
-    _check_endpoints(source, dest, config)
+    adj, tables = _topology(config)
+    _check_endpoints(source, dest, adj)
     if source == dest:
         return Route(path=(source,), hop_count=0, route_stability=())
-    adj, tables = _topology(config)
 
     def allowed(u: int, v: int) -> bool:
         # Directed: u relays to v. Final hops into the destination are exempt.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import random
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -28,6 +29,11 @@ class Flow:
     destination: int
     packets: int
 
+    def __post_init__(self):
+        # sys.maxsize is the most packets the repeat() in _delivered can count
+        if not 1 <= self.packets <= sys.maxsize:
+            raise ValueError(f"packets must be from 1 to {sys.maxsize}, got {self.packets}")
+
 
 @dataclass(frozen=True)
 class SimRun:
@@ -41,13 +47,6 @@ _DISCOVER = {
     Protocol.AODV: protocol.aodv_discover,
     Protocol.COAODV: protocol.coaodv_discover,
 }
-
-
-def _check_flows(flows: tuple[Flow, ...], scenario: ScenarioConfig) -> None:
-    for flow in flows:
-        protocol._check_endpoints(flow.source, flow.destination, scenario)
-        if flow.packets < 1:
-            raise ValueError(f"flow {flow.source}->{flow.destination}: packets must be >= 1")
 
 
 def _delivered(rng: random.Random, packets: int, drops: int, drop_prob: float) -> int:
@@ -72,7 +71,6 @@ def _delivered(rng: random.Random, packets: int, drops: int, drop_prob: float) -
 
 def run(simrun: SimRun) -> SimMetrics:
     """Execute one seeded run and aggregate its metrics."""
-    _check_flows(simrun.flows, simrun.scenario)
     rng = random.Random(simrun.seed)
     discover = _DISCOVER[simrun.protocol]
     drop_prob = simrun.scenario.non_coop_drop_prob

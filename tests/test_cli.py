@@ -11,7 +11,7 @@ import pytest
 from coaodv_sim import cli
 from coaodv_sim.cli import REPORT_HEADER, main
 from coaodv_sim.errors import NegativeArea
-from coaodv_sim.model import scenario_from_dict, validate_scenario
+from coaodv_sim.model import DistanceMetric, MobilityMetric, scenario_from_dict, validate_scenario
 
 from .conftest import PAPER_SCENARIO
 
@@ -425,3 +425,114 @@ def test_runtime_needs_no_networkx():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("protocol")
+
+
+def _scenario_file(tmp_path, data: bytes):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+def _flows_argv(*flows):
+    return lambda tmp_path: ["run", str(PAPER_SCENARIO), "--protocol", "aodv", "--flows", *flows]
+
+
+# Each hostile input: how to build the argv, and what its error line must name.
+HOSTILE = {
+    "zero-packets": (_flows_argv("0:9:0"), "packets must be from 1"),
+    "negative-packets": (_flows_argv("0:9:-1"), "packets must be from 1"),
+    "packets-past-maxsize": (_flows_argv(f"0:9:{sys.maxsize + 1}"), "packets must be from 1"),
+    "unknown-node-in-second-flow": (_flows_argv("4:9:1", "0:77:1"), "unknown node id 77"),
+    "non-utf8-scenario": (
+        lambda tmp_path: ["validate", _scenario_file(tmp_path, b'{"area": "\xff"}')],
+        "cannot read",
+    ),
+    "5000-digit-integer": (
+        lambda tmp_path: ["validate", _scenario_file(tmp_path, b'{"seed": ' + b"7" * 5000 + b"}")],
+        "not valid JSON",
+    ),
+    "nested-100000-deep": (
+        lambda tmp_path: ["validate", _scenario_file(tmp_path, b"[" * 100_000)],
+        "not valid JSON",
+    ),
+    "non-finite-weights": (lambda tmp_path: ["classify", "--weights", "inf,-inf,1"], "finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_is_a_named_usage_error(tmp_path, capsys, case):
+    argv, fragment = HOSTILE[case]
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, command):
+    def broken(simrun):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli.sim, "run", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(_argv(command, PAPER_SCENARIO))
+
+
+@pytest.mark.parametrize(
+    "command, abbreviated, full, value",
+    [
+        ("compare", "--seed", "--seeds", "7"),
+        ("run", "--thr", "--threshold", "100"),
+        ("run", "--drop", "--drop-prob", "0"),
+    ],
+)
+def test_abbreviated_options_are_rejected(capsys, command, abbreviated, full, value):
+    assert main(_argv(command, PAPER_SCENARIO) + [abbreviated, value]) == 1
+    assert f"error: unrecognized arguments: {abbreviated} {value}" in capsys.readouterr().err
+    assert main(_argv(command, PAPER_SCENARIO) + [full, value]) == 0
+
+
+def test_overrides_replace_their_scenario_fields():
+    overrides = (
+        "--threshold 7 --range 30 --distance-metric euclidean"
+        " --mobility-metric manhattan_rate --no-strict --drop-prob 0.25"
+    )
+    argv = _argv("run", PAPER_SCENARIO) + overrides.split()
+    config = cli._load_effective_scenario(cli.build_parser().parse_args(argv))
+    assert config.distance_metric is DistanceMetric.EUCLIDEAN
+    assert config.mobility_metric is MobilityMetric.MANHATTAN_RATE
+    assert (config.energy_threshold, config.transmission_range) == (7.0, 30.0)
+    assert (config.threshold_strict, config.non_coop_drop_prob) == (False, 0.25)
+
+
+@pytest.mark.parametrize("option", ["--distance-metric", "--mobility-metric"])
+def test_unknown_metric_is_an_invalid_choice(capsys, option):
+    assert main(_argv("run", PAPER_SCENARIO) + [option, "chebyshev"]) == 1
+    assert f"argument {option}: invalid choice: 'chebyshev'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def non_utf8_scenario(tmp_path):
+    path = tmp_path / os.fsdecode(b"paper\xff.json")  # argv carries the byte as a surrogate
+    path.write_text(PAPER_SCENARIO.read_text())
+    return path
+
+
+@pytest.mark.parametrize("existing", [None, "keep me\n"])
+def test_non_utf8_scenario_name_cannot_go_in_a_report(
+    tmp_path, capsys, non_utf8_scenario, existing
+):
+    out = tmp_path / "report.csv"
+    if existing is not None:
+        out.write_text(existing)
+    argv = ["compare", str(non_utf8_scenario), "--flows", "4:9:1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: scenario name paper\\xff is not UTF-8" in err
+    assert (out.read_text() if out.exists() else None) == existing
+
+
+def test_non_utf8_scenario_name_runs_and_validates(capsys, non_utf8_scenario):
+    assert main(_argv("run", non_utf8_scenario)) == 0
+    assert main(_argv("validate", non_utf8_scenario)) == 0
+    out = capsys.readouterr().out
+    assert "flow 4->9 [aodv]: hops=2" in out and "paper\\xff.json: OK" in out

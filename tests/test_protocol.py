@@ -90,6 +90,8 @@ def test_unknown_node_rejected(paper_scenario):
         aodv_discover(0, 42, paper_scenario)
     with pytest.raises(UnknownNode):
         coaodv_discover(42, 0, paper_scenario)
+    with pytest.raises(UnknownNode):
+        aodv_discover(42, 42, paper_scenario)
 
 
 def test_coaodv_paper_flow_has_no_cooperative_route(paper_scenario):

@@ -1,8 +1,10 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
+from coaodv_sim import protocol as protocol_module
 from coaodv_sim.errors import UnknownNode
 from coaodv_sim.model import Protocol
 from coaodv_sim.sim import Flow, SimRun, compare, mean_hops, mean_pdr, run
@@ -66,6 +68,33 @@ def test_flow_validation():
         run(SimRun(config, Protocol.AODV, (Flow(0, 7, 1),), seed=0))
     with pytest.raises(ValueError):
         run(SimRun(config, Protocol.AODV, (Flow(0, 0, 0),), seed=0))
+
+
+@pytest.mark.parametrize("packets", [0, -1, sys.maxsize + 1])
+def test_flow_packet_count_is_checked_at_construction(packets):
+    with pytest.raises(ValueError, match="packets must be from 1"):
+        Flow(0, 9, packets)
+    assert Flow(0, 9, sys.maxsize).packets == sys.maxsize
+
+
+def test_unknown_node_in_a_later_flow_is_rejected(paper_scenario):
+    flows = (Flow(4, 9, 5), Flow(0, 9, 5), Flow(9, 42, 5))
+    for protocol in (Protocol.AODV, Protocol.COAODV):
+        with pytest.raises(UnknownNode, match="42"):
+            run(SimRun(paper_scenario, protocol, flows, seed=1))
+
+
+def test_endpoints_are_checked_once_per_discovery(monkeypatch, paper_scenario):
+    calls = []
+    check = protocol_module._check_endpoints
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(protocol_module, "_check_endpoints", counted)
+    compare(paper_scenario, (Flow(0, 9, 10), Flow(4, 9, 10)), seeds=list(range(1, 21)))
+    assert len(calls) == 20 * 2 * 2  # seeds x protocols x flows, one per discovery
 
 
 def test_replay_determinism(paper_scenario):
