@@ -13,6 +13,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -58,6 +59,27 @@ class UsageError(Exception):
     pass
 
 
+# Numerals as JSON writes them, in ASCII. int() and float() alone also take
+# '1_000', non-ASCII digits such as '٣' and surrounding spaces. A number may
+# also be non-finite, spelled as Python or JSON prints it, so that the
+# scenario's own checks name it.
+_DIGITS = r"-?(?:0|[1-9][0-9]*)"
+_INTEGER = re.compile(_DIGITS)
+_NUMBER = re.compile(rf"{_DIGITS}(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-?inf|-?Infinity|nan|NaN")
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _number(text: str) -> float:
+    if not _NUMBER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return float(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):  # no prefix matching: --seed is not --seeds
         super().__init__(*args, allow_abbrev=False, **kwargs)
@@ -98,16 +120,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_overrides(p):  # each dest is the ScenarioConfig field the option replaces
-        p.add_argument("--threshold", type=float, dest="energy_threshold", metavar="THRESHOLD",
+        p.add_argument("--threshold", type=_number, dest="energy_threshold", metavar="THRESHOLD",
                        help="override energy threshold")
-        p.add_argument("--range", type=float, dest="transmission_range", metavar="RANGE",
+        p.add_argument("--range", type=_number, dest="transmission_range", metavar="RANGE",
                        help="override transmission range")
         p.add_argument("--distance-metric", **_enum_choices(DistanceMetric), help="override metric")
         p.add_argument("--mobility-metric", **_enum_choices(MobilityMetric),
                        help="override mobility mode")
         p.add_argument("--strict", action=argparse.BooleanOptionalAction, dest="threshold_strict",
                        help="energy strictly above threshold (--no-strict allows equality)")
-        p.add_argument("--drop-prob", type=float, dest="non_coop_drop_prob", metavar="DROP_PROB",
+        p.add_argument("--drop-prob", type=_number, dest="non_coop_drop_prob", metavar="DROP_PROB",
                        help="override non-cooperative drop probability")
 
     p_validate = sub.add_parser("validate", help="check a scenario file")
@@ -120,7 +142,7 @@ def build_parser() -> _Parser:
     p_run.add_argument(
         "--flows", nargs="+", required=True, metavar="SRC:DST:COUNT", help="one or more flows"
     )
-    p_run.add_argument("--seed", type=int, help="override the scenario seed")
+    p_run.add_argument("--seed", type=_integer, help="override the scenario seed")
     p_run.add_argument("--out", help="write a CSV report here")
     add_overrides(p_run)
     p_run.set_defaults(handler=cmd_run)
@@ -128,7 +150,7 @@ def build_parser() -> _Parser:
     p_cmp = sub.add_parser("compare", help="run both protocols over seeded repetitions")
     p_cmp.add_argument("path")
     p_cmp.add_argument("--flows", nargs="+", required=True, metavar="SRC:DST:COUNT")
-    p_cmp.add_argument("--seeds", type=int, default=1, help="number of seeds (default 1)")
+    p_cmp.add_argument("--seeds", type=_integer, default=1, help="number of seeds (default 1)")
     p_cmp.add_argument("--out", help="write a CSV report here")
     add_overrides(p_cmp)
     p_cmp.set_defaults(handler=cmd_compare)
@@ -144,8 +166,8 @@ def _parse_flows(specs: list[str]) -> tuple[sim.Flow, ...]:
     flows = []
     for spec in specs:
         try:
-            src, dst, count = map(int, spec.split(":"))
-        except ValueError:  # not three parts, or a part that is not an integer
+            src, dst, count = map(_integer, spec.split(":"))
+        except (ValueError, argparse.ArgumentTypeError):  # not three parts, or not integers
             raise UsageError(f"flow {spec!r} must be SRC:DST:COUNT, three integers") from None
         try:
             flows.append(sim.Flow(source=src, destination=dst, packets=count))
@@ -290,8 +312,8 @@ def cmd_compare(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        weights = [float(p) for p in args.weights.split(",")]
-    except ValueError:
+        weights = [_number(p) for p in args.weights.split(",")]
+    except argparse.ArgumentTypeError:
         weights = []
     if len(weights) != 3 or not all(map(math.isfinite, weights)):
         raise UsageError("--weights must be three finite numbers W1,W2,W3")

@@ -116,21 +116,29 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
 
 # One-slot cache of the last scenario's topology, keyed by the identity of its
 # ScenarioConfig through a weak reference, so it never keeps a config alive.
-# Discovery only reads what it holds; exchange_hello's callers get fresh tables.
-_topology_cache: tuple[weakref.ref, dict[int, list[int]], dict[int, NeighborTable]] | None = None
+# Discovery never changes the topology it holds; exchange_hello's callers get
+# fresh tables. Beside the topology sit the routes resolved on it: discovery
+# depends on the topology alone, so each (protocol, source, dest) is resolved once.
+_topology_cache: (
+    tuple[weakref.ref, dict[int, list[int]], dict[int, NeighborTable], dict[tuple, object]] | None
+) = None
 
 
-def _topology(config: ScenarioConfig) -> tuple[dict[int, list[int]], dict[int, NeighborTable]]:
-    """The scenario's adjacency and HELLO tables, built once per config object."""
+def _topology(
+    config: ScenarioConfig,
+) -> tuple[dict[int, list[int]], dict[int, NeighborTable], dict[tuple, object]]:
+    """The scenario's adjacency and HELLO tables, built once per config
+    object, and the memo of the routes discovered on them."""
     global _topology_cache
     cached = _topology_cache
     if cached is not None and cached[0]() is config:
-        return cached[1], cached[2]
+        return cached[1:]
     tables = exchange_hello(config)
     # HELLO tables list each owner's neighbors in adjacency order
     adj = {owner: list(table.entries) for owner, table in tables.items()}
-    _topology_cache = (weakref.ref(config), adj, tables)
-    return adj, tables
+    routes: dict[tuple, object] = {}
+    _topology_cache = (weakref.ref(config), adj, tables, routes)
+    return adj, tables, routes
 
 
 def _check_endpoints(source: int, dest: int, adj: dict[int, list[int]]) -> None:
@@ -172,7 +180,7 @@ def completed_request(path: tuple[int, ...], config: ScenarioConfig) -> RouteReq
     """The discovery packet as the destination sees it: full path plus the
     cooperative flag each relaying intermediate appended (False for a hop
     that is out of range)."""
-    _, tables = _topology(config)
+    _, tables, _ = _topology(config)
     flags = []
     for prev, cur in zip(path, path[1:-1]):
         entry = tables[prev].entries.get(cur)
@@ -191,16 +199,37 @@ def _route_from_path(path: tuple[int, ...], config: ScenarioConfig) -> Route:
     return Route(request.path, request.hop_count, request.route_stability)
 
 
+def _resolved(key: tuple[str, int, int], routes: dict, resolve) -> Route:
+    """The route `resolve()` gives for key = (protocol, source, dest), resolved
+    on the first call and memoized with the topology. A memoized failure is
+    raised as a fresh exception of its class: re-raising one stored instance
+    would grow its traceback on every raise."""
+    outcome = routes.get(key)
+    if outcome is None:
+        try:
+            outcome = resolve()
+        except (NoRoute, NoCooperativeRoute) as exc:
+            outcome = type(exc)
+        routes[key] = outcome
+    if isinstance(outcome, Route):
+        return outcome
+    raise outcome(key[1], key[2])
+
+
 def aodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     """Minimum-hop route over the range graph (first-arrival flood semantics)."""
-    adj, _ = _topology(config)
+    adj, _, routes = _topology(config)
     _check_endpoints(source, dest, adj)
-    if source == dest:
-        return Route(path=(source,), hop_count=0, route_stability=())
-    hops = _hops_to(dest, adj)
-    if source not in hops:
-        raise NoRoute(source, dest)
-    return _route_from_path(_greedy_path(source, dest, adj, hops), config)
+
+    def resolve() -> Route:
+        if source == dest:
+            return Route(path=(source,), hop_count=0, route_stability=())
+        hops = _hops_to(dest, adj)
+        if source not in hops:
+            raise NoRoute(source, dest)
+        return _route_from_path(_greedy_path(source, dest, adj, hops), config)
+
+    return _resolved(("aodv", source, dest), routes, resolve)
 
 
 def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
@@ -210,26 +239,29 @@ def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     drops candidate paths containing any CO=0 intermediate and answers the
     lowest-hop survivor. Source and destination themselves are never filtered.
     """
-    adj, tables = _topology(config)
+    adj, tables, routes = _topology(config)
     _check_endpoints(source, dest, adj)
-    if source == dest:
-        return Route(path=(source,), hop_count=0, route_stability=())
 
     def allowed(u: int, v: int) -> bool:
         # Directed: u relays to v. Final hops into the destination are exempt.
         return v == dest or tables[u].entries[v].coop_status
 
-    coop_hops = _hops_to(dest, adj, allowed=allowed)
-    if source not in coop_hops:
-        if source not in _hops_to(dest, adj):
-            raise NoRoute(source, dest)
-        raise NoCooperativeRoute(source, dest)
-    route = _route_from_path(
-        _greedy_path(source, dest, adj, coop_hops, allowed=allowed), config
-    )
-    if not route.fully_cooperative:
-        raise InternalError(f"cooperative discovery chose non-cooperative path {route.path}")
-    return route
+    def resolve() -> Route:
+        if source == dest:
+            return Route(path=(source,), hop_count=0, route_stability=())
+        coop_hops = _hops_to(dest, adj, allowed=allowed)
+        if source not in coop_hops:
+            if source not in _hops_to(dest, adj):
+                raise NoRoute(source, dest)
+            raise NoCooperativeRoute(source, dest)
+        route = _route_from_path(
+            _greedy_path(source, dest, adj, coop_hops, allowed=allowed), config
+        )
+        if not route.fully_cooperative:
+            raise InternalError(f"cooperative discovery chose non-cooperative path {route.path}")
+        return route
+
+    return _resolved(("coaodv", source, dest), routes, resolve)
 
 
 def build_route_reply(chosen: Route, original: RouteRequest) -> RouteReply:

@@ -49,12 +49,13 @@ _DISCOVER = {
 }
 
 
-def _delivered(rng: random.Random, packets: int, drops: int, drop_prob: float) -> int:
+def _delivered(rng: random.Random | None, packets: int, drops: int, drop_prob: float) -> int:
     """How many of `packets` cross a route with `drops` droppable hops.
 
     Each packet draws once per droppable hop, in route order, and is lost at
     the first draw below `drop_prob`; a route with no droppable hop draws
-    nothing. Cooperative hops never draw, so only the droppable ones are counted.
+    nothing and needs no `rng`. Cooperative hops never draw, so only the
+    droppable ones are counted.
     """
     if not drops:
         return packets
@@ -71,7 +72,7 @@ def _delivered(rng: random.Random, packets: int, drops: int, drop_prob: float) -
 
 def run(simrun: SimRun) -> SimMetrics:
     """Execute one seeded run and aggregate its metrics."""
-    rng = random.Random(simrun.seed)
+    rng = None  # built at the first droppable hop: a run that never draws builds none
     discover = _DISCOVER[simrun.protocol]
     drop_prob = simrun.scenario.non_coop_drop_prob
 
@@ -86,6 +87,8 @@ def run(simrun: SimRun) -> SimMetrics:
             continue
 
         drops = route.route_stability.count(False)
+        if drops and rng is None:
+            rng = random.Random(simrun.seed)
         delivered = _delivered(rng, flow.packets, drops, drop_prob)
         per_flow.append(
             FlowMetrics(flow.source, flow.destination, route.hop_count, flow.packets, delivered)

@@ -536,3 +536,47 @@ def test_non_utf8_scenario_name_runs_and_validates(capsys, non_utf8_scenario):
     assert main(_argv("validate", non_utf8_scenario)) == 0
     out = capsys.readouterr().out
     assert "flow 4->9 [aodv]: hops=2" in out and "paper\\xff.json: OK" in out
+
+
+# Each numeric CLI input: the argv with `value` in its place, and a valid value.
+_RUN = ["run", str(PAPER_SCENARIO), "--protocol", "aodv"]
+NUMERIC_INPUTS = {
+    "flow-source": (lambda value: _RUN + ["--flows", f"{value}:9:5"], "4"),
+    "flow-destination": (lambda value: _RUN + ["--flows", f"4:{value}:5"], "9"),
+    "flow-count": (lambda value: _RUN + ["--flows", f"4:9:{value}"], "10"),
+    "seed": (lambda value: _RUN + ["--flows", "4:9:5", "--seed", value], "3"),
+    "seeds": (lambda value: _argv("compare", PAPER_SCENARIO) + ["--seeds", value], "2"),
+    "threshold": (lambda value: _RUN + ["--flows", "4:9:5", "--threshold", value], "400.5"),
+    "range": (lambda value: _RUN + ["--flows", "4:9:5", "--range", value], "20"),
+    "drop-prob": (lambda value: _RUN + ["--flows", "4:9:5", "--drop-prob", value], "2.5e-1"),
+    "weights": (lambda value: ["classify", "--weights", f"0.5,0.25,{value}"], "0.25"),
+}
+# Forms Python's int() and float() read as the valid value, and no option means.
+DISGUISES = {
+    "underscore": lambda value: "0_" + value,
+    "non-ascii-digit": lambda value: value[:-1] + chr(0x660 + int(value[-1])),  # Arabic-Indic
+    "surrounding-space": lambda value: f" {value} ",
+}
+
+
+@pytest.mark.parametrize("form", sorted(DISGUISES))
+@pytest.mark.parametrize("case", sorted(NUMERIC_INPUTS))
+def test_numbers_must_be_ascii_json_numerals(capsys, case, form):
+    argv, valid = NUMERIC_INPUTS[case]
+    disguised = DISGUISES[form](valid)
+    assert float(disguised) == float(valid)  # what int() or float() alone would accept
+    assert main(argv(valid)) == 0
+    capsys.readouterr()
+    assert main(argv(disguised)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_json_numerals_keep_their_meaning(capsys):
+    argv = _RUN + ["--flows", "4:9:20", "--threshold", "-0", "--range", "1E+2"]
+    assert main(argv + ["--drop-prob", "0", "--seed", "-7"]) == 0
+    assert "flow 4->9 [aodv]: hops=1 sent=20 delivered=20" in capsys.readouterr().out
+    for text in ("+1", "01", "1.", ".5", "0x10", "1e", "infinity", "-nan", "١٠"):
+        assert main(_RUN + ["--flows", "4:9:5", "--range", text]) == 1
+        assert main(_RUN + ["--flows", "4:9:5", "--seed", text]) == 1
+    assert f"argument --seed: '{text}' is not an integer" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 
 from coaodv_sim import sim
 from coaodv_sim.errors import NoCooperativeRoute, NoRoute
-from coaodv_sim.model import Protocol
+from coaodv_sim.model import FlowMetrics, Protocol, SimMetrics
 
 from .conftest import random_scenario
 
@@ -115,3 +115,62 @@ def test_fully_cooperative_route_draws_nothing(monkeypatch, paper_scenario):
     assert draws[0] == 0
     sim.run(sim.SimRun(half, Protocol.AODV, flows, seed=1))
     assert draws[0] > 0  # the counter sees aodv's droppable hops
+
+
+def _eager_run(simrun):
+    """sim.run with the run's generator built before the first flow, whether
+    or not any flow draws, and the walk's draws on it."""
+    rng = random.Random(simrun.seed)
+    discover = sim._DISCOVER[simrun.protocol]
+    per_flow = []
+    for flow in simrun.flows:
+        try:
+            route = discover(flow.source, flow.destination, simrun.scenario)
+        except (NoRoute, NoCooperativeRoute) as exc:
+            failure = "no_route" if isinstance(exc, NoRoute) else "no_cooperative_route"
+            per_flow.append(FlowMetrics(flow.source, flow.destination, None, 0, 0, failure))
+            continue
+        p = simrun.scenario.non_coop_drop_prob
+        delivered = walk_delivered(rng, flow.packets, route.route_stability, p)
+        per_flow.append(
+            FlowMetrics(flow.source, flow.destination, route.hop_count, flow.packets, delivered)
+        )
+    routed = [f.hop_count for f in per_flow if f.hop_count is not None]
+    return SimMetrics(
+        protocol=simrun.protocol,
+        hop_count=sum(routed) if routed else None,
+        packets_sent=sum(f.packets_sent for f in per_flow),
+        packets_delivered=sum(f.packets_delivered for f in per_flow),
+        route_discoveries=len(per_flow),
+        per_flow=tuple(per_flow),
+    )
+
+
+def test_generator_is_built_only_for_a_run_that_draws(monkeypatch, paper_scenario):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    # 4->5 is one hop and draws nothing; aodv relays 0->9 and 4->9 through
+    # droppable nodes, coaodv routes 4->9 cooperatively and refuses 0->9
+    flows = (sim.Flow(4, 5, 30), sim.Flow(0, 9, 30), sim.Flow(4, 9, 30))
+    seeds = list(range(10))
+    eager = {
+        proto: [_eager_run(sim.SimRun(half, proto, flows, seed)) for seed in seeds]
+        for proto in Protocol
+    }
+    built = []
+
+    class RecordingRandom(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(sim, "random", types.SimpleNamespace(Random=RecordingRandom))
+    coaodv = [sim.run(sim.SimRun(half, Protocol.COAODV, flows, seed)) for seed in seeds]
+    assert built == []
+    assert coaodv == eager[Protocol.COAODV]
+    aodv = sim.run(sim.SimRun(half, Protocol.AODV, flows, seeds[3]))
+    assert built == [seeds[3]]
+    assert aodv == eager[Protocol.AODV][3]
+    built.clear()
+    results = sim.compare(half, flows, seeds)
+    assert built == seeds  # one generator per aodv run, none for coaodv
+    assert results == list(zip(eager[Protocol.AODV], eager[Protocol.COAODV]))

@@ -9,7 +9,7 @@ from coaodv_sim.errors import UnknownNode
 from coaodv_sim.model import Protocol
 from coaodv_sim.sim import Flow, SimRun, compare, mean_hops, mean_pdr, run
 
-from .conftest import make_node, make_scenario, random_scenario
+from .conftest import make_node, make_scenario, random_scenario, seeded_scenario
 
 
 def test_paper_aodv_flow_delivers_nothing_at_full_drop(paper_scenario):
@@ -158,3 +158,31 @@ def test_mean_helpers(paper_scenario):
     assert mean_hops(coaodv_all) == 2.0  # only the routed flow counts
     assert mean_pdr(coaodv_all) == 1.0
     assert mean_pdr([]) is None
+
+
+@pytest.mark.parametrize("n, scenario_seed", [(50, 1), (50, 2), (300, 3)])
+def test_compare_equals_its_runs(n, scenario_seed):
+    rng = random.Random(f"compare-{n}-{scenario_seed}")
+    config = dataclasses.replace(
+        seeded_scenario(n, scenario_seed), non_coop_drop_prob=rng.random()
+    )
+    ids = [node.id for node in config.nodes]
+    flows = tuple(Flow(*rng.sample(ids, 2), rng.randint(1, 50)) for _ in range(6))
+    seeds = rng.choices(range(10**6), k=rng.randint(2, 7))
+    results = compare(config, flows, seeds)
+    # each run on a fresh copy of the config, so no route is resolved yet
+    runs = [
+        tuple(
+            run(SimRun(dataclasses.replace(config), proto, flows, seed))
+            for proto in (Protocol.AODV, Protocol.COAODV)
+        )
+        for seed in seeds
+    ]
+    assert results == runs
+    half = len(seeds) // 2
+    assert results == compare(config, flows, seeds[:half]) + compare(config, flows, seeds[half:])
+    # guard the inputs: some aodv flows lose packets, some coaodv flows are refused
+    outcomes = {
+        f.failure or f.packets_delivered < f.packets_sent for m in results[0] for f in m.per_flow
+    }
+    assert {True, "no_cooperative_route"} <= outcomes

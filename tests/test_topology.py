@@ -4,12 +4,13 @@ import dataclasses
 import gc
 import math
 import random
+import traceback
 import weakref
 
 import pytest
 
 from coaodv_sim import coopmath, protocol, sim
-from coaodv_sim.errors import NoCooperativeRoute
+from coaodv_sim.errors import NoCooperativeRoute, NoRoute, UnknownNode
 from coaodv_sim.model import DistanceMetric, MobilityMetric, load_scenario
 
 from .conftest import PAPER_SCENARIO, make_node, make_scenario, seeded_scenario
@@ -140,12 +141,23 @@ def test_compare_builds_range_graph_and_hello_tables_once(monkeypatch):
     assert len(hello) == 1
 
 
-def test_run_reads_cooperative_flags_off_the_route(monkeypatch, paper_scenario):
+def test_run_reads_cooperative_flags_off_the_route(monkeypatch):
+    config = load_scenario(PAPER_SCENARIO)  # a fresh object: no route resolved yet
     requests = _counting(monkeypatch, "completed_request")
     flows = (sim.Flow(0, 9, 5), sim.Flow(4, 9, 5))
-    sim.compare(paper_scenario, flows, list(range(20)))
-    # one per routed discovery: aodv routes both flows, coaodv only 4->9
-    assert len(requests) == 20 * 3
+    sim.compare(config, flows, list(range(20)))
+    # one per route resolved: aodv routes both flows, coaodv only 4->9
+    assert len(requests) == 3
+
+
+def test_compare_resolves_each_route_once(monkeypatch):
+    config = load_scenario(PAPER_SCENARIO)
+    searches = _counting(monkeypatch, "_hops_to")
+    flows = (sim.Flow(0, 9, 5), sim.Flow(4, 9, 5))
+    sim.compare(config, flows, list(range(20)))
+    # aodv: one search per flow; coaodv 4->9: one cooperative search;
+    # coaodv 0->9: a cooperative search, then a plain one to tell the failures apart
+    assert len(searches) == 2 + 1 + 2
 
 
 def test_replaced_config_gets_its_own_topology(paper_scenario):
@@ -180,10 +192,86 @@ def test_mutating_hello_tables_cannot_change_discovery(discover_first):
 def test_cache_does_not_keep_config_alive():
     config = load_scenario(PAPER_SCENARIO)
     protocol.aodv_discover(0, 9, config)
+    # memoized routes and a memoized failure hold nothing of the config either
+    protocol.coaodv_discover(4, 9, config)
+    with pytest.raises(NoCooperativeRoute):
+        protocol.coaodv_discover(0, 9, config)
     ref = weakref.ref(config)
     del config
     gc.collect()
     assert ref() is None
+
+
+# -- one resolved route per (protocol, source, destination) per config ------
+
+
+@pytest.mark.parametrize("proto", list(sim.Protocol))
+def test_repeated_discovery_returns_equal_routes(proto):
+    config = load_scenario(PAPER_SCENARIO)
+    discover = sim._DISCOVER[proto]
+    for source in (4, 9):
+        first = discover(source, 9, config)
+        assert [discover(source, 9, config) for _ in range(3)] == [first] * 3
+        # equal to the route resolved on a cold copy of the config
+        assert discover(source, 9, dataclasses.replace(config)) == first
+
+
+FAILURES = {
+    "no-cooperative-route": (protocol.coaodv_discover, False, NoCooperativeRoute),
+    "no-route-aodv": (protocol.aodv_discover, True, NoRoute),
+    "no-route-coaodv": (protocol.coaodv_discover, True, NoRoute),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_memoized_failure_is_raised_fresh_on_every_call(monkeypatch, case):
+    discover, isolated, error = FAILURES[case]
+    config = load_scenario(PAPER_SCENARIO)
+    if isolated:  # node 0 out of everyone's range
+        config = make_scenario([make_node(0, 0.0, 0.0), make_node(9, 90.0, 90.0)])
+    searches = _counting(monkeypatch, "_hops_to")
+    raised = []
+    for _ in range(4):
+        with pytest.raises(error) as info:
+            discover(0, 9, config)
+        raised.append(info.value)
+        if len(raised) == 1:
+            first_searches = len(searches)
+    assert len(searches) == first_searches  # later calls replay the failure
+    assert len({id(exc) for exc in raised}) == len(raised)
+    assert {(type(exc), exc.args, exc.source, exc.destination) for exc in raised} == {
+        (error, raised[0].args, 0, 9)
+    }
+    # a stored instance raised again would carry a longer traceback each time
+    depths = {len(traceback.extract_tb(exc.__traceback__)) for exc in raised}
+    assert len(depths) == 1
+    assert all(exc.__context__ is None for exc in raised)
+
+
+@pytest.mark.parametrize("proto", list(sim.Protocol))
+def test_unknown_node_is_raised_after_a_memoized_route(proto):
+    config = load_scenario(PAPER_SCENARIO)
+    discover = sim._DISCOVER[proto]
+    discover(4, 9, config)
+    discover(4, 9, config)
+    for source, dest in ((4, 42), (42, 9), (42, 42)):
+        with pytest.raises(UnknownNode, match="42"):
+            discover(source, dest, config)
+    assert discover(4, 9, config).source == 4
+
+
+def test_replaced_configs_keep_their_own_routes():
+    narrow = load_scenario(PAPER_SCENARIO)
+    wide = dataclasses.replace(narrow, transmission_range=200.0)
+    # alternate A, B, A, B: each config answers the same keys with its own outcome
+    for _ in range(2):
+        with pytest.raises(NoCooperativeRoute):
+            protocol.coaodv_discover(0, 9, narrow)
+        assert protocol.aodv_discover(0, 9, narrow).path == (0, 2, 1, 5, 9)
+        assert protocol.coaodv_discover(4, 9, narrow).path == (4, 8, 9)
+        assert protocol.coaodv_discover(0, 9, wide).path == (0, 9)
+        assert protocol.aodv_discover(0, 9, wide).path == (0, 9)
+        assert protocol.coaodv_discover(4, 9, wide).path == (4, 9)
 
 
 # -- HELLO: one mobility per node, verdicts of the full peer set -------------
