@@ -15,6 +15,9 @@ import math
 import os
 import re
 import sys
+from collections import deque
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 from . import sim
@@ -212,23 +215,26 @@ def _report_name(args) -> str:
     return name
 
 
-def _write_report(path: str, rows: list[tuple]) -> None:
+def _write_report(path: str, chunks: Iterable[list[tuple]]) -> None:
+    """Write the header, then each chunk of rows as it comes."""
     # csv.writer prints None as an empty field and a float as its repr
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(REPORT_HEADER)
-            writer.writerows(rows)
+            for rows in chunks:
+                writer.writerows(rows)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _metric_rows(name: str, seed: int, metrics: SimMetrics) -> list[tuple]:
     """One report row per flow, raw values in REPORT_HEADER order."""
+    protocol = metrics.protocol.value
     return [
         (
             name,
-            metrics.protocol.value,
+            protocol,
             seed,
             f.source,
             f.destination,
@@ -272,7 +278,7 @@ def cmd_run(args) -> int:
     )
     _flow_summary(metrics)
     if args.out:
-        _write_report(args.out, _metric_rows(name, seed, metrics))
+        _write_report(args.out, [_metric_rows(name, seed, metrics)])
         log.info("report written to %s", args.out)
     return 0
 
@@ -283,27 +289,32 @@ def cmd_compare(args) -> int:
     config = _load_effective_scenario(args)
     flows = _parse_flows(args.flows)
     name = _report_name(args)
-    seeds = [config.rng_seed + i for i in range(args.seeds)]
-    results = sim.compare(config, flows, seeds)
+    seeds = range(config.rng_seed, config.rng_seed + args.seeds)
+    # The first seed runs before --out is opened: a run discovers every flow,
+    # so an unknown node exits without creating or truncating the report.
+    runs = zip(seeds, sim.pairs(config, flows, seeds))
+    runs = chain([next(runs)], runs)
+    summaries = (sim.Summary(), sim.Summary())
 
-    rows: list[tuple] = []
-    for seed, pair in zip(seeds, results):
-        for metrics in pair:
-            rows.extend(_metric_rows(name, seed, metrics))
+    def seed_rows():  # one list of rows per seed; nothing of a seed is kept after it
+        for seed, pair in runs:
+            rows = []
+            for summary, metrics in zip(summaries, pair):
+                summary.add(metrics)
+                rows += _metric_rows(name, seed, metrics)
+            yield rows
+
     if args.out:
-        _write_report(args.out, rows)
+        _write_report(args.out, seed_rows())
         log.info("report written to %s", args.out)
+    else:
+        deque(seed_rows(), maxlen=0)
 
-    aodv_all = [pair[0] for pair in results]
-    coaodv_all = [pair[1] for pair in results]
     print(f"{'protocol':<8} {'routed_flows':>12} {'mean_hops':>10} {'mean_pdr':>9}")
-    for label, group in (("aodv", aodv_all), ("coaodv", coaodv_all)):
-        routed = sum(1 for m in group for f in m.per_flow if f.hop_count is not None)
-        total = sum(len(m.per_flow) for m in group)
-        hops = sim.mean_hops(group)
-        pdr = sim.mean_pdr(group)
+    for label, summary in zip(("aodv", "coaodv"), summaries):
+        hops, pdr = summary.mean_hops, summary.mean_pdr
         print(
-            f"{label:<8} {f'{routed}/{total}':>12} "
+            f"{label:<8} {f'{summary.routed}/{summary.flows}':>12} "
             f"{'-' if hops is None else f'{hops:.4f}':>10} "
             f"{'-' if pdr is None else f'{pdr:.4f}':>9}"
         )

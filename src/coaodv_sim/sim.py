@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import random
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -113,34 +114,71 @@ def run(simrun: SimRun) -> SimMetrics:
     )
 
 
+def pairs(
+    scenario: ScenarioConfig, flows: tuple[Flow, ...], seeds: Iterable[int]
+) -> Iterator[tuple[SimMetrics, SimMetrics]]:
+    """Run both protocols on identical inputs for each seed, in seed order,
+    yielding each seed's (aodv, coaodv) pair as soon as it is run."""
+    for seed in seeds:
+        yield (
+            run(SimRun(scenario, Protocol.AODV, flows, seed)),
+            run(SimRun(scenario, Protocol.COAODV, flows, seed)),
+        )
+
+
 def compare(
     scenario: ScenarioConfig, flows: tuple[Flow, ...], seeds: list[int]
 ) -> list[tuple[SimMetrics, SimMetrics]]:
-    """Run both protocols on identical inputs for every seed, in seed order."""
+    """Every pair of `pairs`, as a list."""
     if not seeds:
         raise ValueError("compare requires at least one seed")
-    results = []
-    for seed in seeds:
-        pair = tuple(
-            run(SimRun(scenario=scenario, protocol=proto, flows=flows, seed=seed))
-            for proto in (Protocol.AODV, Protocol.COAODV)
-        )
-        results.append(pair)
-    return results
+    return list(pairs(scenario, flows, seeds))
 
 
-def mean_pdr(metrics: list[SimMetrics]) -> float | None:
-    """Mean packet delivery ratio over flows that sent packets; None if none did."""
-    values = [
-        f.packet_delivery_ratio
-        for m in metrics
-        for f in m.per_flow
-        if f.packet_delivery_ratio is not None
-    ]
-    return sum(values) / len(values) if values else None
+@dataclass
+class Summary:
+    """Running totals over one protocol's runs, folded one `SimMetrics` at a
+    time. The sums add flow by flow in run order, so the means are the same
+    whether the runs were kept in a list or streamed."""
+
+    routed: int = 0
+    flows: int = 0
+    hop_sum: int = 0
+    pdr_sum: float = 0
+    pdr_count: int = 0
+
+    def add(self, metrics: SimMetrics) -> None:
+        for f in metrics.per_flow:
+            self.flows += 1
+            if f.hop_count is not None:
+                self.routed += 1
+                self.hop_sum += f.hop_count
+            pdr = f.packet_delivery_ratio
+            if pdr is not None:
+                self.pdr_sum += pdr
+                self.pdr_count += 1
+
+    @property
+    def mean_hops(self) -> float | None:
+        """Mean hop count over routed flows; None if no flow found a route."""
+        return self.hop_sum / self.routed if self.routed else None
+
+    @property
+    def mean_pdr(self) -> float | None:
+        """Mean packet delivery ratio over flows that sent packets; None if none did."""
+        return self.pdr_sum / self.pdr_count if self.pdr_count else None
 
 
-def mean_hops(metrics: list[SimMetrics]) -> float | None:
-    """Mean hop count over routed flows; None if no flow found a route."""
-    values = [f.hop_count for m in metrics for f in m.per_flow if f.hop_count is not None]
-    return sum(values) / len(values) if values else None
+def summarize(metrics: Iterable[SimMetrics]) -> Summary:
+    summary = Summary()
+    for m in metrics:
+        summary.add(m)
+    return summary
+
+
+def mean_pdr(metrics: Iterable[SimMetrics]) -> float | None:
+    return summarize(metrics).mean_pdr
+
+
+def mean_hops(metrics: Iterable[SimMetrics]) -> float | None:
+    return summarize(metrics).mean_hops

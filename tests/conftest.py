@@ -81,12 +81,19 @@ def dense_random_scenario(rng: random.Random) -> ScenarioConfig:
 
 
 def seeded_scenario(
-    n: int, seed: int, distance_metric: DistanceMetric = DistanceMetric.MANHATTAN
+    n: int,
+    seed: int,
+    distance_metric: DistanceMetric = DistanceMetric.MANHATTAN,
+    per_unit: int = 1000,
 ) -> ScenarioConfig:
     """n nodes at whole-thousandth coordinates on a square sized for a mean
     Manhattan degree near 9 at r=20. About 40% are stationary relays above
     the energy threshold, so some flows have cooperative routes and some are
-    refused; the rest move up to 3 units and may have any energy."""
+    refused; the rest move up to 3 units and may have any energy.
+
+    `per_unit` is how many coordinate steps make one unit: at 1 every length
+    (coordinates, area and range) is counted in thousandths, so the
+    coordinates are integers and differences of them are exact."""
     rng = random.Random(f"seeded-{n}-{seed}")
     side = max(20, round((n * 800 / 9) ** 0.5))
     top = side * 1000
@@ -99,5 +106,13 @@ def seeded_scenario(
             energy = rng.randint(100, 2000)
             x2 = min(max(x + rng.randint(-3000, 3000), 0), top)
             y2 = min(max(y + rng.randint(-3000, 3000), 0), top)
-        nodes.append(make_node(i, x / 1000, y / 1000, x2 / 1000, y2 / 1000, energy=energy))
-    return make_scenario(nodes, area=(float(side), float(side)), distance_metric=distance_metric)
+        nodes.append(
+            make_node(i, x / per_unit, y / per_unit, x2 / per_unit, y2 / per_unit, energy=energy)
+        )
+    unit = 1000 / per_unit
+    return make_scenario(
+        nodes,
+        transmission_range=20 * unit,
+        area=(side * unit, side * unit),
+        distance_metric=distance_metric,
+    )

@@ -1,19 +1,29 @@
+import dataclasses
 import errno
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from coaodv_sim import cli
+from coaodv_sim import cli, sim
 from coaodv_sim.cli import REPORT_HEADER, main
 from coaodv_sim.errors import NegativeArea
-from coaodv_sim.model import DistanceMetric, MobilityMetric, scenario_from_dict, validate_scenario
+from coaodv_sim.model import (
+    DistanceMetric,
+    MobilityMetric,
+    load_scenario,
+    scenario_from_dict,
+    scenario_to_json,
+    validate_scenario,
+)
 
-from .conftest import PAPER_SCENARIO
+from .conftest import PAPER_SCENARIO, make_node, make_scenario, seeded_scenario
 
 GOLDEN_RUN_CSV = (
     "scenario,protocol,seed,flow_src,flow_dst,hop_count,packets_sent,"
@@ -216,6 +226,88 @@ def test_compare_summary_side_by_side(capsys):
 def test_compare_rejects_zero_seeds(capsys):
     assert main(["compare", str(PAPER_SCENARIO), "--flows", "0:9:1", "--seeds", "0"]) == 1
     assert "--seeds" in capsys.readouterr().err
+
+
+def _summary_lines(results) -> str:
+    """compare's summary, built from sim.compare's pairs and the mean helpers."""
+    lines = [f"{'protocol':<8} {'routed_flows':>12} {'mean_hops':>10} {'mean_pdr':>9}"]
+    for label, group in (("aodv", [p[0] for p in results]), ("coaodv", [p[1] for p in results])):
+        flows = [f for m in group for f in m.per_flow]
+        routed = sum(f.hop_count is not None for f in flows)
+        hops, pdr = sim.mean_hops(group), sim.mean_pdr(group)
+        lines.append(
+            f"{label:<8} {f'{routed}/{len(flows)}':>12} "
+            f"{'-' if hops is None else f'{hops:.4f}':>10} "
+            f"{'-' if pdr is None else f'{pdr:.4f}':>9}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["seeded-50", "seeded-300", "paper-refused", "isolated"],
+)
+def test_compare_summary_equals_the_means_of_its_pairs(tmp_path, capsys, case):
+    rng = random.Random(f"summary-{case}")
+    if case.startswith("seeded"):
+        config = seeded_scenario(int(case.split("-")[1]), 4)
+        ids = [node.id for node in config.nodes]
+        flows = [(*rng.sample(ids, 2), rng.randint(1, 30)) for _ in range(5)]
+    elif case == "paper-refused":  # every coaodv flow refused: '-' for coaodv
+        config, flows = load_scenario(PAPER_SCENARIO), [(0, 9, 20)]
+    else:  # two nodes out of each other's range, no flow routed: '-' for both
+        config = make_scenario([make_node(0, 0, 0), make_node(1, 99, 99)])
+        flows = [(0, 1, 5), (1, 0, 5)]
+    config = dataclasses.replace(
+        config, non_coop_drop_prob=rng.random(), rng_seed=rng.randrange(10**6)
+    )
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_to_json(config), encoding="utf-8")
+    seeds = rng.randint(1, 25)
+    specs = [":".join(map(str, flow)) for flow in flows]
+    assert main(["compare", str(path), "--flows", *specs, "--seeds", str(seeds)]) == 0
+    results = sim.compare(
+        load_scenario(path),
+        tuple(sim.Flow(*flow) for flow in flows),
+        list(range(config.rng_seed, config.rng_seed + seeds)),
+    )
+    out = capsys.readouterr().out
+    assert out == _summary_lines(results)
+    if not case.startswith("seeded"):
+        assert out.splitlines()[-1].split()[2:] == ["-", "-"]
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier report\n"])
+def test_compare_unknown_node_leaves_the_report_as_it_was(tmp_path, capsys, existing):
+    out = tmp_path / "R"
+    if existing is not None:
+        out.write_bytes(existing)
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "4:9:1", "0:77:1", "--out", str(out)]
+    assert main(argv) == 1
+    assert "error: unknown node id 77" in capsys.readouterr().err
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
+def test_compare_memory_does_not_grow_with_seeds(tmp_path, capsys):
+    def traced_peak(seeds: int) -> int:
+        flows = ["--flows", "0:9:20", "4:9:20", "--drop-prob", "0.5"]
+        out = ["--out", str(tmp_path / "report.csv")]
+        argv = ["compare", str(PAPER_SCENARIO), *flows, "--seeds", str(seeds), *out]
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+
+    traced_peak(4)  # warm: imports and the scenario path's first use are not per seed
+    tracemalloc.start()
+    try:
+        few, many = traced_peak(4), traced_peak(400)
+    finally:
+        tracemalloc.stop()
+    assert many - few < 100_000, (few, many)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coaodv_sim.coopmath import (
     composite_score,
@@ -196,10 +197,17 @@ def test_grid_distance_is_its_own_inclusive_boundary(a, b):
 
 
 @given(points, points, st.floats(min_value=1e-3, max_value=1e3))
+@example(Position(0.0, 0.0), Position(0.0, 2.2250738585072014e-308), 0.75)
 def test_mobility_halves_when_elapsed_doubles(a, b, elapsed):
-    slow = MobilityRecord(a, b, elapsed=2 * elapsed)
-    fast = MobilityRecord(a, b, elapsed=elapsed)
-    assert mobility(fast) == 2 * mobility(slow)
+    moved = math.hypot(a.x - b.x, a.y - b.y)
+    slow = mobility(MobilityRecord(a, b, elapsed=2 * elapsed))
+    fast = mobility(MobilityRecord(a, b, elapsed=elapsed))
+    assert slow == moved / (2 * elapsed)
+    assert fast == moved / elapsed
+    # Halving is exact only while the slow rate is zero or normal: a subnormal
+    # quotient keeps fewer significant bits, so it may round where fast / 2 did not.
+    if slow == 0 or slow >= sys.float_info.min:
+        assert fast == 2 * slow
 
 
 def test_euclidean_never_exceeds_manhattan():

@@ -1,13 +1,26 @@
 import dataclasses
 import random
 import sys
+from functools import reduce
+from operator import add
 
 import pytest
 
 from coaodv_sim import protocol as protocol_module
+from coaodv_sim import sim as sim_module
 from coaodv_sim.errors import UnknownNode
 from coaodv_sim.model import Protocol
-from coaodv_sim.sim import Flow, SimRun, compare, mean_hops, mean_pdr, run
+from coaodv_sim.sim import (
+    Flow,
+    SimRun,
+    Summary,
+    compare,
+    mean_hops,
+    mean_pdr,
+    pairs,
+    run,
+    summarize,
+)
 
 from .conftest import make_node, make_scenario, random_scenario, seeded_scenario
 
@@ -160,6 +173,38 @@ def test_mean_helpers(paper_scenario):
     assert mean_pdr([]) is None
 
 
+def test_summary_folds_in_run_order(paper_scenario):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    results = compare(half, (Flow(0, 9, 7), Flow(4, 9, 3), Flow(0, 9, 11)), seeds=[1, 2, 3])
+    aodv_all = [pair[0] for pair in results]
+    summary = Summary()
+    for metrics in aodv_all:
+        summary.add(metrics)
+    pdrs = [f.packet_delivery_ratio for m in aodv_all for f in m.per_flow]
+    assert (summary.routed, summary.flows, summary.hop_sum) == (9, 9, 30)
+    assert summary.mean_pdr == reduce(add, pdrs, 0) / len(pdrs)  # the same additions, in order
+    assert summary == summarize(iter(aodv_all))
+    assert mean_hops(iter(aodv_all)) == 30 / 9
+
+
+def test_summary_of_no_routed_flow_has_no_means(paper_scenario):
+    for flows in ((), (Flow(0, 9, 5),)):
+        (_, coaodv_metrics), = compare(paper_scenario, flows, seeds=[1])
+        summary = summarize([coaodv_metrics])
+        assert (summary.routed, summary.flows) == (0, len(flows))
+        assert summary.mean_hops is None and summary.mean_pdr is None
+
+
+def test_pairs_runs_each_seed_when_it_is_asked_for(monkeypatch, paper_scenario):
+    seeds = []
+    monkeypatch.setattr(sim_module, "run", lambda simrun: seeds.append(simrun.seed))
+    loop = pairs(paper_scenario, (Flow(4, 9, 1),), iter([5, 6, 7]))
+    assert seeds == []
+    next(loop)
+    assert seeds == [5, 5]
+    assert len(list(loop)) == 2 and seeds == [5, 5, 6, 6, 7, 7]
+
+
 @pytest.mark.parametrize("n, scenario_seed", [(50, 1), (50, 2), (300, 3)])
 def test_compare_equals_its_runs(n, scenario_seed):
     rng = random.Random(f"compare-{n}-{scenario_seed}")
@@ -179,6 +224,7 @@ def test_compare_equals_its_runs(n, scenario_seed):
         for seed in seeds
     ]
     assert results == runs
+    assert list(pairs(config, flows, seeds)) == results
     half = len(seeds) // 2
     assert results == compare(config, flows, seeds[:half]) + compare(config, flows, seeds[half:])
     # guard the inputs: some aodv flows lose packets, some coaodv flows are refused
