@@ -251,10 +251,8 @@ def _metric_rows(name: str, seed: int, metrics: SimMetrics) -> list[tuple]:
 def _flow_summary(metrics: SimMetrics) -> None:
     for f in metrics.per_flow:
         tag = f"flow {f.source}->{f.destination} [{metrics.protocol.value}]"
-        if f.failure == "no_route":
-            print(f"{tag}: no route")
-        elif f.failure == "no_cooperative_route":
-            print(f"{tag}: no cooperative route")
+        if f.failure:
+            print(f"{tag}: {f.failure.replace('_', ' ')}")
         else:
             print(
                 f"{tag}: hops={f.hop_count} sent={f.packets_sent} "
@@ -273,9 +271,7 @@ def cmd_run(args) -> int:
     flows = _parse_flows(args.flows)
     name = _report_name(args)
     seed = args.seed if args.seed is not None else config.rng_seed
-    metrics = sim.run(
-        sim.SimRun(scenario=config, protocol=Protocol(args.protocol), flows=flows, seed=seed)
-    )
+    metrics = sim.run(config, Protocol(args.protocol), flows, seed)
     _flow_summary(metrics)
     if args.out:
         _write_report(args.out, [_metric_rows(name, seed, metrics)])

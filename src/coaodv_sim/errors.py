@@ -124,10 +124,3 @@ class AmbiguousProfile(SimulatorError):
 
 class InternalError(SimulatorError):
     """A self-check failed: a bug in this package, not a problem with the input."""
-
-
-class EndpointMismatch(SimulatorError):
-    def __init__(self, route_ends, request_ends):
-        super().__init__(
-            f"route endpoints {route_ends} do not match request endpoints {request_ends}"
-        )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -110,26 +110,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class RouteRequest:
-    """A discovery packet as it arrives: traversed path plus per-intermediate
-    cooperative flags (the route-stability field)."""
-
-    source: int
-    destination: int
-    path: tuple[int, ...]
-    hop_count: int
-    route_stability: tuple[bool, ...]
-
-    def __post_init__(self):
-        if not self.path or (self.path[0], self.path[-1]) != (self.source, self.destination):
-            raise ValueError("request path must run from the source to the destination")
-        Route(self.path, self.hop_count, self.route_stability)  # the same path invariants
-
-    def intermediates(self) -> tuple[int, ...]:
-        return self.path[1:-1]
-
-
-@dataclass(frozen=True)
 class Route:
     """A discovered route with the cooperative flag of each intermediate."""
 
@@ -146,14 +126,6 @@ class Route:
             raise ValueError("hop_count must equal len(path) - 1")
         if len(self.route_stability) != len(self.path[1:-1]):
             raise ValueError(f"route_stability needs one flag per intermediate of {self.path}")
-
-    @property
-    def source(self) -> int:
-        return self.path[0]
-
-    @property
-    def destination(self) -> int:
-        return self.path[-1]
 
     @property
     def fully_cooperative(self) -> bool:
@@ -209,24 +181,30 @@ class FlowMetrics:
 
 @dataclass(frozen=True)
 class SimMetrics:
-    """Aggregate counters for one simulation run.
-
-    hop_count is the total hops over routed flows (the flow's hop count for
-    single-flow runs) and None when no flow found a route.
-    """
+    """One simulation run: its protocol and the outcome of each flow. The
+    run's totals are read off the flows."""
 
     protocol: Protocol
-    hop_count: int | None
-    packets_sent: int
-    packets_delivered: int
-    route_discoveries: int
-    per_flow: tuple[FlowMetrics, ...] = field(default_factory=tuple)
+    per_flow: tuple[FlowMetrics, ...]
+
+    @property
+    def hop_count(self) -> int | None:
+        """Total hops over routed flows; None when no flow found a route."""
+        routed = [f.hop_count for f in self.per_flow if f.hop_count is not None]
+        return sum(routed) if routed else None
+
+    @property
+    def packets_sent(self) -> int:
+        return sum(f.packets_sent for f in self.per_flow)
+
+    @property
+    def packets_delivered(self) -> int:
+        return sum(f.packets_delivered for f in self.per_flow)
 
     @property
     def packet_delivery_ratio(self) -> float | None:
-        if self.packets_sent <= 0:
-            return None
-        return self.packets_delivered / self.packets_sent
+        sent = self.packets_sent
+        return self.packets_delivered / sent if sent > 0 else None
 
 
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
@@ -280,6 +258,11 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
 # --- JSON scenario document ---------------------------------------------
 
 _REQUIRED_KEYS = ("nodes", "area", "transmission_range", "energy_threshold")
+_KEYS = frozenset(
+    (*_REQUIRED_KEYS, "distance_metric", "mobility_metric", "threshold_strict",
+     "non_coop_drop_prob", "seed", "elapsed_time")
+)
+_NODE_KEYS = frozenset(("id", "pos_t1", "pos_t2", "energy"))
 
 
 # Exact JSON types, so that a bool is never a number and nothing is coerced.
@@ -292,6 +275,13 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _check_keys(obj: dict, known: frozenset, where: str) -> None:
+    """Reject the keys of `obj` that the schema does not name."""
+    unknown = [k for k in obj if k not in known]
+    if unknown:
+        raise ScenarioFormatError(f"{where}: unknown keys {', '.join(map(repr, unknown))}")
+
+
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed scenario document.
 
@@ -301,20 +291,31 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     mobility_metric ("euclidean_rate"), threshold_strict (true),
     non_coop_drop_prob (1.0), seed (0), elapsed_time (1.0, applied to every node).
 
-    Raises ScenarioFormatError for structural problems and for values of the
-    wrong JSON type; invariants are checked separately by validate_scenario.
+    Raises ScenarioFormatError for structural problems, for keys the schema
+    does not name and for values of the wrong JSON type; invariants are
+    checked separately by validate_scenario.
     """
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"scenario document must be an object, got {type(doc).__name__}")
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise ScenarioFormatError(f"missing required keys: {', '.join(missing)}")
+    _check_keys(doc, _KEYS, "scenario")
     try:
         elapsed = _number(doc.get("elapsed_time", 1.0), "elapsed_time")
         nodes = []
         for entry in doc["nodes"]:  # checked inline: a call per node slowed a 300-node parse 5%
-            p1, p2 = entry["pos_t1"], entry["pos_t2"]
-            values = (p1[0], p1[1], p2[0], p2[1], entry["energy"])
+            # four keys that the reads below all find are exactly the schema's
+            if len(entry) != 4 and isinstance(entry, dict):
+                _check_keys(entry, _NODE_KEYS, f"node {entry.get('id')!r}")
+            try:
+                (x1, y1), (x2, y2) = entry["pos_t1"], entry["pos_t2"]
+            except ValueError:
+                raise ScenarioFormatError(
+                    f"node {entry['id']!r}: pos_t1 and pos_t2 must each be [x, y], "
+                    f"got {entry['pos_t1']!r} and {entry['pos_t2']!r}"
+                ) from None
+            values = (x1, y1, x2, y2, entry["energy"])
             if not _NUMBER_TYPES.issuperset(map(type, values)):
                 raise ScenarioFormatError(
                     f"node {entry['id']!r}: positions and energy must be numbers, got {values!r}"
@@ -322,6 +323,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             x1, y1, x2, y2, energy = map(float, values)
             record = MobilityRecord(Position(x1, y1), Position(x2, y2), elapsed)
             nodes.append(NodeState(entry["id"], record, energy))
+        area = doc["area"]
+        try:
+            width, height = area
+        except ValueError:
+            raise ScenarioFormatError(f"area must be [width, height], got {area!r}") from None
         seed, strict = doc.get("seed", 0), doc.get("threshold_strict", True)
         if type(seed) is not int:
             raise ScenarioFormatError(f"seed must be an integer, got {seed!r}")
@@ -329,7 +335,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             raise ScenarioFormatError(f"threshold_strict must be true or false, got {strict!r}")
         config = ScenarioConfig(
             nodes=tuple(nodes),
-            area=(_number(doc["area"][0], "area"), _number(doc["area"][1], "area")),
+            area=(_number(width, "area"), _number(height, "area")),
             transmission_range=_number(doc["transmission_range"], "transmission_range"),
             energy_threshold=_number(doc["energy_threshold"], "energy_threshold"),
             distance_metric=DistanceMetric(doc.get("distance_metric", "manhattan")),
@@ -338,7 +344,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             non_coop_drop_prob=_number(doc.get("non_coop_drop_prob", 1.0), "non_coop_drop_prob"),
             rng_seed=seed,
         )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
     return config
 

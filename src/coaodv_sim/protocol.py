@@ -18,14 +18,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .coopmath import distance, is_cooperative, mobility_rates
-from .errors import (
-    EndpointMismatch,
-    InternalError,
-    NoCooperativeRoute,
-    NoRoute,
-    UnknownNode,
-)
-from .model import Route, RouteRequest, ScenarioConfig
+from .errors import InternalError, NoCooperativeRoute, NoRoute, UnknownNode
+from .model import Route, ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -37,14 +31,6 @@ class NeighborEntry:
 class NeighborTable:
     owner: int
     entries: Mapping[int, NeighborEntry]
-
-
-@dataclass(frozen=True)
-class RouteReply:
-    """Destination's answer, carried back along the chosen path reversed."""
-
-    route: Route
-    reply_path: tuple[int, ...]
 
 
 # Cells are a hair wider than the range: a pair that passes the final
@@ -176,27 +162,16 @@ def _greedy_path(source: int, dest: int, adj, hops: dict[int, int], allowed=None
     return tuple(path)
 
 
-def completed_request(path: tuple[int, ...], config: ScenarioConfig) -> RouteRequest:
-    """The discovery packet as the destination sees it: full path plus the
-    cooperative flag each relaying intermediate appended (False for a hop
+def completed_request(path: tuple[int, ...], config: ScenarioConfig) -> Route:
+    """The route as the destination sees the discovery packet: full path plus
+    the cooperative flag each relaying intermediate appended (False for a hop
     that is out of range)."""
     _, tables, _ = _topology(config)
     flags = []
     for prev, cur in zip(path, path[1:-1]):
         entry = tables[prev].entries.get(cur)
         flags.append(entry is not None and entry.coop_status)
-    return RouteRequest(
-        source=path[0],
-        destination=path[-1],
-        path=tuple(path),
-        hop_count=len(path) - 1,
-        route_stability=tuple(flags),
-    )
-
-
-def _route_from_path(path: tuple[int, ...], config: ScenarioConfig) -> Route:
-    request = completed_request(path, config)
-    return Route(request.path, request.hop_count, request.route_stability)
+    return Route(path=tuple(path), hop_count=len(path) - 1, route_stability=tuple(flags))
 
 
 def _resolved(key: tuple[str, int, int], routes: dict, resolve) -> Route:
@@ -227,7 +202,7 @@ def aodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
         hops = _hops_to(dest, adj)
         if source not in hops:
             raise NoRoute(source, dest)
-        return _route_from_path(_greedy_path(source, dest, adj, hops), config)
+        return completed_request(_greedy_path(source, dest, adj, hops), config)
 
     return _resolved(("aodv", source, dest), routes, resolve)
 
@@ -254,7 +229,7 @@ def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
             if source not in _hops_to(dest, adj):
                 raise NoRoute(source, dest)
             raise NoCooperativeRoute(source, dest)
-        route = _route_from_path(
+        route = completed_request(
             _greedy_path(source, dest, adj, coop_hops, allowed=allowed), config
         )
         if not route.fully_cooperative:
@@ -262,12 +237,3 @@ def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
         return route
 
     return _resolved(("coaodv", source, dest), routes, resolve)
-
-
-def build_route_reply(chosen: Route, original: RouteRequest) -> RouteReply:
-    """Answer traveling the chosen path in reverse, destination back to source."""
-    if (chosen.source, chosen.destination) != (original.source, original.destination):
-        raise EndpointMismatch(
-            (chosen.source, chosen.destination), (original.source, original.destination)
-        )
-    return RouteReply(route=chosen, reply_path=tuple(reversed(chosen.path)))

@@ -36,14 +36,6 @@ class Flow:
             raise ValueError(f"packets must be from 1 to {sys.maxsize}, got {self.packets}")
 
 
-@dataclass(frozen=True)
-class SimRun:
-    scenario: ScenarioConfig
-    protocol: Protocol
-    flows: tuple[Flow, ...]
-    seed: int
-
-
 _DISCOVER = {
     Protocol.AODV: protocol.aodv_discover,
     Protocol.COAODV: protocol.coaodv_discover,
@@ -71,16 +63,18 @@ def _delivered(rng: random.Random | None, packets: int, drops: int, drop_prob: f
     return packets - lost
 
 
-def run(simrun: SimRun) -> SimMetrics:
-    """Execute one seeded run and aggregate its metrics."""
+def run(
+    scenario: ScenarioConfig, proto: Protocol, flows: tuple[Flow, ...], seed: int
+) -> SimMetrics:
+    """Execute one seeded run of `proto` over `flows`."""
     rng = None  # built at the first droppable hop: a run that never draws builds none
-    discover = _DISCOVER[simrun.protocol]
-    drop_prob = simrun.scenario.non_coop_drop_prob
+    discover = _DISCOVER[proto]
+    drop_prob = scenario.non_coop_drop_prob
 
     per_flow: list[FlowMetrics] = []
-    for flow in simrun.flows:
+    for flow in flows:
         try:
-            route = discover(flow.source, flow.destination, simrun.scenario)
+            route = discover(flow.source, flow.destination, scenario)
         except (NoRoute, NoCooperativeRoute) as exc:
             failure = "no_route" if isinstance(exc, NoRoute) else "no_cooperative_route"
             per_flow.append(FlowMetrics(flow.source, flow.destination, None, 0, 0, failure))
@@ -89,7 +83,7 @@ def run(simrun: SimRun) -> SimMetrics:
 
         drops = route.route_stability.count(False)
         if drops and rng is None:
-            rng = random.Random(simrun.seed)
+            rng = random.Random(seed)
         delivered = _delivered(rng, flow.packets, drops, drop_prob)
         per_flow.append(
             FlowMetrics(flow.source, flow.destination, route.hop_count, flow.packets, delivered)
@@ -102,16 +96,7 @@ def run(simrun: SimRun) -> SimMetrics:
             delivered,
             flow.packets,
         )
-
-    routed = [f.hop_count for f in per_flow if f.hop_count is not None]
-    return SimMetrics(
-        protocol=simrun.protocol,
-        hop_count=sum(routed) if routed else None,
-        packets_sent=sum(f.packets_sent for f in per_flow),
-        packets_delivered=sum(f.packets_delivered for f in per_flow),
-        route_discoveries=len(per_flow),
-        per_flow=tuple(per_flow),
-    )
+    return SimMetrics(proto, tuple(per_flow))
 
 
 def pairs(
@@ -121,8 +106,8 @@ def pairs(
     yielding each seed's (aodv, coaodv) pair as soon as it is run."""
     for seed in seeds:
         yield (
-            run(SimRun(scenario, Protocol.AODV, flows, seed)),
-            run(SimRun(scenario, Protocol.COAODV, flows, seed)),
+            run(scenario, Protocol.AODV, flows, seed),
+            run(scenario, Protocol.COAODV, flows, seed),
         )
 
 

@@ -216,6 +216,29 @@ def test_compare_is_byte_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_run_rows_equal_the_compare_rows_of_their_protocol_and_seed(tmp_path):
+    options = ["--flows", "0:9:50", "4:9:30", "--drop-prob", "0.5"]
+    compared = tmp_path / "compare.csv"
+    argv = ["compare", str(PAPER_SCENARIO), *options, "--seeds", "2", "--out", str(compared)]
+    assert main(argv) == 0
+    header, *rows = compared.read_text().splitlines()
+    seeds = sorted({row.split(",")[2] for row in rows})
+    assert len(seeds) == 2
+    aodv_rows = []
+    for protocol in ("aodv", "coaodv"):
+        for seed in seeds:
+            out = tmp_path / f"{protocol}-{seed}.csv"
+            argv = ["run", str(PAPER_SCENARIO), "--protocol", protocol, "--seed", seed]
+            assert main([*argv, *options, "--out", str(out)]) == 0
+            run_header, *run_rows = out.read_text().splitlines()
+            assert run_header == header
+            assert len(run_rows) == 2
+            assert run_rows == [r for r in rows if r.split(",")[1:3] == [protocol, seed]]
+            if protocol == "aodv":
+                aodv_rows.append(run_rows)
+    assert aodv_rows[0] != aodv_rows[1]  # the seed matters: aodv drops at random
+
+
 def test_compare_summary_side_by_side(capsys):
     assert main(["compare", str(PAPER_SCENARIO), "--flows", "4:9:10", "--seeds", "2"]) == 0
     out = capsys.readouterr().out
@@ -447,6 +470,42 @@ def test_scalars_of_the_wrong_type_are_invalid(tmp_path, capsys, case):
     assert "invalid scenario" in err and message in err
 
 
+OUTSIDE_THE_SCHEMA = {
+    "area-not-a-pair": (lambda d: d.update(area=[100, 100, 7]), "area must be [width, height]"),
+    "pos_t1-not-a-pair": (
+        lambda d: d["nodes"][0]["pos_t1"].append(3),
+        "node 0: pos_t1 and pos_t2 must each be [x, y]",
+    ),
+    "pos_t2-not-a-pair": (
+        lambda d: d["nodes"][4].update(pos_t2=[10]),
+        "node 4: pos_t1 and pos_t2 must each be [x, y]",
+    ),
+    "misspelt-top-level-key": (
+        lambda d: d.update(non_coop_drop_probability=0.5),
+        "scenario: unknown keys 'non_coop_drop_probability'",
+    ),
+    "extra-node-key": (
+        lambda d: d["nodes"][2].update(battery=900),
+        "node 2: unknown keys 'battery'",
+    ),
+    # four keys, one misspelt: the node's key count alone does not pass it
+    "misspelt-node-key": (
+        lambda d: d["nodes"][2].update(enrgy=d["nodes"][2].pop("energy")),
+        "malformed scenario document: 'energy'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_THE_SCHEMA))
+def test_shapes_and_keys_outside_the_schema_are_invalid(tmp_path, capsys, case):
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    change, message = OUTSIDE_THE_SCHEMA[case]
+    change(doc)
+    assert _validate_doc(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and message in err
+
+
 @pytest.mark.parametrize("area", [[-5, -5], [10, -1], [-1, 10]])
 def test_negative_area_is_invalid(tmp_path, capsys, area):
     doc = {"nodes": [], "area": area, "transmission_range": 20, "energy_threshold": 500}
@@ -561,7 +620,7 @@ def test_hostile_input_is_a_named_usage_error(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, command):
-    def broken(simrun):
+    def broken(*args):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(cli.sim, "run", broken)

@@ -55,19 +55,19 @@ def test_delivered_without_droppable_hops_draws_nothing():
     assert rng.getstate() == before
 
 
-def _walk_run(simrun):
+def _walk_run(scenario, proto, flows, seed):
     """sim.run's per-flow delivered counts, recomputed with the walk on one
     generator shared by all flows in order."""
-    rng = random.Random(simrun.seed)
-    discover = sim._DISCOVER[simrun.protocol]
+    rng = random.Random(seed)
+    discover = sim._DISCOVER[proto]
     counts = []
-    for flow in simrun.flows:
+    for flow in flows:
         try:
-            route = discover(flow.source, flow.destination, simrun.scenario)
+            route = discover(flow.source, flow.destination, scenario)
         except (NoRoute, NoCooperativeRoute):
             counts.append(0)
             continue
-        p = simrun.scenario.non_coop_drop_prob
+        p = scenario.non_coop_drop_prob
         counts.append(walk_delivered(rng, flow.packets, route.route_stability, p))
     return counts
 
@@ -76,9 +76,9 @@ def test_later_flows_see_the_draws_of_earlier_flows(paper_scenario):
     half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
     flows = (sim.Flow(0, 9, 40), sim.Flow(4, 9, 7), sim.Flow(0, 9, 40), sim.Flow(2, 9, 13))
     for seed in range(20):
-        simrun = sim.SimRun(half, Protocol.AODV, flows, seed)
-        delivered = [f.packets_delivered for f in sim.run(simrun).per_flow]
-        assert delivered == _walk_run(simrun)
+        args = (half, Protocol.AODV, flows, seed)
+        delivered = [f.packets_delivered for f in sim.run(*args).per_flow]
+        assert delivered == _walk_run(*args)
 
 
 def test_multi_flow_runs_match_the_walk_on_random_scenarios():
@@ -88,9 +88,9 @@ def test_multi_flow_runs_match_the_walk_on_random_scenarios():
         ids = [n.id for n in config.nodes]
         flows = tuple(sim.Flow(*rng.sample(ids, 2), rng.randint(1, 60)) for _ in range(4))
         for proto in Protocol:
-            simrun = sim.SimRun(config, proto, flows, rng.randrange(2**32))
-            delivered = [f.packets_delivered for f in sim.run(simrun).per_flow]
-            assert delivered == _walk_run(simrun)
+            args = (config, proto, flows, rng.randrange(2**32))
+            delivered = [f.packets_delivered for f in sim.run(*args).per_flow]
+            assert delivered == _walk_run(*args)
 
 
 def _counting_random(monkeypatch):
@@ -110,40 +110,32 @@ def test_fully_cooperative_route_draws_nothing(monkeypatch, paper_scenario):
     half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
     draws = _counting_random(monkeypatch)
     flows = (sim.Flow(4, 9, 1000), sim.Flow(0, 9, 1000))
-    coaodv = sim.run(sim.SimRun(half, Protocol.COAODV, flows, seed=1))
+    coaodv = sim.run(half, Protocol.COAODV, flows, seed=1)
     assert coaodv.packets_delivered == 1000  # 4->9 routed, 0->9 refused
     assert draws[0] == 0
-    sim.run(sim.SimRun(half, Protocol.AODV, flows, seed=1))
+    sim.run(half, Protocol.AODV, flows, seed=1)
     assert draws[0] > 0  # the counter sees aodv's droppable hops
 
 
-def _eager_run(simrun):
+def _eager_run(scenario, proto, flows, seed):
     """sim.run with the run's generator built before the first flow, whether
     or not any flow draws, and the walk's draws on it."""
-    rng = random.Random(simrun.seed)
-    discover = sim._DISCOVER[simrun.protocol]
+    rng = random.Random(seed)
+    discover = sim._DISCOVER[proto]
     per_flow = []
-    for flow in simrun.flows:
+    for flow in flows:
         try:
-            route = discover(flow.source, flow.destination, simrun.scenario)
+            route = discover(flow.source, flow.destination, scenario)
         except (NoRoute, NoCooperativeRoute) as exc:
             failure = "no_route" if isinstance(exc, NoRoute) else "no_cooperative_route"
             per_flow.append(FlowMetrics(flow.source, flow.destination, None, 0, 0, failure))
             continue
-        p = simrun.scenario.non_coop_drop_prob
+        p = scenario.non_coop_drop_prob
         delivered = walk_delivered(rng, flow.packets, route.route_stability, p)
         per_flow.append(
             FlowMetrics(flow.source, flow.destination, route.hop_count, flow.packets, delivered)
         )
-    routed = [f.hop_count for f in per_flow if f.hop_count is not None]
-    return SimMetrics(
-        protocol=simrun.protocol,
-        hop_count=sum(routed) if routed else None,
-        packets_sent=sum(f.packets_sent for f in per_flow),
-        packets_delivered=sum(f.packets_delivered for f in per_flow),
-        route_discoveries=len(per_flow),
-        per_flow=tuple(per_flow),
-    )
+    return SimMetrics(proto, tuple(per_flow))
 
 
 def test_generator_is_built_only_for_a_run_that_draws(monkeypatch, paper_scenario):
@@ -153,7 +145,7 @@ def test_generator_is_built_only_for_a_run_that_draws(monkeypatch, paper_scenari
     flows = (sim.Flow(4, 5, 30), sim.Flow(0, 9, 30), sim.Flow(4, 9, 30))
     seeds = list(range(10))
     eager = {
-        proto: [_eager_run(sim.SimRun(half, proto, flows, seed)) for seed in seeds]
+        proto: [_eager_run(half, proto, flows, seed) for seed in seeds]
         for proto in Protocol
     }
     built = []
@@ -164,10 +156,10 @@ def test_generator_is_built_only_for_a_run_that_draws(monkeypatch, paper_scenari
             super().__init__(seed)
 
     monkeypatch.setattr(sim, "random", types.SimpleNamespace(Random=RecordingRandom))
-    coaodv = [sim.run(sim.SimRun(half, Protocol.COAODV, flows, seed)) for seed in seeds]
+    coaodv = [sim.run(half, Protocol.COAODV, flows, seed) for seed in seeds]
     assert built == []
     assert coaodv == eager[Protocol.COAODV]
-    aodv = sim.run(sim.SimRun(half, Protocol.AODV, flows, seeds[3]))
+    aodv = sim.run(half, Protocol.AODV, flows, seeds[3])
     assert built == [seeds[3]]
     assert aodv == eager[Protocol.AODV][3]
     built.clear()

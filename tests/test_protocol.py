@@ -8,21 +8,9 @@ import pytest
 
 from coaodv_sim import protocol
 from coaodv_sim.coopmath import distance, is_cooperative
-from coaodv_sim.errors import (
-    EndpointMismatch,
-    InternalError,
-    NoCooperativeRoute,
-    NoRoute,
-    UnknownNode,
-)
-from coaodv_sim.model import Route, RouteRequest
-from coaodv_sim.protocol import (
-    aodv_discover,
-    build_route_reply,
-    coaodv_discover,
-    completed_request,
-    exchange_hello,
-)
+from coaodv_sim.errors import InternalError, NoCooperativeRoute, NoRoute, UnknownNode
+from coaodv_sim.model import Route
+from coaodv_sim.protocol import aodv_discover, coaodv_discover, completed_request, exchange_hello
 
 from . import graph_reference
 from .conftest import (
@@ -136,34 +124,8 @@ def test_coaodv_disconnected_graph_reports_no_route():
 
 
 def test_completed_request_flags(paper_scenario):
-    request = completed_request((0, 2, 1, 5, 9), paper_scenario)
-    assert request.hop_count == 4
-    assert request.intermediates() == (2, 1, 5)
-    assert request.route_stability == (True, False, False)
-
-
-def test_build_route_reply_reverses_path():
-    route = Route(path=(0, 2, 1), hop_count=2, route_stability=(True,))
-    request = RouteRequest(
-        source=0, destination=1, path=(0, 2, 1), hop_count=2, route_stability=(True,)
-    )
-    reply = build_route_reply(route, request)
-    assert reply.reply_path == (1, 2, 0)
-
-
-def test_build_route_reply_zero_hop():
-    route = Route(path=(3,), hop_count=0, route_stability=())
-    request = RouteRequest(source=3, destination=3, path=(3,), hop_count=0, route_stability=())
-    assert build_route_reply(route, request).reply_path == (3,)
-
-
-def test_build_route_reply_rejects_mismatched_endpoints():
-    route = Route(path=(0, 2, 1), hop_count=2, route_stability=(True,))
-    request = RouteRequest(
-        source=0, destination=5, path=(0, 3, 5), hop_count=2, route_stability=(True,)
-    )
-    with pytest.raises(EndpointMismatch):
-        build_route_reply(route, request)
+    route = completed_request((0, 2, 1, 5, 9), paper_scenario)
+    assert route == Route(path=(0, 2, 1, 5, 9), hop_count=4, route_stability=(True, False, False))
 
 
 def test_discovery_is_deterministic(paper_scenario):
@@ -206,8 +168,7 @@ def test_random_sweep_agrees_with_oracles():
             assert route.fully_cooperative
             if aodv_hops is not None:
                 assert route.hop_count >= aodv_hops
-            request = completed_request(route.path, config)
-            assert all(request.route_stability)
+            assert completed_request(route.path, config) == route
             # no intermediate may sit at or below the strict energy threshold
             by_id = config.node_map()
             for node_id in route.path[1:-1]:
@@ -225,10 +186,10 @@ def test_request_invariants_hold_on_random_discoveries():
             route = aodv_discover(source, dest, config)
         except NoRoute:
             continue
-        request = completed_request(route.path, config)
-        assert request.hop_count == len(request.path) - 1
-        assert len(set(request.path)) == len(request.path)
-        assert len(request.route_stability) == len(request.intermediates())
+        assert completed_request(route.path, config) == route
+        assert route.hop_count == len(route.path) - 1
+        assert len(set(route.path)) == len(route.path)
+        assert len(route.route_stability) == len(route.path[1:-1])
 
 
 @pytest.mark.parametrize("n", [50, 300, 1000])
@@ -268,7 +229,7 @@ def test_routes_match_networkx_reference_at_scale(n):
 
 def test_cooperative_self_check_raises_a_named_error(paper_scenario, monkeypatch):
     def all_refused(path, config):
-        return RouteRequest(path[0], path[-1], path, len(path) - 1, (False,) * (len(path) - 2))
+        return Route(path, len(path) - 1, (False,) * (len(path) - 2))
 
     monkeypatch.setattr(protocol, "completed_request", all_refused)
     with pytest.raises(InternalError):
@@ -279,10 +240,10 @@ def test_cooperative_self_check_survives_optimized_mode():
     script = (
         "from coaodv_sim import protocol\n"
         "from coaodv_sim.errors import InternalError\n"
-        "from coaodv_sim.model import RouteRequest, load_scenario\n"
+        "from coaodv_sim.model import Route, load_scenario\n"
         f"config = load_scenario({str(PAPER_SCENARIO)!r})\n"
-        "protocol.completed_request = lambda path, config: RouteRequest(\n"
-        "    path[0], path[-1], path, len(path) - 1, (False,) * (len(path) - 2))\n"
+        "protocol.completed_request = lambda path, config: Route(\n"
+        "    path, len(path) - 1, (False,) * (len(path) - 2))\n"
         "try:\n"
         "    protocol.coaodv_discover(4, 9, config)\n"
         "except InternalError:\n"

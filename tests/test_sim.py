@@ -12,7 +12,6 @@ from coaodv_sim.errors import UnknownNode
 from coaodv_sim.model import Protocol
 from coaodv_sim.sim import (
     Flow,
-    SimRun,
     Summary,
     compare,
     mean_hops,
@@ -26,7 +25,7 @@ from .conftest import make_node, make_scenario, random_scenario, seeded_scenario
 
 
 def test_paper_aodv_flow_delivers_nothing_at_full_drop(paper_scenario):
-    metrics = run(SimRun(paper_scenario, Protocol.AODV, (Flow(0, 9, 100),), seed=1))
+    metrics = run(paper_scenario, Protocol.AODV, (Flow(0, 9, 100),), seed=1)
     flow = metrics.per_flow[0]
     assert flow.hop_count == 4
     assert flow.packets_sent == 100
@@ -34,34 +33,34 @@ def test_paper_aodv_flow_delivers_nothing_at_full_drop(paper_scenario):
     # refuse at drop probability 1.0
     assert flow.packets_delivered == 0
     assert flow.packet_delivery_ratio == 0.0
-    assert metrics.route_discoveries == 1
+    assert len(metrics.per_flow) == 1
 
 
 def test_paper_coaodv_flow_has_no_route(paper_scenario):
-    metrics = run(SimRun(paper_scenario, Protocol.COAODV, (Flow(0, 9, 100),), seed=1))
+    metrics = run(paper_scenario, Protocol.COAODV, (Flow(0, 9, 100),), seed=1)
     flow = metrics.per_flow[0]
     assert flow.failure == "no_cooperative_route"
     assert flow.packets_sent == 0
     assert flow.packet_delivery_ratio is None
     assert metrics.hop_count is None
-    assert metrics.route_discoveries == 1
+    assert len(metrics.per_flow) == 1
 
 
 def test_coaodv_route_survives_any_drop_probability(paper_scenario):
     harsh = dataclasses.replace(paper_scenario, non_coop_drop_prob=1.0)
-    metrics = run(SimRun(harsh, Protocol.COAODV, (Flow(4, 9, 50),), seed=3))
+    metrics = run(harsh, Protocol.COAODV, (Flow(4, 9, 50),), seed=3)
     assert metrics.per_flow[0].packet_delivery_ratio == 1.0
 
 
 def test_zero_drop_probability_delivers_everything(paper_scenario):
     gentle = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.0)
     for protocol in (Protocol.AODV, Protocol.COAODV):
-        metrics = run(SimRun(gentle, protocol, (Flow(4, 9, 25),), seed=9))
+        metrics = run(gentle, protocol, (Flow(4, 9, 25),), seed=9)
         assert metrics.per_flow[0].packet_delivery_ratio == 1.0
 
 
 def test_self_flow_is_a_zero_hop_delivery(paper_scenario):
-    metrics = run(SimRun(paper_scenario, Protocol.AODV, (Flow(0, 0, 1),), seed=1))
+    metrics = run(paper_scenario, Protocol.AODV, (Flow(0, 0, 1),), seed=1)
     flow = metrics.per_flow[0]
     assert flow.hop_count == 0
     assert flow.packet_delivery_ratio == 1.0
@@ -69,7 +68,7 @@ def test_self_flow_is_a_zero_hop_delivery(paper_scenario):
 
 def test_unroutable_flow_is_recorded_not_raised():
     config = make_scenario([make_node(0, 0, 0), make_node(1, 99, 99)])
-    metrics = run(SimRun(config, Protocol.AODV, (Flow(0, 1, 10),), seed=0))
+    metrics = run(config, Protocol.AODV, (Flow(0, 1, 10),), seed=0)
     assert metrics.per_flow[0].failure == "no_route"
     assert metrics.packets_sent == 0
     assert metrics.packet_delivery_ratio is None
@@ -78,9 +77,9 @@ def test_unroutable_flow_is_recorded_not_raised():
 def test_flow_validation():
     config = make_scenario([make_node(0, 0, 0)])
     with pytest.raises(UnknownNode):
-        run(SimRun(config, Protocol.AODV, (Flow(0, 7, 1),), seed=0))
+        run(config, Protocol.AODV, (Flow(0, 7, 1),), seed=0)
     with pytest.raises(ValueError):
-        run(SimRun(config, Protocol.AODV, (Flow(0, 0, 0),), seed=0))
+        run(config, Protocol.AODV, (Flow(0, 0, 0),), seed=0)
 
 
 @pytest.mark.parametrize("packets", [0, -1, sys.maxsize + 1])
@@ -94,7 +93,7 @@ def test_unknown_node_in_a_later_flow_is_rejected(paper_scenario):
     flows = (Flow(4, 9, 5), Flow(0, 9, 5), Flow(9, 42, 5))
     for protocol in (Protocol.AODV, Protocol.COAODV):
         with pytest.raises(UnknownNode, match="42"):
-            run(SimRun(paper_scenario, protocol, flows, seed=1))
+            run(paper_scenario, protocol, flows, seed=1)
 
 
 def test_endpoints_are_checked_once_per_discovery(monkeypatch, paper_scenario):
@@ -112,15 +111,15 @@ def test_endpoints_are_checked_once_per_discovery(monkeypatch, paper_scenario):
 
 def test_replay_determinism(paper_scenario):
     half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
-    simrun = SimRun(half, Protocol.AODV, (Flow(0, 9, 200), Flow(4, 9, 50)), seed=77)
-    assert run(simrun) == run(simrun)
+    flows = (Flow(0, 9, 200), Flow(4, 9, 50))
+    assert run(half, Protocol.AODV, flows, seed=77) == run(half, Protocol.AODV, flows, seed=77)
 
 
 def test_different_seed_changes_partial_drops(paper_scenario):
     half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
     flows = (Flow(0, 9, 500),)
-    a = run(SimRun(half, Protocol.AODV, flows, seed=1))
-    b = run(SimRun(half, Protocol.AODV, flows, seed=2))
+    a = run(half, Protocol.AODV, flows, seed=1)
+    b = run(half, Protocol.AODV, flows, seed=2)
     assert a.packets_delivered != b.packets_delivered
 
 
@@ -131,7 +130,7 @@ def test_conservation_and_bounds_on_random_runs():
         ids = [n.id for n in config.nodes]
         src, dst = rng.sample(ids, 2)
         protocol = rng.choice([Protocol.AODV, Protocol.COAODV])
-        metrics = run(SimRun(config, protocol, (Flow(src, dst, 40),), seed=rng.randrange(2**32)))
+        metrics = run(config, protocol, (Flow(src, dst, 40),), seed=rng.randrange(2**32))
         assert metrics.packets_delivered <= metrics.packets_sent
         pdr = metrics.packet_delivery_ratio
         if pdr is not None:
@@ -197,7 +196,7 @@ def test_summary_of_no_routed_flow_has_no_means(paper_scenario):
 
 def test_pairs_runs_each_seed_when_it_is_asked_for(monkeypatch, paper_scenario):
     seeds = []
-    monkeypatch.setattr(sim_module, "run", lambda simrun: seeds.append(simrun.seed))
+    monkeypatch.setattr(sim_module, "run", lambda scenario, proto, flows, seed: seeds.append(seed))
     loop = pairs(paper_scenario, (Flow(4, 9, 1),), iter([5, 6, 7]))
     assert seeds == []
     next(loop)
@@ -218,7 +217,7 @@ def test_compare_equals_its_runs(n, scenario_seed):
     # each run on a fresh copy of the config, so no route is resolved yet
     runs = [
         tuple(
-            run(SimRun(dataclasses.replace(config), proto, flows, seed))
+            run(dataclasses.replace(config), proto, flows, seed)
             for proto in (Protocol.AODV, Protocol.COAODV)
         )
         for seed in seeds

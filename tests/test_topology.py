@@ -257,7 +257,7 @@ def test_unknown_node_is_raised_after_a_memoized_route(proto):
     for source, dest in ((4, 42), (42, 9), (42, 42)):
         with pytest.raises(UnknownNode, match="42"):
             discover(source, dest, config)
-    assert discover(4, 9, config).source == 4
+    assert discover(4, 9, config).path[0] == 4
 
 
 def test_replaced_configs_keep_their_own_routes():
