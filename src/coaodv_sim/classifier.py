@@ -30,7 +30,7 @@ class ClassificationResult:
 def classify_network(w: WeightProfile) -> ClassificationResult:
     """Label the network by the strictly largest weight; ties are an error."""
     if not w.is_normalized():
-        raise WeightsNotNormalized(sum(w.as_tuple()))
+        raise WeightsNotNormalized(w.as_tuple())
     weights = dict(zip(("distance", "mobility", "energy"), w.as_tuple()))
     top = max(weights.values())
     dominant = [name for name, value in weights.items() if value == top]

@@ -126,7 +126,7 @@ def composite_score(d_norm: float, m_norm: float, e_norm: float, w: WeightProfil
     weights sum to exactly 1.0 (and within 1e-9 of it otherwise). No clamping.
     """
     if not w.is_normalized():
-        raise WeightsNotNormalized(math.fsum(w.as_tuple()))
+        raise WeightsNotNormalized(w.as_tuple())
     return math.fsum((d_norm * w.w_distance, m_norm * w.w_mobility, e_norm * w.w_energy))
 
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
 
 class SimulatorError(Exception):
     """Base class for all errors raised by this package."""
@@ -109,9 +111,10 @@ class EmptyPeerSet(SimulatorError):
 
 
 class WeightsNotNormalized(SimulatorError):
-    def __init__(self, total: float):
-        super().__init__(f"weights must sum to 1 (within 1e-9), got sum {total}")
-        self.total = total
+    def __init__(self, weights: tuple[float, float, float]):
+        # the exact sum, as WeightProfile.is_normalized tests it
+        self.total = math.fsum(weights)
+        super().__init__(f"weights must sum to 1 (within 1e-9), got sum {self.total}")
 
 
 class AmbiguousProfile(SimulatorError):

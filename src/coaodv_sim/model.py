@@ -344,7 +344,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             non_coop_drop_prob=_number(doc.get("non_coop_drop_prob", 1.0), "non_coop_drop_prob"),
             rng_seed=seed,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:  # the required keys are present, so a node lacks this one
+        # a four-key node that lacks a schema key holds an unknown one in its place
+        _check_keys(entry, _NODE_KEYS, f"node {entry.get('id')!r}")
+        raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
     return config
 

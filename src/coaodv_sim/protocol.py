@@ -29,7 +29,6 @@ class NeighborEntry:
 
 @dataclass(frozen=True)
 class NeighborTable:
-    owner: int
     entries: Mapping[int, NeighborEntry]
 
 
@@ -96,58 +95,60 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
             )
             for v in neighbor_ids
         }
-        tables[owner] = NeighborTable(owner=owner, entries=entries)
+        tables[owner] = NeighborTable(entries=entries)
     return tables
 
 
 # One-slot cache of the last scenario's topology, keyed by the identity of its
 # ScenarioConfig through a weak reference, so it never keeps a config alive.
-# Discovery never changes the topology it holds; exchange_hello's callers get
-# fresh tables. Beside the topology sit the routes resolved on it: discovery
-# depends on the topology alone, so each (protocol, source, dest) is resolved once.
-_topology_cache: (
-    tuple[weakref.ref, dict[int, list[int]], dict[int, NeighborTable], dict[tuple, object]] | None
-) = None
+# Each HELLO table lists its owner's neighbors in adjacency order, so the tables
+# are the range graph. Discovery never changes them; exchange_hello's callers
+# get fresh tables. Beside them sit the routes resolved on them: discovery
+# depends on the topology alone, so each (cooperative, source, dest) is resolved once.
+_topology_cache: tuple[weakref.ref, dict[int, NeighborTable], dict[tuple, object]] | None = None
 
 
-def _topology(
-    config: ScenarioConfig,
-) -> tuple[dict[int, list[int]], dict[int, NeighborTable], dict[tuple, object]]:
-    """The scenario's adjacency and HELLO tables, built once per config
-    object, and the memo of the routes discovered on them."""
+def _topology(config: ScenarioConfig) -> tuple[dict[int, NeighborTable], dict[tuple, object]]:
+    """The scenario's HELLO tables, built once per config object, and the memo
+    of the routes discovered on them."""
     global _topology_cache
     cached = _topology_cache
     if cached is not None and cached[0]() is config:
         return cached[1:]
-    tables = exchange_hello(config)
-    # HELLO tables list each owner's neighbors in adjacency order
-    adj = {owner: list(table.entries) for owner, table in tables.items()}
-    routes: dict[tuple, object] = {}
-    _topology_cache = (weakref.ref(config), adj, tables, routes)
-    return adj, tables, routes
+    tables, routes = exchange_hello(config), {}
+    _topology_cache = (weakref.ref(config), tables, routes)
+    return tables, routes
 
 
-def _check_endpoints(source: int, dest: int, adj: dict[int, list[int]]) -> None:
-    if source not in adj:
+def _check_endpoints(source: int, dest: int, tables: dict[int, NeighborTable]) -> None:
+    if source not in tables:
         raise UnknownNode(source)
-    if dest not in adj:
+    if dest not in tables:
         raise UnknownNode(dest)
 
 
-def _hops_to(target: int, adj: dict[int, list[int]], allowed=None) -> dict[int, int]:
-    """Hop counts toward `target`; edges may be filtered by allowed(u, v)."""
+def _relays(tables: dict[int, NeighborTable], u: int, v: int, dest: int) -> bool:
+    """Whether u may hand a cooperative discovery on to v. Directed: v must be
+    cooperative with respect to u, except as the destination, which is exempt."""
+    return v == dest or tables[u].entries[v].coop_status
+
+
+def _hops_to(target: int, tables: dict[int, NeighborTable], cooperative: bool) -> dict[int, int]:
+    """Hop counts toward `target`, over cooperative relays only if `cooperative`."""
     dist = {target: 0}
     frontier = deque([target])
     while frontier:
         v = frontier.popleft()
-        for u in adj[v]:
-            if u not in dist and (allowed is None or allowed(u, v)):
+        for u in tables[v].entries:
+            if u not in dist and (not cooperative or _relays(tables, u, v, target)):
                 dist[u] = dist[v] + 1
                 frontier.append(u)
     return dist
 
 
-def _greedy_path(source: int, dest: int, adj, hops: dict[int, int], allowed=None) -> tuple[int, ...]:
+def _greedy_path(
+    source: int, dest: int, tables: dict[int, NeighborTable], hops: dict[int, int], cooperative: bool
+) -> tuple[int, ...]:
     """Walk from source choosing the lowest next-hop id that still lies on a
     minimum-hop path; yields the lexicographically smallest such path."""
     path = [source]
@@ -155,8 +156,9 @@ def _greedy_path(source: int, dest: int, adj, hops: dict[int, int], allowed=None
     while cur != dest:
         cur = min(
             v
-            for v in adj[cur]
-            if hops.get(v, -1) == hops[cur] - 1 and (allowed is None or allowed(cur, v))
+            for v in tables[cur].entries
+            if hops.get(v, -1) == hops[cur] - 1
+            and (not cooperative or _relays(tables, cur, v, dest))
         )
         path.append(cur)
     return tuple(path)
@@ -166,7 +168,7 @@ def completed_request(path: tuple[int, ...], config: ScenarioConfig) -> Route:
     """The route as the destination sees the discovery packet: full path plus
     the cooperative flag each relaying intermediate appended (False for a hop
     that is out of range)."""
-    _, tables, _ = _topology(config)
+    tables, _ = _topology(config)
     flags = []
     for prev, cur in zip(path, path[1:-1]):
         entry = tables[prev].entries.get(cur)
@@ -174,37 +176,35 @@ def completed_request(path: tuple[int, ...], config: ScenarioConfig) -> Route:
     return Route(path=tuple(path), hop_count=len(path) - 1, route_stability=tuple(flags))
 
 
-def _resolved(key: tuple[str, int, int], routes: dict, resolve) -> Route:
-    """The route `resolve()` gives for key = (protocol, source, dest), resolved
-    on the first call and memoized with the topology. A memoized failure is
-    raised as a fresh exception of its class: re-raising one stored instance
-    would grow its traceback on every raise."""
+def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool) -> Route:
+    """The route from source to dest, resolved on the first call and memoized
+    with the topology. A memoized failure is raised as a fresh exception of its
+    class: re-raising one stored instance would grow its traceback on every raise."""
+    tables, routes = _topology(config)
+    _check_endpoints(source, dest, tables)
+    key = (cooperative, source, dest)
     outcome = routes.get(key)
     if outcome is None:
-        try:
-            outcome = resolve()
-        except (NoRoute, NoCooperativeRoute) as exc:
-            outcome = type(exc)
+        if source == dest:
+            outcome = Route(path=(source,), hop_count=0, route_stability=())
+        elif source in (hops := _hops_to(dest, tables, cooperative)):
+            path = _greedy_path(source, dest, tables, hops, cooperative)
+            outcome = completed_request(path, config)
+            if cooperative and not outcome.fully_cooperative:
+                raise InternalError(f"cooperative discovery chose non-cooperative path {path}")
+        elif cooperative and source in _hops_to(dest, tables, False):
+            outcome = NoCooperativeRoute
+        else:
+            outcome = NoRoute
         routes[key] = outcome
     if isinstance(outcome, Route):
         return outcome
-    raise outcome(key[1], key[2])
+    raise outcome(source, dest)
 
 
 def aodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     """Minimum-hop route over the range graph (first-arrival flood semantics)."""
-    adj, _, routes = _topology(config)
-    _check_endpoints(source, dest, adj)
-
-    def resolve() -> Route:
-        if source == dest:
-            return Route(path=(source,), hop_count=0, route_stability=())
-        hops = _hops_to(dest, adj)
-        if source not in hops:
-            raise NoRoute(source, dest)
-        return completed_request(_greedy_path(source, dest, adj, hops), config)
-
-    return _resolved(("aodv", source, dest), routes, resolve)
+    return _discover(source, dest, config, cooperative=False)
 
 
 def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
@@ -214,26 +214,4 @@ def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     drops candidate paths containing any CO=0 intermediate and answers the
     lowest-hop survivor. Source and destination themselves are never filtered.
     """
-    adj, tables, routes = _topology(config)
-    _check_endpoints(source, dest, adj)
-
-    def allowed(u: int, v: int) -> bool:
-        # Directed: u relays to v. Final hops into the destination are exempt.
-        return v == dest or tables[u].entries[v].coop_status
-
-    def resolve() -> Route:
-        if source == dest:
-            return Route(path=(source,), hop_count=0, route_stability=())
-        coop_hops = _hops_to(dest, adj, allowed=allowed)
-        if source not in coop_hops:
-            if source not in _hops_to(dest, adj):
-                raise NoRoute(source, dest)
-            raise NoCooperativeRoute(source, dest)
-        route = completed_request(
-            _greedy_path(source, dest, adj, coop_hops, allowed=allowed), config
-        )
-        if not route.fully_cooperative:
-            raise InternalError(f"cooperative discovery chose non-cooperative path {route.path}")
-        return route
-
-    return _resolved(("coaodv", source, dest), routes, resolve)
+    return _discover(source, dest, config, cooperative=True)

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from coaodv_sim.classifier import classify_network, rank_candidates
+from coaodv_sim.cli import main
+from coaodv_sim.coopmath import composite_score
 from coaodv_sim.errors import AmbiguousProfile, WeightsNotNormalized
 from coaodv_sim.model import CANONICAL_PROFILES, NetworkType, WeightProfile
 
@@ -40,6 +42,19 @@ def test_tied_maximum_is_ambiguous():
 def test_unnormalized_weights_rejected():
     with pytest.raises(WeightsNotNormalized):
         classify_network(WeightProfile(0.6, 0.3, 0.2))
+
+
+def test_unnormalized_weights_report_their_exact_sum(capsys):
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, 0.6 exactly summed
+    w = WeightProfile(0.1, 0.2, 0.3)
+    messages = []
+    for reject in (lambda: classify_network(w), lambda: composite_score(0.5, 0.5, 0.5, w)):
+        with pytest.raises(WeightsNotNormalized) as info:
+            reject()
+        messages.append(str(info.value))
+    assert main(["classify", "--weights", "0.1,0.2,0.3"]) == 1
+    messages.append(capsys.readouterr().err.strip())
+    assert all(m.endswith("got sum 0.6") for m in messages), messages
 
 
 def test_classification_invariant_under_rescaling():

@@ -491,7 +491,7 @@ OUTSIDE_THE_SCHEMA = {
     # four keys, one misspelt: the node's key count alone does not pass it
     "misspelt-node-key": (
         lambda d: d["nodes"][2].update(enrgy=d["nodes"][2].pop("energy")),
-        "malformed scenario document: 'energy'",
+        "node 2: unknown keys 'enrgy'",
     ),
 }
 

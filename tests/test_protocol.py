@@ -9,7 +9,7 @@ import pytest
 from coaodv_sim import protocol
 from coaodv_sim.coopmath import distance, is_cooperative
 from coaodv_sim.errors import InternalError, NoCooperativeRoute, NoRoute, UnknownNode
-from coaodv_sim.model import Route
+from coaodv_sim.model import Route, load_scenario
 from coaodv_sim.protocol import aodv_discover, coaodv_discover, completed_request, exchange_hello
 
 from . import graph_reference
@@ -128,6 +128,12 @@ def test_completed_request_flags(paper_scenario):
     assert route == Route(path=(0, 2, 1, 5, 9), hop_count=4, route_stability=(True, False, False))
 
 
+def test_completed_request_flags_an_out_of_range_hop_false(paper_scenario):
+    # node 0's only neighbors are 2 and 3, so 0 -> 9 is no edge of the range graph
+    assert sorted(exchange_hello(paper_scenario)[0].entries) == [2, 3]
+    assert completed_request((0, 9, 5), paper_scenario) == Route((0, 9, 5), 2, (False,))
+
+
 def test_discovery_is_deterministic(paper_scenario):
     assert aodv_discover(0, 9, paper_scenario) == aodv_discover(0, 9, paper_scenario)
     assert coaodv_discover(4, 9, paper_scenario) == coaodv_discover(4, 9, paper_scenario)
@@ -227,13 +233,14 @@ def test_routes_match_networkx_reference_at_scale(n):
     assert outcomes == {"routed", "refused"}
 
 
-def test_cooperative_self_check_raises_a_named_error(paper_scenario, monkeypatch):
+def test_cooperative_self_check_raises_a_named_error(monkeypatch):
     def all_refused(path, config):
         return Route(path, len(path) - 1, (False,) * (len(path) - 2))
 
+    config = load_scenario(PAPER_SCENARIO)  # a fresh object: no route memoized yet
     monkeypatch.setattr(protocol, "completed_request", all_refused)
     with pytest.raises(InternalError):
-        coaodv_discover(4, 9, paper_scenario)
+        coaodv_discover(4, 9, config)
 
 
 def test_cooperative_self_check_survives_optimized_mode():
