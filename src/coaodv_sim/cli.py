@@ -145,7 +145,8 @@ def build_parser() -> _Parser:
     p_run.add_argument(
         "--flows", nargs="+", required=True, metavar="SRC:DST:COUNT", help="one or more flows"
     )
-    p_run.add_argument("--seed", type=_integer, help="override the scenario seed")
+    p_run.add_argument("--seed", type=_integer, dest="rng_seed", metavar="SEED",
+                       help="override the scenario seed")
     p_run.add_argument("--out", help="write a CSV report here")
     add_overrides(p_run)
     p_run.set_defaults(handler=cmd_run)
@@ -270,12 +271,11 @@ def cmd_run(args) -> int:
     config = _load_effective_scenario(args)
     flows = _parse_flows(args.flows)
     name = _report_name(args)
-    seed = args.seed if args.seed is not None else config.rng_seed
-    metrics = sim.run(config, Protocol(args.protocol), flows, seed)
-    _flow_summary(metrics)
-    if args.out:
-        _write_report(args.out, [_metric_rows(name, seed, metrics)])
+    metrics = sim.run(config, Protocol(args.protocol), flows, config.rng_seed)
+    if args.out:  # before the summary, so a report that cannot be written prints nothing
+        _write_report(args.out, [_metric_rows(name, config.rng_seed, metrics)])
         log.info("report written to %s", args.out)
+    _flow_summary(metrics)
     return 0
 
 

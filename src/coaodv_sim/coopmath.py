@@ -8,7 +8,6 @@ predicate, and the weighted composite score with its min-max normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyPeerSet, WeightsNotNormalized, ZeroElapsedTime
@@ -68,28 +67,14 @@ def mobility_rates(nodes: Iterable[NodeState], metric: MobilityMetric) -> dict[i
     return {n.id: mobility(n.mobility_record, metric) for n in nodes}
 
 
-@dataclass(frozen=True)
-class CoopVerdict:
-    """Outcome of the cooperative predicate, clause by clause."""
-
-    cooperative: bool
-    energy_ok: bool
-    range_ok: bool
-    mobility_ok: bool
-
-    def __post_init__(self):
-        if self.cooperative != (self.energy_ok and self.range_ok and self.mobility_ok):
-            raise ValueError("cooperative must be the conjunction of the three clauses")
-
-
 def is_cooperative(
     candidate: NodeState,
     prev: NodeState,
     peers: Sequence[NodeState],
     config: ScenarioConfig,
     rates: Mapping[int, float],
-) -> CoopVerdict:
-    """Evaluate whether `candidate` is a cooperative next hop after `prev`.
+) -> bool:
+    """Whether `candidate` is a cooperative next hop after `prev`.
 
     peers are the rival next-hop candidates (the in-range neighbors of prev).
     Clauses: residual energy above the threshold (strictly, unless the
@@ -101,21 +86,12 @@ def is_cooperative(
     """
     if not peers:
         raise EmptyPeerSet()
-    if config.threshold_strict:
-        energy_ok = candidate.energy > config.energy_threshold
-    else:
-        energy_ok = candidate.energy >= config.energy_threshold
-    range_ok = bool(
-        has_comm_capability(
-            prev.position, candidate.position, config.transmission_range, config.distance_metric
-        )
-    )
-    mobility_ok = rates[candidate.id] <= min(rates[p.id] for p in peers)
-    return CoopVerdict(
-        cooperative=energy_ok and range_ok and mobility_ok,
-        energy_ok=energy_ok,
-        range_ok=range_ok,
-        mobility_ok=mobility_ok,
+    energy, threshold = candidate.energy, config.energy_threshold
+    reach, metric = config.transmission_range, config.distance_metric
+    return (
+        (energy > threshold if config.threshold_strict else energy >= threshold)
+        and has_comm_capability(prev.position, candidate.position, reach, metric) == 1
+        and rates[candidate.id] <= min(rates[p.id] for p in peers)
     )
 
 

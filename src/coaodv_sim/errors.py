@@ -71,6 +71,12 @@ class InvalidProbability(ScenarioValidationError):
         self.value = value
 
 
+class NegativeSeed(ScenarioValidationError):
+    def __init__(self, value: int):
+        super().__init__(f"seed must be >= 0, got {value}")
+        self.value = value
+
+
 class ZeroElapsedTime(ScenarioValidationError):
     def __init__(self, node_id=None):
         where = "" if node_id is None else f" (node {node_id})"

@@ -19,6 +19,7 @@ from .errors import (
     InvalidProbability,
     NegativeArea,
     NegativeEnergy,
+    NegativeSeed,
     NegativeThreshold,
     NodeOutsideArea,
     NonFiniteValue,
@@ -213,7 +214,8 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     Checks: finite area, range, threshold, energies and elapsed times;
     nonnegative area, unique nonnegative ids, both position epochs inside the
     area, nonnegative energies, positive transmission range, nonnegative
-    threshold, probabilities in [0, 1], positive elapsed times.
+    threshold, probabilities in [0, 1], positive elapsed times, and a
+    nonnegative seed (random.Random(-s) draws the stream of random.Random(s)).
     """
     for name, value in (
         ("area width", config.area[0]),
@@ -231,6 +233,8 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
         raise NegativeThreshold(config.energy_threshold)
     if not 0.0 <= config.non_coop_drop_prob <= 1.0:
         raise InvalidProbability("non_coop_drop_prob", config.non_coop_drop_prob)
+    if config.rng_seed < 0:
+        raise NegativeSeed(config.rng_seed)
 
     width, height = config.area
     seen: set[int] = set()
@@ -381,8 +385,20 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is rejected, never overwritten."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ScenarioFormatError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def scenario_from_json(text: str) -> ScenarioConfig:
-    return scenario_from_dict(json.loads(text))
+    return scenario_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 def scenario_to_json(config: ScenarioConfig) -> str:

@@ -90,9 +90,7 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
     for owner, neighbor_ids in adj.items():
         bar = [by_id[min(neighbor_ids, key=rates.__getitem__)]] if neighbor_ids else []
         entries = {
-            v: NeighborEntry(
-                is_cooperative(by_id[v], by_id[owner], bar, config, rates).cooperative
-            )
+            v: NeighborEntry(is_cooperative(by_id[v], by_id[owner], bar, config, rates))
             for v in neighbor_ids
         }
         tables[owner] = NeighborTable(entries=entries)

@@ -1,5 +1,9 @@
-"""Test-only references for the range graph and for route discovery.
+"""Test-only references for the cooperative predicate, the range graph and
+route discovery.
 
+`coop_verdict` is the cooperative predicate clause by clause, computed here
+from the distance and mobility primitives, so the runtime's boolean
+`coopmath.is_cooperative` is checked against a separate implementation.
 `brute_force_adjacency` is the all-pairs O(n^2) scan that the cell-list
 build in `protocol._adjacency` must reproduce edge for edge, order included.
 The route references are networkx searches over an explicit graph, so no
@@ -10,10 +14,45 @@ simple-path oracle `cooperative_shortest` is meant for 12 nodes or fewer.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import networkx as nx
 
-from coaodv_sim.coopmath import distance, is_cooperative, mobility_rates
-from coaodv_sim.model import ScenarioConfig
+from coaodv_sim.coopmath import distance, mobility
+from coaodv_sim.model import NodeState, ScenarioConfig
+
+
+@dataclass(frozen=True)
+class CoopVerdict:
+    """Outcome of the cooperative predicate, clause by clause."""
+
+    energy_ok: bool
+    range_ok: bool
+    mobility_ok: bool
+
+    @property
+    def cooperative(self) -> bool:
+        return self.energy_ok and self.range_ok and self.mobility_ok
+
+
+def coop_verdict(
+    candidate: NodeState, prev: NodeState, peers: Sequence[NodeState], config: ScenarioConfig
+) -> CoopVerdict:
+    """Each clause of "`candidate` is a cooperative next hop after `prev`":
+    energy above the threshold (or at it, when the threshold is not strict),
+    within range of `prev`, and moving no faster than any of `peers`."""
+    if config.threshold_strict:
+        energy_ok = candidate.energy > config.energy_threshold
+    else:
+        energy_ok = candidate.energy >= config.energy_threshold
+    gap = distance(prev.position, candidate.position, config.distance_metric)
+    rate = mobility(candidate.mobility_record, config.mobility_metric)
+    return CoopVerdict(
+        energy_ok=energy_ok,
+        range_ok=gap <= config.transmission_range,
+        mobility_ok=all(rate <= mobility(p.mobility_record, config.mobility_metric) for p in peers),
+    )
 
 
 def brute_force_adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
@@ -63,7 +102,6 @@ def cooperative_shortest(source: int, dest: int, config: ScenarioConfig) -> int 
     if source not in graph or dest not in graph:
         return None
     by_id = config.node_map()
-    rates = mobility_rates(config.nodes, config.mobility_metric)
     best: int | None = None
     for path in nx.all_simple_paths(graph, source, dest):
         if best is not None and len(path) - 1 >= best:
@@ -72,7 +110,7 @@ def cooperative_shortest(source: int, dest: int, config: ScenarioConfig) -> int 
         for i in range(1, len(path) - 1):
             prev = by_id[path[i - 1]]
             peers = [by_id[v] for v in graph.neighbors(path[i - 1])]
-            if not is_cooperative(by_id[path[i]], prev, peers, config, rates).cooperative:
+            if not coop_verdict(by_id[path[i]], prev, peers, config).cooperative:
                 ok = False
                 break
         if ok:
@@ -84,13 +122,12 @@ def cooperative_edges(config: ScenarioConfig, graph: nx.Graph) -> nx.DiGraph:
     """u -> v for every range edge where v is cooperative with respect to u,
     its peers being all of u's range neighbors."""
     by_id = config.node_map()
-    rates = mobility_rates(config.nodes, config.mobility_metric)
     coop = nx.DiGraph()
     coop.add_nodes_from(graph)
     for u in graph:
         peers = [by_id[w] for w in graph[u]]
         for v in graph[u]:
-            if is_cooperative(by_id[v], by_id[u], peers, config, rates).cooperative:
+            if coop_verdict(by_id[v], by_id[u], peers, config).cooperative:
                 coop.add_edge(u, v)
     return coop
 

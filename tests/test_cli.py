@@ -506,6 +506,36 @@ def test_shapes_and_keys_outside_the_schema_are_invalid(tmp_path, capsys, case):
     assert "invalid scenario" in err and message in err
 
 
+# (text to find, its replacement, the repeated key): where the last value would
+# win, a range of 20 and node 3's energy of 300 would pass validation
+REPEATED_KEYS = {
+    "top-level": (
+        '{\n  "nodes"', '{\n  "transmission_range": 999,\n  "nodes"', "transmission_range"
+    ),
+    "node": ('{"id": 3, ', '{"id": 3, "energy": 900, ', "energy"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_repeated_key_is_invalid(tmp_path, capsys, case):
+    find, replacement, key = REPEATED_KEYS[case]
+    text = PAPER_SCENARIO.read_text()
+    assert text.count(find) == 1
+    path = _scenario_file(tmp_path, text.replace(find, replacement).encode())
+    assert main(["validate", path]) == 2
+    assert f"error: invalid scenario: repeated key {key!r}" in capsys.readouterr().err
+
+
+def test_negative_seed_is_invalid(tmp_path, capsys):
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    doc["seed"] = -2
+    assert _validate_doc(tmp_path, doc) == 2
+    assert main(_argv("compare", tmp_path / "scenario.json") + ["--seeds", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: invalid scenario: seed must be >= 0, got -2") == 2
+
+
 @pytest.mark.parametrize("area", [[-5, -5], [10, -1], [-1, 10]])
 def test_negative_area_is_invalid(tmp_path, capsys, area):
     doc = {"nodes": [], "area": area, "transmission_range": 20, "energy_threshold": 500}
@@ -548,6 +578,13 @@ def test_report_to_a_directory_is_a_write_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}" in err
     assert "cannot read" not in err
+
+
+def test_run_report_to_a_directory_prints_no_results(tmp_path, capsys):
+    assert main(_argv("run", PAPER_SCENARIO) + ["--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}" in err
 
 
 def test_report_in_a_missing_directory_is_a_write_error(tmp_path, capsys):
@@ -725,7 +762,9 @@ def test_numbers_must_be_ascii_json_numerals(capsys, case, form):
 
 def test_json_numerals_keep_their_meaning(capsys):
     argv = _RUN + ["--flows", "4:9:20", "--threshold", "-0", "--range", "1E+2"]
-    assert main(argv + ["--drop-prob", "0", "--seed", "-7"]) == 0
+    assert main(argv + ["--drop-prob", "0", "--seed", "-7"]) == 2
+    assert "seed must be >= 0, got -7" in capsys.readouterr().err
+    assert main(argv + ["--drop-prob", "0", "--seed", "7"]) == 0
     assert "flow 4->9 [aodv]: hops=1 sent=20 delivered=20" in capsys.readouterr().out
     for text in ("+1", "01", "1.", ".5", "0x10", "1e", "infinity", "-nan", "١٠"):
         assert main(_RUN + ["--flows", "4:9:5", "--range", text]) == 1

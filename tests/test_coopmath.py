@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -17,13 +18,16 @@ from coaodv_sim.coopmath import (
 )
 from coaodv_sim.errors import EmptyPeerSet, WeightsNotNormalized, ZeroElapsedTime
 from coaodv_sim.model import (
+    DistanceMetric,
     MobilityMetric,
     MobilityRecord,
     Position,
     WeightProfile,
 )
 
-from .conftest import make_node, make_scenario
+from . import graph_reference
+from .conftest import make_node, make_scenario, seeded_scenario
+from .graph_reference import coop_verdict
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Position, coords, coords)
@@ -88,7 +92,8 @@ def test_low_energy_candidate_is_never_cooperative():
     config = make_scenario([], energy_threshold=500.0)
     prev = make_node(0, 10, 10)
     candidate = make_node(3, 30, 10, 34, 10, energy=300)
-    verdict = is_cooperative(candidate, prev, [candidate], config, rates(candidate))
+    assert is_cooperative(candidate, prev, [candidate], config, rates(candidate)) is False
+    verdict = coop_verdict(candidate, prev, [candidate], config)
     assert not verdict.energy_ok
     assert not verdict.cooperative
 
@@ -98,7 +103,8 @@ def test_least_mobile_energized_candidate_is_cooperative():
     prev = make_node(0, 30, 30)
     candidate = make_node(4, 30, 31, 33, 31, energy=700)  # moves 3 per unit time
     rivals = [candidate, make_node(5, 31, 30, 35, 30, energy=900), make_node(6, 29, 30, 34, 35, energy=800)]
-    verdict = is_cooperative(candidate, prev, rivals, config, rates(*rivals))
+    assert is_cooperative(candidate, prev, rivals, config, rates(*rivals)) is True
+    verdict = coop_verdict(candidate, prev, rivals, config)
     assert verdict.energy_ok and verdict.range_ok and verdict.mobility_ok
     assert verdict.cooperative
 
@@ -107,7 +113,8 @@ def test_singleton_peer_set_passes_mobility():
     config = make_scenario([], energy_threshold=500.0)
     prev = make_node(0, 10, 10)
     candidate = make_node(1, 15, 10, energy=600)  # stationary
-    assert is_cooperative(candidate, prev, [candidate], config, rates(candidate)).cooperative
+    assert is_cooperative(candidate, prev, [candidate], config, rates(candidate)) is True
+    assert coop_verdict(candidate, prev, [candidate], config).mobility_ok
 
 
 def test_threshold_boundary_depends_on_strictness():
@@ -115,8 +122,10 @@ def test_threshold_boundary_depends_on_strictness():
     candidate = make_node(1, 15, 10, energy=500)
     strict = make_scenario([], energy_threshold=500.0, threshold_strict=True)
     relaxed = make_scenario([], energy_threshold=500.0, threshold_strict=False)
-    assert not is_cooperative(candidate, prev, [candidate], strict, rates(candidate)).energy_ok
-    assert is_cooperative(candidate, prev, [candidate], relaxed, rates(candidate)).energy_ok
+    assert is_cooperative(candidate, prev, [candidate], strict, rates(candidate)) is False
+    assert is_cooperative(candidate, prev, [candidate], relaxed, rates(candidate)) is True
+    assert not coop_verdict(candidate, prev, [candidate], strict).energy_ok
+    assert coop_verdict(candidate, prev, [candidate], relaxed).energy_ok
 
 
 def test_mobility_ties_pass():
@@ -124,8 +133,9 @@ def test_mobility_ties_pass():
     prev = make_node(0, 10, 10)
     a = make_node(1, 15, 10, 16, 10, energy=900)
     b = make_node(2, 12, 10, 13, 10, energy=900)  # same rate as a
-    assert is_cooperative(a, prev, [a, b], config, rates(a, b)).mobility_ok
-    assert is_cooperative(b, prev, [a, b], config, rates(a, b)).mobility_ok
+    for candidate in (a, b):
+        assert is_cooperative(candidate, prev, [a, b], config, rates(a, b)) is True
+        assert coop_verdict(candidate, prev, [a, b], config).mobility_ok
 
 
 def test_empty_peer_set_raises():
@@ -133,6 +143,57 @@ def test_empty_peer_set_raises():
     node = make_node(0, 1, 1)
     with pytest.raises(EmptyPeerSet):
         is_cooperative(node, node, [], config, rates(node))
+
+
+# -- the runtime predicate against the clause-by-clause reference ------------
+
+
+def test_reference_does_not_borrow_the_runtime_predicate():
+    assert not hasattr(graph_reference, "is_cooperative")
+    assert not hasattr(graph_reference, "mobility_rates")
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+@pytest.mark.parametrize("n", [50, 300, 1000])
+def test_predicate_matches_reference_on_every_directed_edge(n, metric, strict):
+    config = dataclasses.replace(
+        seeded_scenario(n, 1, distance_metric=metric), threshold_strict=strict
+    )
+    by_id = config.node_map()
+    rates_by_id = mobility_rates(config.nodes, config.mobility_metric)
+    verdicts = []
+    for owner, nbrs in graph_reference.brute_force_adjacency(config).items():
+        prev, peers = by_id[owner], [by_id[v] for v in nbrs]
+        for candidate in peers:
+            runtime = is_cooperative(candidate, prev, peers, config, rates_by_id)
+            assert type(runtime) is bool
+            verdict = coop_verdict(candidate, prev, peers, config)
+            assert runtime == verdict.cooperative, (owner, candidate.id)
+            verdicts.append(verdict)
+    # the energy and the mobility clause each fail on some edge
+    assert not all(v.energy_ok for v in verdicts) and not all(v.mobility_ok for v in verdicts)
+    assert 0 < sum(v.cooperative for v in verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+def test_predicate_matches_reference_out_of_range_and_at_the_threshold(metric, strict):
+    prev = make_node(0, 10, 10)
+    cases = [
+        make_node(1, 40, 40, energy=900),  # out of range under both metrics
+        make_node(2, 25, 10, energy=500),  # exactly at the threshold
+        make_node(3, 45, 10, energy=500),  # both at once
+        make_node(4, 30, 10, energy=900),  # exactly at the range
+    ]
+    config = make_scenario([], threshold_strict=strict, distance_metric=metric)
+    for candidate in cases:
+        runtime = is_cooperative(candidate, prev, [candidate], config, rates(candidate))
+        assert type(runtime) is bool
+        assert runtime == coop_verdict(candidate, prev, [candidate], config).cooperative
+    assert not coop_verdict(cases[0], prev, [cases[0]], config).range_ok
+    assert coop_verdict(cases[1], prev, [cases[1]], config).energy_ok is not strict
+    assert coop_verdict(cases[3], prev, [cases[3]], config).range_ok
 
 
 def test_composite_score_examples():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from coaodv_sim import protocol
-from coaodv_sim.coopmath import distance, is_cooperative
+from coaodv_sim.coopmath import distance
 from coaodv_sim.errors import InternalError, NoCooperativeRoute, NoRoute, UnknownNode
 from coaodv_sim.model import Route, load_scenario
 from coaodv_sim.protocol import aodv_discover, coaodv_discover, completed_request, exchange_hello

@@ -14,7 +14,7 @@ from coaodv_sim.errors import NoCooperativeRoute, NoRoute, UnknownNode
 from coaodv_sim.model import DistanceMetric, MobilityMetric, load_scenario
 
 from .conftest import PAPER_SCENARIO, make_node, make_scenario, seeded_scenario
-from .graph_reference import brute_force_adjacency
+from .graph_reference import brute_force_adjacency, coop_verdict
 
 METRICS = list(DistanceMetric)
 
@@ -283,10 +283,9 @@ def test_hello_computes_each_mobility_once(monkeypatch, n, mobility_metric):
     config = dataclasses.replace(seeded_scenario(n, 1), mobility_metric=mobility_metric)
     by_id = config.node_map()
     adj = protocol._adjacency(config)
-    all_rates = coopmath.mobility_rates(config.nodes, mobility_metric)
     full_peers = {
-        (owner, v): coopmath.is_cooperative(
-            by_id[v], by_id[owner], [by_id[u] for u in nbrs], config, all_rates
+        (owner, v): coop_verdict(
+            by_id[v], by_id[owner], [by_id[u] for u in nbrs], config
         ).cooperative
         for owner, nbrs in adj.items()
         for v in nbrs
