@@ -30,10 +30,15 @@ def euclidean_distance(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
+# Each metric's distance function, for callers that look it up once per build.
+DISTANCES = {
+    DistanceMetric.MANHATTAN: manhattan_distance,
+    DistanceMetric.EUCLIDEAN: euclidean_distance,
+}
+
+
 def distance(a: Position, b: Position, metric: DistanceMetric) -> float:
-    if metric is DistanceMetric.MANHATTAN:
-        return manhattan_distance(a, b)
-    return euclidean_distance(a, b)
+    return DISTANCES[metric](a, b)
 
 
 def has_comm_capability(
@@ -77,12 +82,12 @@ def is_cooperative(
     """Whether `candidate` is a cooperative next hop after `prev`.
 
     peers are the rival next-hop candidates (the in-range neighbors of prev).
-    Clauses: residual energy above the threshold (strictly, unless the
-    scenario relaxes it), candidate in range of prev, and candidate's mobility
-    minimal over the peers' mobilities (ties pass). `rates` maps node ids to
-    their mobility under the scenario's metric (see `mobility_rates`) and must
-    cover the candidate and every peer, so a caller that judges many edges
-    computes each mobility once.
+    Clauses, cheapest first: residual energy above the threshold (strictly,
+    unless the scenario relaxes it), candidate's mobility minimal over the
+    peers' mobilities (ties pass), and candidate in range of prev. `rates`
+    maps node ids to their mobility under the scenario's metric (see
+    `mobility_rates`) and must cover the candidate and every peer, so each
+    mobility is computed once and the mobility clause can precede the range.
     """
     if not peers:
         raise EmptyPeerSet()
@@ -90,8 +95,8 @@ def is_cooperative(
     reach, metric = config.transmission_range, config.distance_metric
     return (
         (energy > threshold if config.threshold_strict else energy >= threshold)
-        and has_comm_capability(prev.position, candidate.position, reach, metric) == 1
         and rates[candidate.id] <= min(rates[p.id] for p in peers)
+        and has_comm_capability(prev.position, candidate.position, reach, metric) == 1
     )
 
 

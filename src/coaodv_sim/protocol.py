@@ -10,6 +10,7 @@ exempt. The destination picks the lowest-hop fully-cooperative path.
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 import weakref
@@ -17,14 +18,20 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .coopmath import distance, is_cooperative, mobility_rates
+from .coopmath import DISTANCES, is_cooperative, mobility_rates
 from .errors import InternalError, NoCooperativeRoute, NoRoute, UnknownNode
 from .model import Route, ScenarioConfig
+
+log = logging.getLogger("coaodv_sim.protocol")
 
 
 @dataclass(frozen=True)
 class NeighborEntry:
     coop_status: bool
+
+
+# Every table shares these two frozen entries, one per flag value.
+_ENTRY = {flag: NeighborEntry(flag) for flag in (False, True)}
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ def _adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
     """
     pos = {n.id: n.position for n in config.nodes}
     ids = sorted(pos)
-    metric, reach = config.distance_metric, config.transmission_range
+    dist, reach = DISTANCES[config.distance_metric], config.transmission_range
     coords = [c for p in pos.values() for c in (p.x, p.y)]
     extent = max(map(abs, coords), default=0.0)
     width = max(reach, extent / _MAX_CELLS, sys.float_info.min) * _CELL_MARGIN
@@ -63,12 +70,12 @@ def _adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
 
     adj: dict[int, list[int]] = {u: [] for u in ids}
     for u in ids:
-        cx, cy = home[u]
+        (cx, cy), pu = home[u], pos[u]
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for v in cells.get((cx + dx, cy + dy), ()):
                     # each pair once, smaller id first, so edges match an all-pairs scan
-                    if v > u and distance(pos[u], pos[v], metric) <= reach:
+                    if v > u and dist(pu, pos[v]) <= reach:
                         adj[u].append(v)
                         adj[v].append(u)
     for neighbors in adj.values():
@@ -90,10 +97,14 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
     for owner, neighbor_ids in adj.items():
         bar = [by_id[min(neighbor_ids, key=rates.__getitem__)]] if neighbor_ids else []
         entries = {
-            v: NeighborEntry(is_cooperative(by_id[v], by_id[owner], bar, config, rates))
+            v: _ENTRY[is_cooperative(by_id[v], by_id[owner], bar, config, rates)]
             for v in neighbor_ids
         }
         tables[owner] = NeighborTable(entries=entries)
+    if log.isEnabledFor(logging.INFO):
+        flags = [e.coop_status for t in tables.values() for e in t.entries.values()]
+        counts = len(tables), len(flags), sum(flags)
+        log.info("HELLO round: %d nodes, %d directed edges, %d cooperative", *counts)
     return tables
 
 

@@ -154,16 +154,8 @@ class Summary:
         return self.pdr_sum / self.pdr_count if self.pdr_count else None
 
 
-def summarize(metrics: Iterable[SimMetrics]) -> Summary:
+def mean_pdr(metrics: Iterable[SimMetrics]) -> float | None:
     summary = Summary()
     for m in metrics:
         summary.add(m)
-    return summary
-
-
-def mean_pdr(metrics: Iterable[SimMetrics]) -> float | None:
-    return summarize(metrics).mean_pdr
-
-
-def mean_hops(metrics: Iterable[SimMetrics]) -> float | None:
-    return summarize(metrics).mean_hops
+    return summary.mean_pdr

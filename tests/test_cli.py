@@ -252,12 +252,16 @@ def test_compare_rejects_zero_seeds(capsys):
 
 
 def _summary_lines(results) -> str:
-    """compare's summary, built from sim.compare's pairs and the mean helpers."""
+    """compare's summary, built from sim.compare's pairs, a folded `sim.Summary`
+    for the mean hops and `sim.mean_pdr`."""
     lines = [f"{'protocol':<8} {'routed_flows':>12} {'mean_hops':>10} {'mean_pdr':>9}"]
     for label, group in (("aodv", [p[0] for p in results]), ("coaodv", [p[1] for p in results])):
         flows = [f for m in group for f in m.per_flow]
         routed = sum(f.hop_count is not None for f in flows)
-        hops, pdr = sim.mean_hops(group), sim.mean_pdr(group)
+        summary = sim.Summary()
+        for metrics in group:
+            summary.add(metrics)
+        hops, pdr = summary.mean_hops, sim.mean_pdr(group)
         lines.append(
             f"{label:<8} {f'{routed}/{len(flows)}':>12} "
             f"{'-' if hops is None else f'{hops:.4f}':>10} "
@@ -367,6 +371,24 @@ def test_usage_error_exit_code():
 def test_log_env_accepts_trace(monkeypatch, capsys):
     monkeypatch.setenv("COAODV_SIM_LOG", "trace")
     assert main(["run", str(PAPER_SCENARIO), "--protocol", "aodv", "--flows", "4:9:1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_info_log_leaves_stdout_and_report_bytes_alone(tmp_path, monkeypatch, capsys, command):
+    args = [command, str(PAPER_SCENARIO), "--flows", "0:9:20", "4:9:20"]
+    args += ["--protocol", "aodv"] if command == "run" else ["--seeds", "3"]
+    outputs = {}
+    for mode in (None, "info"):
+        if mode is None:
+            monkeypatch.delenv("COAODV_SIM_LOG", raising=False)
+        else:
+            monkeypatch.setenv("COAODV_SIM_LOG", mode)
+        report = tmp_path / f"{mode}.csv"
+        assert main([*args, "--out", str(report)]) == 0
+        out, err = capsys.readouterr()
+        outputs[mode] = (out, report.read_bytes(), err.count("INFO coaodv_sim.protocol: HELLO"))
+    assert outputs[None][:2] == outputs["info"][:2]
+    assert (outputs[None][2], outputs["info"][2]) == (0, 1)  # one line per HELLO round
 
 
 def test_log_env_rejects_unknown_gracefully(monkeypatch, capsys):

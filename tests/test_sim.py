@@ -14,11 +14,9 @@ from coaodv_sim.sim import (
     Flow,
     Summary,
     compare,
-    mean_hops,
     mean_pdr,
     pairs,
     run,
-    summarize,
 )
 
 from .conftest import make_node, make_scenario, random_scenario, seeded_scenario
@@ -162,12 +160,19 @@ def test_compare_requires_a_seed(paper_scenario):
         compare(paper_scenario, (Flow(0, 9, 1),), seeds=[])
 
 
+def _fold(metrics) -> Summary:
+    summary = Summary()
+    for m in metrics:
+        summary.add(m)
+    return summary
+
+
 def test_mean_helpers(paper_scenario):
     results = compare(paper_scenario, (Flow(0, 9, 10), Flow(4, 9, 10)), seeds=[1, 2])
     aodv_all = [pair[0] for pair in results]
     coaodv_all = [pair[1] for pair in results]
-    assert mean_hops(aodv_all) == 3.0  # flows of 4 and 2 hops
-    assert mean_hops(coaodv_all) == 2.0  # only the routed flow counts
+    assert _fold(aodv_all).mean_hops == 3.0  # flows of 4 and 2 hops
+    assert _fold(coaodv_all).mean_hops == 2.0  # only the routed flow counts
     assert mean_pdr(coaodv_all) == 1.0
     assert mean_pdr([]) is None
 
@@ -182,14 +187,14 @@ def test_summary_folds_in_run_order(paper_scenario):
     pdrs = [f.packet_delivery_ratio for m in aodv_all for f in m.per_flow]
     assert (summary.routed, summary.flows, summary.hop_sum) == (9, 9, 30)
     assert summary.mean_pdr == reduce(add, pdrs, 0) / len(pdrs)  # the same additions, in order
-    assert summary == summarize(iter(aodv_all))
-    assert mean_hops(iter(aodv_all)) == 30 / 9
+    assert mean_pdr(iter(aodv_all)) == summary.mean_pdr  # mean_pdr folds a stream too
+    assert summary.mean_hops == 30 / 9
 
 
 def test_summary_of_no_routed_flow_has_no_means(paper_scenario):
     for flows in ((), (Flow(0, 9, 5),)):
         (_, coaodv_metrics), = compare(paper_scenario, flows, seeds=[1])
-        summary = summarize([coaodv_metrics])
+        summary = _fold([coaodv_metrics])
         assert (summary.routed, summary.flows) == (0, len(flows))
         assert summary.mean_hops is None and summary.mean_pdr is None
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import logging
 import math
 import random
 import traceback
@@ -306,3 +307,73 @@ def test_hello_computes_each_mobility_once(monkeypatch, n, mobility_metric):
     assert len(checks) == len(full_peers)  # one check per directed edge
     hello = {(o, v): e.coop_status for o, t in tables.items() for v, e in t.entries.items()}
     assert hello == full_peers
+
+
+def _reference_verdicts(config):
+    """Each directed edge's reference verdict, over the owner's full peer set."""
+    by_id = config.node_map()
+    adj = brute_force_adjacency(config)
+    return {
+        (owner, v): coop_verdict(by_id[v], by_id[owner], [by_id[u] for u in nbrs], config)
+        for owner, nbrs in adj.items()
+        for v in nbrs
+    }
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_hello_tests_range_only_after_energy_and_mobility(monkeypatch, metric):
+    config = seeded_scenario(300, 1, distance_metric=metric)
+    verdicts = _reference_verdicts(config)
+    passing = sum(v.energy_ok and v.mobility_ok for v in verdicts.values())
+    assert 0 < passing < len(verdicts)
+    ranges = []
+    original = coopmath.has_comm_capability
+
+    def counted(*args, **kwargs):
+        ranges.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coopmath, "has_comm_capability", counted)
+    checks = _counting(monkeypatch, "is_cooperative")
+    protocol.exchange_hello(config)
+    assert len(checks) == len(verdicts)  # still one check per directed edge
+    assert len(ranges) == passing  # the range clause only where the cheap ones passed
+
+
+def _flags(tables):
+    return {(o, v): e.coop_status for o, t in tables.items() for v, e in t.entries.items()}
+
+
+def test_shared_hello_entries_are_not_shared_state():
+    config = seeded_scenario(300, 1)
+    cached, _ = protocol._topology(config)
+    expected = _flags(cached)
+    first, second = protocol.exchange_hello(config), protocol.exchange_hello(config)
+    assert len({id(e) for t in first.values() for e in t.entries.values()}) == 2
+    owner, v = next(iter(expected))
+    entry = first[owner].entries[v]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.coop_status = not entry.coop_status
+    first[owner].entries[v] = protocol.NeighborEntry(not entry.coop_status)
+    for table in second.values():
+        table.entries.clear()
+    second.clear()
+    third = protocol.exchange_hello(config)
+    assert _flags(third) == _flags(cached) == expected
+    assert _flags(first) == {**expected, (owner, v): not expected[(owner, v)]}
+    for tables in (first, third, cached):
+        assert all(type(e.coop_status) is bool for t in tables.values() for e in t.entries.values())
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_hello_log_line_counts_match_the_reference(caplog, metric):
+    config = seeded_scenario(300, 1, distance_metric=metric)
+    verdicts = _reference_verdicts(config)
+    caplog.set_level(logging.INFO, logger="coaodv_sim.protocol")
+    protocol.exchange_hello(config)
+    lines = [r.getMessage() for r in caplog.records if r.name == "coaodv_sim.protocol"]
+    coop = sum(v.cooperative for v in verdicts.values())
+    assert lines == [
+        f"HELLO round: 300 nodes, {len(verdicts)} directed edges, {coop} cooperative"
+    ]
+    assert 0 < coop < len(verdicts)
