@@ -1,15 +1,10 @@
-"""Weighted network-type classification and candidate ranking.
-
-The dominant criterion weight labels the network class; the same weights feed
-a composite score used to rank next-hop candidates.
-"""
+"""Weighted network-type classification: the dominant criterion weight labels
+the network class."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .coopmath import composite_score
 from .errors import AmbiguousProfile, WeightsNotNormalized
 from .model import NetworkType, WeightProfile
 
@@ -42,13 +37,3 @@ def classify_network(w: WeightProfile) -> ClassificationResult:
         profile=w,
     )
 
-
-def rank_candidates(
-    candidates: Sequence[tuple[int, float, float, float]], w: WeightProfile
-) -> list[tuple[int, float]]:
-    """Order (node id, d_norm, m_norm, e_norm) rows by descending composite
-    score; equal scores rank by lowest node id."""
-    scored = [
-        (node_id, composite_score(d, m, e, w)) for node_id, d, m, e in candidates
-    ]
-    return sorted(scored, key=lambda item: (-item[1], item[0]))

@@ -91,24 +91,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_log_handler: logging.StreamHandler | None = None
-
-
-def _configure_logging() -> None:
-    global _log_handler
+def _configure_logging(logger: logging.Logger) -> logging.Handler:
+    """Send `logger`'s records to the current stderr at the COAODV_SIM_LOG
+    level; returns the handler, for `main` to remove when it returns."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
     mode = os.environ.get("COAODV_SIM_LOG", "quiet")
     level = _LOG_LEVELS.get(mode)
-    root = logging.getLogger("coaodv_sim")
-    if _log_handler is None:
-        _log_handler = logging.StreamHandler(sys.stderr)
-        _log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        root.addHandler(_log_handler)
-    _log_handler.stream = sys.stderr  # follow redirected stderr between invocations
     if level is None:
-        root.setLevel(logging.WARNING)
-        root.warning("unknown COAODV_SIM_LOG value %r, using quiet", mode)
+        logger.setLevel(logging.WARNING)
+        logger.warning("unknown COAODV_SIM_LOG value %r, using quiet", mode)
     else:
-        root.setLevel(level)
+        logger.setLevel(level)
+    return handler
 
 
 def _enum_choices(enum) -> dict:
@@ -333,10 +329,11 @@ def cmd_classify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
-    parser = build_parser()
+    logger = logging.getLogger("coaodv_sim")
+    found = logger.level  # COAODV_SIM_LOG and the handler hold for this invocation only
+    handler = _configure_logging(logger)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
@@ -349,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except (WeightsNotNormalized, AmbiguousProfile, UnknownNode) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(found)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Distances between node positions, the binary in-range predicate, the node
 mobility rate from its two-epoch record, the three-clause cooperative
-predicate, and the weighted composite score with its min-max normalization.
+predicate, and the weighted composite score.
 """
 
 from __future__ import annotations
@@ -84,20 +84,23 @@ def is_cooperative(
     peers are the rival next-hop candidates (the in-range neighbors of prev).
     Clauses, cheapest first: residual energy above the threshold (strictly,
     unless the scenario relaxes it), candidate's mobility minimal over the
-    peers' mobilities (ties pass), and candidate in range of prev. `rates`
-    maps node ids to their mobility under the scenario's metric (see
-    `mobility_rates`) and must cover the candidate and every peer, so each
-    mobility is computed once and the mobility clause can precede the range.
+    peers' mobilities (ties pass), and candidate in range of prev. The first
+    clause that fails decides. `rates` maps node ids to their mobility under
+    the scenario's metric (see `mobility_rates`) and must cover the candidate
+    and every peer, so each mobility is computed once and the mobility clause
+    can precede the range.
     """
     if not peers:
         raise EmptyPeerSet()
     energy, threshold = candidate.energy, config.energy_threshold
+    if not (energy > threshold if config.threshold_strict else energy >= threshold):
+        return False
+    rate = rates[candidate.id]
+    for p in peers:
+        if rates[p.id] < rate:
+            return False
     reach, metric = config.transmission_range, config.distance_metric
-    return (
-        (energy > threshold if config.threshold_strict else energy >= threshold)
-        and rates[candidate.id] <= min(rates[p.id] for p in peers)
-        and has_comm_capability(prev.position, candidate.position, reach, metric) == 1
-    )
+    return has_comm_capability(prev.position, candidate.position, reach, metric) == 1
 
 
 def composite_score(d_norm: float, m_norm: float, e_norm: float, w: WeightProfile) -> float:
@@ -109,35 +112,3 @@ def composite_score(d_norm: float, m_norm: float, e_norm: float, w: WeightProfil
     if not w.is_normalized():
         raise WeightsNotNormalized(w.as_tuple())
     return math.fsum((d_norm * w.w_distance, m_norm * w.w_mobility, e_norm * w.w_energy))
-
-
-def minmax_normalize(values: Sequence[float], invert: bool = False) -> list[float]:
-    """Min-max scale values into [0, 1]; 1.0 for every entry when all are equal.
-
-    invert flips the orientation (smallest raw value maps to 1.0), used for
-    criteria where less is better.
-    """
-    if not values:
-        return []
-    lo, hi = min(values), max(values)
-    if lo == hi:
-        return [1.0] * len(values)
-    span = hi - lo
-    if invert:
-        return [1.0 - (v - lo) / span for v in values]
-    return [(v - lo) / span for v in values]
-
-
-def normalize_candidates(
-    raw: Sequence[tuple[int, float, float, float]],
-) -> list[tuple[int, float, float, float]]:
-    """Turn raw (node id, distance, mobility, energy) rows into scoring inputs.
-
-    Distance and mobility are inverted (closer and steadier nodes score
-    higher); energy is taken directly.
-    """
-    ids = [r[0] for r in raw]
-    d = minmax_normalize([r[1] for r in raw], invert=True)
-    m = minmax_normalize([r[2] for r in raw], invert=True)
-    e = minmax_normalize([r[3] for r in raw])
-    return list(zip(ids, d, m, e))

@@ -142,8 +142,15 @@ def _relays(tables: dict[int, NeighborTable], u: int, v: int, dest: int) -> bool
     return v == dest or tables[u].entries[v].coop_status
 
 
-def _hops_to(target: int, tables: dict[int, NeighborTable], cooperative: bool) -> dict[int, int]:
-    """Hop counts toward `target`, over cooperative relays only if `cooperative`."""
+def _hops_to(
+    source: int, target: int, tables: dict[int, NeighborTable], cooperative: bool
+) -> dict[int, int]:
+    """Hop counts toward `target`, over cooperative relays only if `cooperative`.
+
+    The search grows outward from `target` and stops once `source`, a node
+    other than `target`, has its count, as a request flood ends where it meets
+    the source: every node nearer `target` than `source` then has its final
+    count, and farther ones may be missing."""
     dist = {target: 0}
     frontier = deque([target])
     while frontier:
@@ -151,6 +158,8 @@ def _hops_to(target: int, tables: dict[int, NeighborTable], cooperative: bool) -
         for u in tables[v].entries:
             if u not in dist and (not cooperative or _relays(tables, u, v, target)):
                 dist[u] = dist[v] + 1
+                if u == source:
+                    return dist
                 frontier.append(u)
     return dist
 
@@ -159,7 +168,8 @@ def _greedy_path(
     source: int, dest: int, tables: dict[int, NeighborTable], hops: dict[int, int], cooperative: bool
 ) -> tuple[int, ...]:
     """Walk from source choosing the lowest next-hop id that still lies on a
-    minimum-hop path; yields the lexicographically smallest such path."""
+    minimum-hop path; yields the lexicographically smallest such path. Every
+    step reads only nodes nearer dest than source, all of which `hops` holds."""
     path = [source]
     cur = source
     while cur != dest:
@@ -196,12 +206,12 @@ def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool)
     if outcome is None:
         if source == dest:
             outcome = Route(path=(source,), hop_count=0, route_stability=())
-        elif source in (hops := _hops_to(dest, tables, cooperative)):
+        elif source in (hops := _hops_to(source, dest, tables, cooperative)):
             path = _greedy_path(source, dest, tables, hops, cooperative)
             outcome = completed_request(path, config)
             if cooperative and not outcome.fully_cooperative:
                 raise InternalError(f"cooperative discovery chose non-cooperative path {path}")
-        elif cooperative and source in _hops_to(dest, tables, False):
+        elif cooperative and source in _hops_to(source, dest, tables, False):
             outcome = NoCooperativeRoute
         else:
             outcome = NoRoute

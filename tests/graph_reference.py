@@ -148,11 +148,16 @@ def lowest_id_shortest_path(graph, source: int, dest: int) -> tuple[int, ...] | 
     return tuple(path)
 
 
+def relay_graph(graph: nx.Graph, coop: nx.DiGraph, dest: int) -> nx.DiGraph:
+    """u -> v for every hop a cooperative discovery toward `dest` may take:
+    v is the destination, or v is cooperative with respect to u."""
+    allowed = nx.DiGraph(coop)
+    allowed.add_edges_from((u, dest) for u in graph[dest])
+    return allowed
+
+
 def cooperative_route(
     graph: nx.Graph, coop: nx.DiGraph, source: int, dest: int
 ) -> tuple[int, ...] | None:
-    """Minimum-hop path where u -> v is allowed iff v is the destination or
-    v is cooperative with respect to u; ties go to the lowest id."""
-    allowed = nx.DiGraph(coop)
-    allowed.add_edges_from((u, dest) for u in graph[dest])
-    return lowest_id_shortest_path(allowed, source, dest)
+    """Minimum-hop path over `relay_graph`; ties go to the lowest id."""
+    return lowest_id_shortest_path(relay_graph(graph, coop, dest), source, dest)

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from coaodv_sim.classifier import classify_network, rank_candidates
+from coaodv_sim.classifier import classify_network
 from coaodv_sim.cli import main
 from coaodv_sim.coopmath import composite_score
 from coaodv_sim.errors import AmbiguousProfile, WeightsNotNormalized
-from coaodv_sim.model import CANONICAL_PROFILES, NetworkType, WeightProfile
+from coaodv_sim.model import NetworkType, WeightProfile
 
 
 @pytest.mark.parametrize(
@@ -76,37 +76,3 @@ def test_permuting_weight_roles_permutes_the_type():
     assert classify_network(WeightProfile(w1, w2, w3)).network_type is NetworkType.DISTANCE_SENSITIVE
     assert classify_network(WeightProfile(w3, w1, w2)).network_type is NetworkType.MOBILITY_SENSITIVE
     assert classify_network(WeightProfile(w2, w3, w1)).network_type is NetworkType.ENERGY_SENSITIVE
-
-
-def test_rank_extremes():
-    for profile in CANONICAL_PROFILES:
-        ranked = rank_candidates([(1, 1, 1, 1), (2, 0, 0, 0)], profile)
-        assert ranked == [(1, 1.0), (2, 0.0)]
-
-
-def test_rank_single_candidate():
-    ranked = rank_candidates([(4, 0.5, 0.5, 0.5)], WeightProfile(0.5, 0.25, 0.25))
-    assert ranked == [(4, 0.5)]
-
-
-def test_rank_by_dominant_criterion():
-    ranked = rank_candidates([(1, 1, 0, 0), (2, 0, 1, 0)], WeightProfile(0.5, 0.25, 0.25))
-    assert ranked == [(1, 0.5), (2, 0.25)]
-
-
-def test_rank_ties_break_by_lowest_id():
-    ranked = rank_candidates([(9, 1, 0, 0), (3, 0, 0, 1), (5, 0, 1, 0)], WeightProfile(0.25, 0.5, 0.25))
-    assert [node_id for node_id, _ in ranked] == [5, 3, 9]
-    assert ranked[1][1] == ranked[2][1] == 0.25
-
-
-def test_dominated_candidate_never_ranks_above():
-    rng = random.Random(23)
-    for _ in range(200):
-        a = (1, rng.random(), rng.random(), rng.random())
-        b = (2, a[1] * rng.random(), a[2] * rng.random(), a[3] * rng.random())
-        raw = sorted((rng.uniform(0.05, 1.0) for _ in range(3)), reverse=True)
-        total = sum(raw)
-        profile = WeightProfile(*(v / total for v in raw))
-        ranked = rank_candidates([a, b], profile)
-        assert ranked[0][0] == 1

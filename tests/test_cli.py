@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import json
+import logging
 import math
 import os
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from coaodv_sim import cli, sim
+from coaodv_sim import cli, protocol, sim
 from coaodv_sim.cli import REPORT_HEADER, main
 from coaodv_sim.errors import NegativeArea
 from coaodv_sim.model import (
@@ -389,6 +390,19 @@ def test_info_log_leaves_stdout_and_report_bytes_alone(tmp_path, monkeypatch, ca
         outputs[mode] = (out, report.read_bytes(), err.count("INFO coaodv_sim.protocol: HELLO"))
     assert outputs[None][:2] == outputs["info"][:2]
     assert (outputs[None][2], outputs["info"][2]) == (0, 1)  # one line per HELLO round
+
+
+@pytest.mark.parametrize("mode", ["info", "loud"])
+def test_log_level_does_not_outlive_main(monkeypatch, capsys, mode):
+    logger = logging.getLogger("coaodv_sim")
+    before = logger.level, list(logger.handlers)
+    monkeypatch.setenv("COAODV_SIM_LOG", mode)
+    assert main(["validate", str(PAPER_SCENARIO)]) == 0
+    assert (logger.level, logger.handlers) == before
+    monkeypatch.delenv("COAODV_SIM_LOG")
+    capsys.readouterr()
+    protocol.exchange_hello(load_scenario(PAPER_SCENARIO))
+    assert capsys.readouterr().err == ""
 
 
 def test_log_env_rejects_unknown_gracefully(monkeypatch, capsys):

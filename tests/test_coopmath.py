@@ -1,20 +1,21 @@
 import dataclasses
 import math
+import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from coaodv_sim import coopmath
 from coaodv_sim.coopmath import (
     composite_score,
     euclidean_distance,
     has_comm_capability,
     is_cooperative,
     manhattan_distance,
-    minmax_normalize,
     mobility,
     mobility_rates,
-    normalize_candidates,
 )
 from coaodv_sim.errors import EmptyPeerSet, WeightsNotNormalized, ZeroElapsedTime
 from coaodv_sim.model import (
@@ -139,10 +140,10 @@ def test_mobility_ties_pass():
 
 
 def test_empty_peer_set_raises():
-    config = make_scenario([])
-    node = make_node(0, 1, 1)
-    with pytest.raises(EmptyPeerSet):
-        is_cooperative(node, node, [], config, rates(node))
+    config = make_scenario([], energy_threshold=500.0)
+    for node in (make_node(0, 1, 1), make_node(1, 1, 1, energy=100)):  # the latter fails energy
+        with pytest.raises(EmptyPeerSet):
+            is_cooperative(node, node, [], config, rates(node))
 
 
 # -- the runtime predicate against the clause-by-clause reference ------------
@@ -196,6 +197,81 @@ def test_predicate_matches_reference_out_of_range_and_at_the_threshold(metric, s
     assert coop_verdict(cases[3], prev, [cases[3]], config).range_ok
 
 
+# -- the predicate returns at the first clause that fails --------------------
+
+
+def _clashing_nodes(rng, count, threshold):
+    """Nodes whose rates often tie and are sometimes +inf (a move over a
+    subnormal elapsed time), with energies just below, at and above the threshold."""
+    nodes = []
+    for i in range(count):
+        x, y, step = rng.randint(0, 30), rng.randint(0, 30), rng.choice([0, 1, 1, 2])
+        nodes.append(
+            make_node(
+                i, x, y, x + step, y,
+                energy=threshold + rng.choice([-1, 0, 0, 1]),
+                elapsed=rng.choice([1.0, 2.0, 5e-324]),
+            )
+        )
+    return nodes
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+def test_predicate_matches_reference_on_random_peer_lists(metric, strict):
+    rng = random.Random(f"peer-lists-{metric.value}-{strict}")
+    config = make_scenario([], threshold_strict=strict, distance_metric=metric)
+    seen = Counter()
+    for _ in range(500):
+        nodes = _clashing_nodes(rng, 8, config.energy_threshold)
+        rates_by_id = mobility_rates(nodes, config.mobility_metric)
+        prev, candidate = rng.choice(nodes), rng.choice(nodes)
+        peers = rng.sample(nodes, rng.randint(1, 6))
+        verdict = coop_verdict(candidate, prev, peers, config)
+        assert is_cooperative(candidate, prev, peers, config, rates_by_id) is verdict.cooperative
+        rate, peer_rates = rates_by_id[candidate.id], [rates_by_id[p.id] for p in peers]
+        seen["at threshold"] += candidate.energy == config.energy_threshold
+        seen["tie"] += any(r == rate for p, r in zip(peers, peer_rates) if p is not candidate)
+        seen["inf"] += math.inf in (rate, *peer_rates)
+        seen[(verdict.energy_ok, verdict.mobility_ok, verdict.range_ok)] += 1
+    assert seen["at threshold"] and seen["tie"] and seen["inf"]
+    # each clause is the first to fail somewhere, and some candidates pass all three
+    assert seen[(False, True, True)] and seen[(True, False, True)]
+    assert seen[(True, True, False)] and seen[(True, True, True)]
+
+
+class _Lookups(dict):
+    """A rates mapping that records the ids it is asked for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def __getitem__(self, key):
+        self.asked.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("failing", ["energy", "mobility", "none"])
+def test_range_is_measured_only_after_energy_and_mobility_pass(monkeypatch, failing):
+    measured = []
+    real = coopmath.has_comm_capability
+    monkeypatch.setattr(
+        coopmath, "has_comm_capability", lambda *args: measured.append(args) or real(*args)
+    )
+    config = make_scenario([], energy_threshold=500.0)
+    prev = make_node(0, 10, 10)
+    moved, energy = (1, 900) if failing == "mobility" else (0, 100 if failing == "energy" else 900)
+    candidate = make_node(1, 15, 10, 15 + moved, 10, energy=energy)
+    steady, drifting = make_node(2, 12, 10, energy=900), make_node(3, 12, 12, 20, 12, energy=900)
+    peers = [drifting, steady, candidate, make_node(4, 11, 10, energy=900)]
+    lookups = _Lookups(rates(*peers))
+    assert is_cooperative(candidate, prev, peers, config, lookups) is (failing == "none")
+    assert len(measured) == (failing == "none")
+    # the peer walk ends at the first peer that moves slower than the candidate
+    assert lookups.asked == {"energy": [], "mobility": [1, 3, 2], "none": [1, 3, 2, 1, 4]}[failing]
+
+
 def test_composite_score_examples():
     w = WeightProfile(0.5, 0.25, 0.25)
     assert composite_score(1, 0, 0, w) == 0.5
@@ -207,24 +283,6 @@ def test_composite_score_examples():
 def test_composite_score_rejects_unnormalized_weights():
     with pytest.raises(WeightsNotNormalized):
         composite_score(0.5, 0.5, 0.5, WeightProfile(0.5, 0.5, 0.5))
-
-
-def test_minmax_normalize_orientation():
-    assert minmax_normalize([0, 5, 10]) == [0.0, 0.5, 1.0]
-    assert minmax_normalize([0, 5, 10], invert=True) == [1.0, 0.5, 0.0]
-
-
-def test_minmax_normalize_degenerate_maps_to_one():
-    assert minmax_normalize([7, 7, 7]) == [1.0, 1.0, 1.0]
-    assert minmax_normalize([7, 7], invert=True) == [1.0, 1.0]
-    assert minmax_normalize([]) == []
-
-
-def test_normalize_candidates_inverts_cost_criteria():
-    rows = [(1, 0.0, 10.0, 100.0), (2, 50.0, 0.0, 900.0)]
-    normalized = normalize_candidates(rows)
-    assert normalized[0] == (1, 1.0, 0.0, 0.0)  # closest, most mobile, least energy
-    assert normalized[1] == (2, 0.0, 1.0, 1.0)
 
 
 # -- properties ------------------------------------------------------------

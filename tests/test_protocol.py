@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from coaodv_sim import protocol
@@ -231,6 +232,56 @@ def test_routes_match_networkx_reference_at_scale(n):
         if expected is not None:
             assert route.hop_count == len(expected) - 1
     assert outcomes == {"routed", "refused"}
+
+
+@pytest.mark.parametrize("n", [50, 300])
+def test_search_stops_at_the_source_and_keeps_every_route(n):
+    config = seeded_scenario(n, seed=2)
+    graph = graph_reference.range_graph(config)
+    coop = graph_reference.cooperative_edges(config, graph)
+    tables = exchange_hello(config)
+    rng = random.Random(f"early-stop-{n}")
+    seen = set()
+    for _ in range(30):
+        source, dest = rng.sample(range(n), 2)
+        for cooperative, discover in ((False, aodv_discover), (True, coaodv_discover)):
+            if cooperative:
+                relays = graph_reference.relay_graph(graph, coop, dest)
+                full = nx.single_source_shortest_path_length(relays.reverse(copy=False), dest)
+                expected = graph_reference.cooperative_route(graph, coop, source, dest)
+            else:
+                full = nx.single_source_shortest_path_length(graph, dest)
+                expected = graph_reference.lowest_id_shortest_path(graph, source, dest)
+            hops = protocol._hops_to(source, dest, tables, cooperative)
+            assert hops.items() <= full.items()
+            if source in full:
+                assert source in hops
+                assert {v for v, h in full.items() if h < full[source]} <= hops.keys()
+                seen.add("stopped early" if len(hops) < len(full) else "searched all")
+            else:
+                assert hops == full  # no route: the whole reachable part is searched
+                seen.add("unreachable")
+            try:
+                path = discover(source, dest, config).path
+            except (NoRoute, NoCooperativeRoute):
+                path = None
+            assert path == expected
+    assert {"stopped early", "unreachable"} <= seen
+
+
+@pytest.mark.parametrize("discover", [aodv_discover, coaodv_discover])
+def test_discovery_on_a_line_searches_only_up_to_the_source(monkeypatch, discover):
+    # 0-1-...-9, ten units apart at range 10: every node has at most two neighbors
+    config = make_scenario(
+        [make_node(i, 10 * i, 50, energy=900) for i in range(10)], transmission_range=10.0
+    )
+    searched = []
+    search = protocol._hops_to
+    monkeypatch.setattr(
+        protocol, "_hops_to", lambda *args: searched.append(search(*args)) or searched[-1]
+    )
+    assert discover(3, 0, config).path == (3, 2, 1, 0)
+    assert searched == [{0: 0, 1: 1, 2: 2, 3: 3}]
 
 
 def test_cooperative_self_check_raises_a_named_error(monkeypatch):
