@@ -19,7 +19,6 @@ _TYPE_BY_CRITERION = {
 class ClassificationResult:
     network_type: NetworkType
     dominant_weight: str
-    profile: WeightProfile
 
 
 def classify_network(w: WeightProfile) -> ClassificationResult:
@@ -34,6 +33,5 @@ def classify_network(w: WeightProfile) -> ClassificationResult:
     return ClassificationResult(
         network_type=_TYPE_BY_CRITERION[dominant[0]],
         dominant_weight=dominant[0],
-        profile=w,
     )
 

@@ -36,8 +36,7 @@ from .model import (
     ScenarioConfig,
     SimMetrics,
     WeightProfile,
-    scenario_from_json,
-    validate_scenario,
+    load_scenario,
 )
 
 log = logging.getLogger("coaodv_sim.cli")
@@ -177,26 +176,24 @@ def _parse_flows(specs: list[str]) -> tuple[sim.Flow, ...]:
 
 
 def _load_effective_scenario(args) -> ScenarioConfig:
-    """Read, parse and validate the scenario at args.path, with the command's
-    overrides applied; the one place a scenario enters the CLI."""
+    """The scenario at args.path with the command's overrides applied; a file
+    that cannot be read or is not JSON is a usage error."""
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ScenarioConfig)
+        if getattr(args, f.name, None) is not None
+    }
     try:
-        text = Path(args.path).read_text(encoding="utf-8")
+        return load_scenario(args.path, **overrides)
     except FileNotFoundError:
         raise UsageError(f"file not found: {args.path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise UsageError(f"cannot read {args.path}: {reason}") from None
-    try:
-        config = scenario_from_json(text)
     except (ValueError, RecursionError) as exc:
-        # json.loads: scenario_from_dict reports its own failures as ScenarioFormatError
+        # json.loads: the scenario's own failures are ScenarioFormatError or
+        # ScenarioValidationError, neither of which is a ValueError
         raise UsageError(f"not valid JSON: {exc}") from None
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(config)
-        if getattr(args, f.name, None) is not None
-    }
-    return validate_scenario(dataclasses.replace(config, **overrides))
 
 
 def _shown(text: str) -> str:
@@ -322,7 +319,7 @@ def cmd_classify(args) -> int:
         raise UsageError("--weights must be three finite numbers W1,W2,W3")
     result = classify_network(WeightProfile(*weights))
     print(
-        f"{result.network_type.label} (e.g. {result.network_type.example_networks}); "
+        f"{result.network_type.value} (e.g. {result.network_type.example_networks}); "
         f"dominant criterion: {result.dominant_weight}"
     )
     return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -50,10 +50,6 @@ class NetworkType(Enum):
     DISTANCE_SENSITIVE = "Distance Sensitive Network"
     MOBILITY_SENSITIVE = "Mobility Sensitive Network"
     ENERGY_SENSITIVE = "Energy Sensitive Network"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
     @property
     def example_networks(self) -> str:
@@ -150,17 +146,6 @@ class WeightProfile:
     def is_normalized(self) -> bool:
         return abs(math.fsum(self.as_tuple()) - 1.0) <= WEIGHT_SUM_TOLERANCE
 
-    def is_canonical(self) -> bool:
-        """One weight 0.5 and the other two 0.25."""
-        return sorted(self.as_tuple()) == [0.25, 0.25, 0.5]
-
-
-CANONICAL_PROFILES = (
-    WeightProfile(0.5, 0.25, 0.25),
-    WeightProfile(0.25, 0.5, 0.25),
-    WeightProfile(0.25, 0.25, 0.5),
-)
-
 
 @dataclass(frozen=True)
 class FlowMetrics:
@@ -189,23 +174,8 @@ class SimMetrics:
     per_flow: tuple[FlowMetrics, ...]
 
     @property
-    def hop_count(self) -> int | None:
-        """Total hops over routed flows; None when no flow found a route."""
-        routed = [f.hop_count for f in self.per_flow if f.hop_count is not None]
-        return sum(routed) if routed else None
-
-    @property
-    def packets_sent(self) -> int:
+    def packets_sent(self) -> int:  # bench/tracer.py reads it off each result of sim.run
         return sum(f.packets_sent for f in self.per_flow)
-
-    @property
-    def packets_delivered(self) -> int:
-        return sum(f.packets_delivered for f in self.per_flow)
-
-    @property
-    def packet_delivery_ratio(self) -> float | None:
-        sent = self.packets_sent
-        return self.packets_delivered / sent if sent > 0 else None
 
 
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
@@ -307,14 +277,19 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     _check_keys(doc, _KEYS, "scenario")
     try:
         elapsed = _number(doc.get("elapsed_time", 1.0), "elapsed_time")
+        entries = doc["nodes"]
+        if type(entries) is not list:
+            raise ScenarioFormatError(f"nodes must be an array of node objects, got {entries!r}")
         nodes = []
-        for entry in doc["nodes"]:  # checked inline: a call per node slowed a 300-node parse 5%
+        for entry in entries:  # checked inline: a call per node slowed a 300-node parse 5%
+            if type(entry) is not dict:
+                raise ScenarioFormatError(f"nodes[{len(nodes)}] must be an object, got {entry!r}")
             # four keys that the reads below all find are exactly the schema's
-            if len(entry) != 4 and isinstance(entry, dict):
+            if len(entry) != 4:
                 _check_keys(entry, _NODE_KEYS, f"node {entry.get('id')!r}")
             try:
                 (x1, y1), (x2, y2) = entry["pos_t1"], entry["pos_t2"]
-            except ValueError:
+            except (TypeError, ValueError):  # not a pair: too short, too long or not iterable
                 raise ScenarioFormatError(
                     f"node {entry['id']!r}: pos_t1 and pos_t2 must each be [x, y], "
                     f"got {entry['pos_t1']!r} and {entry['pos_t2']!r}"
@@ -330,7 +305,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         area = doc["area"]
         try:
             width, height = area
-        except ValueError:
+        except (TypeError, ValueError):
             raise ScenarioFormatError(f"area must be [width, height], got {area!r}") from None
         seed, strict = doc.get("seed", 0), doc.get("threshold_strict", True)
         if type(seed) is not int:
@@ -351,38 +326,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     except KeyError as exc:  # the required keys are present, so a node lacks this one
         # a four-key node that lacks a schema key holds an unknown one in its place
         _check_keys(entry, _NODE_KEYS, f"node {entry.get('id')!r}")
-        raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
+        where = f"node {entry['id']!r}" if "id" in entry else f"nodes[{len(nodes)}]"
+        raise ScenarioFormatError(f"{where}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
     return config
-
-
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    """Inverse of scenario_from_dict; requires a file-global elapsed time."""
-    elapsed_values = {n.mobility_record.elapsed for n in config.nodes}
-    if len(elapsed_values) > 1:
-        raise ValueError("scenario documents cannot represent mixed per-node elapsed times")
-    elapsed = elapsed_values.pop() if elapsed_values else 1.0
-    return {
-        "nodes": [
-            {
-                "id": n.id,
-                "pos_t1": [n.mobility_record.pos_t1.x, n.mobility_record.pos_t1.y],
-                "pos_t2": [n.mobility_record.pos_t2.x, n.mobility_record.pos_t2.y],
-                "energy": n.energy,
-            }
-            for n in config.nodes
-        ],
-        "area": list(config.area),
-        "transmission_range": config.transmission_range,
-        "energy_threshold": config.energy_threshold,
-        "distance_metric": config.distance_metric.value,
-        "mobility_metric": config.mobility_metric.value,
-        "threshold_strict": config.threshold_strict,
-        "non_coop_drop_prob": config.non_coop_drop_prob,
-        "seed": config.rng_seed,
-        "elapsed_time": elapsed,
-    }
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -401,11 +349,8 @@ def scenario_from_json(text: str) -> ScenarioConfig:
     return scenario_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
 
-def scenario_to_json(config: ScenarioConfig) -> str:
-    return json.dumps(scenario_to_dict(config), indent=2) + "\n"
-
-
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read, parse, and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
-    return validate_scenario(scenario_from_json(text))
+def load_scenario(path: str | Path, **overrides) -> ScenarioConfig:
+    """Read and parse a scenario file, replace the ScenarioConfig fields named
+    in `overrides`, then validate; the one place a scenario file is read."""
+    config = scenario_from_json(Path(path).read_text(encoding="utf-8"))
+    return validate_scenario(replace(config, **overrides) if overrides else config)

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -19,6 +20,32 @@ PAPER_SCENARIO = REPO_ROOT / "scenarios" / "paper_table123.json"
 @pytest.fixture(scope="session")
 def paper_scenario() -> ScenarioConfig:
     return load_scenario(PAPER_SCENARIO)
+
+
+def scenario_to_json(config: ScenarioConfig) -> str:
+    """The scenario document of `config`, whose nodes share one elapsed time."""
+    (elapsed,) = {n.mobility_record.elapsed for n in config.nodes} or {1.0}
+    doc = {
+        "nodes": [
+            {
+                "id": n.id,
+                "pos_t1": [n.mobility_record.pos_t1.x, n.mobility_record.pos_t1.y],
+                "pos_t2": [n.mobility_record.pos_t2.x, n.mobility_record.pos_t2.y],
+                "energy": n.energy,
+            }
+            for n in config.nodes
+        ],
+        "area": list(config.area),
+        "transmission_range": config.transmission_range,
+        "energy_threshold": config.energy_threshold,
+        "distance_metric": config.distance_metric.value,
+        "mobility_metric": config.mobility_metric.value,
+        "threshold_strict": config.threshold_strict,
+        "non_coop_drop_prob": config.non_coop_drop_prob,
+        "seed": config.rng_seed,
+        "elapsed_time": elapsed,
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def make_node(node_id, x1, y1, x2=None, y2=None, energy=1000.0, elapsed=1.0) -> NodeState:

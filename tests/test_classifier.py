@@ -25,13 +25,12 @@ def test_canonical_profiles_map_to_their_network_type(weights, expected):
 def test_dominant_weight_names_the_criterion():
     result = classify_network(WeightProfile(0.25, 0.5, 0.25))
     assert result.dominant_weight == "mobility"
-    assert result.profile == WeightProfile(0.25, 0.5, 0.25)
 
 
 def test_non_canonical_profile_classified_by_argmax():
     result = classify_network(WeightProfile(0.4, 0.35, 0.25))
     assert result.network_type is NetworkType.DISTANCE_SENSITIVE
-    assert not result.profile.is_canonical()
+    assert result.dominant_weight == "distance"
 
 
 def test_tied_maximum_is_ambiguous():

@@ -20,11 +20,10 @@ from coaodv_sim.model import (
     MobilityMetric,
     load_scenario,
     scenario_from_dict,
-    scenario_to_json,
     validate_scenario,
 )
 
-from .conftest import PAPER_SCENARIO, make_node, make_scenario, seeded_scenario
+from .conftest import PAPER_SCENARIO, make_node, make_scenario, scenario_to_json, seeded_scenario
 
 GOLDEN_RUN_CSV = (
     "scenario,protocol,seed,flow_src,flow_dst,hop_count,packets_sent,"
@@ -169,6 +168,16 @@ def test_run_range_override_changes_topology(capsys):
 def test_run_bad_override_is_invalid_scenario(capsys):
     assert main(["run", str(PAPER_SCENARIO), "--protocol", "aodv", "--flows", "0:9:1", "--range", "-5"]) == 2
     assert "invalid scenario" in capsys.readouterr().err
+
+
+def test_override_can_repair_the_file(tmp_path, capsys):
+    # the overrides replace their fields before the scenario is validated
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    doc["transmission_range"] = 0
+    assert _validate_doc(tmp_path, doc) == 2
+    argv = ["run", str(tmp_path / "scenario.json"), "--protocol", "aodv", "--flows", "4:9:1"]
+    assert main(argv + ["--range", "20"]) == 0
+    assert "flow 4->9 [aodv]: hops=2" in capsys.readouterr().out
 
 
 def test_compare_csv_structure(tmp_path):
@@ -528,6 +537,29 @@ OUTSIDE_THE_SCHEMA = {
     "misspelt-node-key": (
         lambda d: d["nodes"][2].update(enrgy=d["nodes"][2].pop("energy")),
         "node 2: unknown keys 'enrgy'",
+    ),
+    "nodes-an-object": (
+        lambda d: d.update(nodes={"a": 1}),
+        "nodes must be an array of node objects, got {'a': 1}",
+    ),
+    "nodes-null": (lambda d: d.update(nodes=None), "nodes must be an array of node objects"),
+    "nodes-an-empty-object": (  # not read as an empty network
+        lambda d: d.update(nodes={}),
+        "nodes must be an array of node objects, got {}",
+    ),
+    "node-an-array": (
+        lambda d: d["nodes"].__setitem__(2, [1, 2, 3, 4]),
+        "nodes[2] must be an object, got [1, 2, 3, 4]",
+    ),
+    "pos_t1-a-number": (
+        lambda d: d["nodes"][0].update(pos_t1=5),
+        "node 0: pos_t1 and pos_t2 must each be [x, y], got 5",
+    ),
+    "area-null": (lambda d: d.update(area=None), "area must be [width, height], got None"),
+    "node-without-id": (lambda d: d["nodes"][5].pop("id"), "nodes[5]: missing key 'id'"),
+    "node-without-energy": (
+        lambda d: d["nodes"][5].pop("energy"),
+        "node 5: missing key 'energy'",
     ),
 }
 

@@ -111,7 +111,7 @@ def test_fully_cooperative_route_draws_nothing(monkeypatch, paper_scenario):
     draws = _counting_random(monkeypatch)
     flows = (sim.Flow(4, 9, 1000), sim.Flow(0, 9, 1000))
     coaodv = sim.run(half, Protocol.COAODV, flows, seed=1)
-    assert coaodv.packets_delivered == 1000  # 4->9 routed, 0->9 refused
+    assert [f.packets_delivered for f in coaodv.per_flow] == [1000, 0]  # 0->9 refused
     assert draws[0] == 0
     sim.run(half, Protocol.AODV, flows, seed=1)
     assert draws[0] > 0  # the counter sees aodv's droppable hops

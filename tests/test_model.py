@@ -21,11 +21,10 @@ from coaodv_sim.model import (
     WeightProfile,
     scenario_from_dict,
     scenario_from_json,
-    scenario_to_json,
     validate_scenario,
 )
 
-from .conftest import PAPER_SCENARIO, make_node, make_scenario
+from .conftest import PAPER_SCENARIO, make_node, make_scenario, scenario_to_json
 
 
 def test_paper_scenario_validates(paper_scenario):
@@ -162,15 +161,7 @@ def test_route_invariants_enforced():
 def test_weight_profile_helpers():
     canonical = WeightProfile(0.5, 0.25, 0.25)
     assert canonical.is_normalized()
-    assert canonical.is_canonical()
-    assert not WeightProfile(0.4, 0.35, 0.25).is_canonical()
     assert not WeightProfile(0.5, 0.5, 0.25).is_normalized()
-
-
-def test_mixed_elapsed_not_serializable():
-    config = make_scenario([make_node(0, 1, 1, elapsed=1.0), make_node(1, 2, 2, elapsed=2.0)])
-    with pytest.raises(ValueError):
-        scenario_to_json(config)
 
 
 def test_metrics_pdr_definition():

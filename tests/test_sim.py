@@ -40,7 +40,7 @@ def test_paper_coaodv_flow_has_no_route(paper_scenario):
     assert flow.failure == "no_cooperative_route"
     assert flow.packets_sent == 0
     assert flow.packet_delivery_ratio is None
-    assert metrics.hop_count is None
+    assert flow.hop_count is None
     assert len(metrics.per_flow) == 1
 
 
@@ -69,7 +69,7 @@ def test_unroutable_flow_is_recorded_not_raised():
     metrics = run(config, Protocol.AODV, (Flow(0, 1, 10),), seed=0)
     assert metrics.per_flow[0].failure == "no_route"
     assert metrics.packets_sent == 0
-    assert metrics.packet_delivery_ratio is None
+    assert metrics.per_flow[0].packet_delivery_ratio is None
 
 
 def test_flow_validation():
@@ -118,7 +118,7 @@ def test_different_seed_changes_partial_drops(paper_scenario):
     flows = (Flow(0, 9, 500),)
     a = run(half, Protocol.AODV, flows, seed=1)
     b = run(half, Protocol.AODV, flows, seed=2)
-    assert a.packets_delivered != b.packets_delivered
+    assert a.per_flow[0].packets_delivered != b.per_flow[0].packets_delivered
 
 
 def test_conservation_and_bounds_on_random_runs():
@@ -129,8 +129,9 @@ def test_conservation_and_bounds_on_random_runs():
         src, dst = rng.sample(ids, 2)
         protocol = rng.choice([Protocol.AODV, Protocol.COAODV])
         metrics = run(config, protocol, (Flow(src, dst, 40),), seed=rng.randrange(2**32))
-        assert metrics.packets_delivered <= metrics.packets_sent
-        pdr = metrics.packet_delivery_ratio
+        (flow,) = metrics.per_flow
+        assert flow.packets_delivered <= flow.packets_sent
+        pdr = flow.packet_delivery_ratio
         if pdr is not None:
             assert 0.0 <= pdr <= 1.0
 
@@ -145,14 +146,14 @@ def test_compare_pairs_protocols_per_seed(paper_scenario):
 
 def test_compare_hop_monotonicity_when_both_route(paper_scenario):
     (aodv_metrics, coaodv_metrics), = compare(paper_scenario, (Flow(4, 9, 10),), seeds=[1])
-    assert coaodv_metrics.hop_count >= aodv_metrics.hop_count
+    assert coaodv_metrics.per_flow[0].hop_count >= aodv_metrics.per_flow[0].hop_count
 
 
 def test_compare_zero_flows_yields_empty_metrics(paper_scenario):
     (aodv_metrics, coaodv_metrics), = compare(paper_scenario, (), seeds=[1])
     assert aodv_metrics.per_flow == ()
     assert aodv_metrics.packets_sent == 0
-    assert coaodv_metrics.packet_delivery_ratio is None
+    assert coaodv_metrics.per_flow == ()
 
 
 def test_compare_requires_a_seed(paper_scenario):
