@@ -246,7 +246,24 @@ _NUMBER_TYPES = frozenset((int, float))
 def _number(value, name: str) -> float:
     if type(value) not in _NUMBER_TYPES:
         raise ScenarioFormatError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ScenarioFormatError(f"{name} is an integer too large for a float") from None
+
+
+def _metric(enum: type[Enum], doc: dict, key: str, default: str):
+    value = doc.get(key, default)
+    try:
+        return enum(value)
+    except ValueError:
+        names = ", ".join(repr(m.value) for m in enum)
+        raise ScenarioFormatError(f"{key} must be one of {names}, got {value!r}") from None
+
+
+def _node_label(entry: dict, index: int) -> str:
+    """A node as messages name it: by its id, or by its place if it has none."""
+    return f"node {entry['id']!r}" if "id" in entry else f"nodes[{index}]"
 
 
 def _check_keys(obj: dict, known: frozenset, where: str) -> None:
@@ -286,7 +303,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                 raise ScenarioFormatError(f"nodes[{len(nodes)}] must be an object, got {entry!r}")
             # four keys that the reads below all find are exactly the schema's
             if len(entry) != 4:
-                _check_keys(entry, _NODE_KEYS, f"node {entry.get('id')!r}")
+                _check_keys(entry, _NODE_KEYS, _node_label(entry, len(nodes)))
             try:
                 (x1, y1), (x2, y2) = entry["pos_t1"], entry["pos_t2"]
             except (TypeError, ValueError):  # not a pair: too short, too long or not iterable
@@ -299,7 +316,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                 raise ScenarioFormatError(
                     f"node {entry['id']!r}: positions and energy must be numbers, got {values!r}"
                 )
-            x1, y1, x2, y2, energy = map(float, values)
+            try:
+                x1, y1, x2, y2, energy = map(float, values)
+            except OverflowError:  # name the first key whose value overflows
+                for key, value in zip(("pos_t1", "pos_t1", "pos_t2", "pos_t2", "energy"), values):
+                    _number(value, f"{_node_label(entry, len(nodes))}: {key}")
             record = MobilityRecord(Position(x1, y1), Position(x2, y2), elapsed)
             nodes.append(NodeState(entry["id"], record, energy))
         area = doc["area"]
@@ -317,16 +338,16 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             area=(_number(width, "area"), _number(height, "area")),
             transmission_range=_number(doc["transmission_range"], "transmission_range"),
             energy_threshold=_number(doc["energy_threshold"], "energy_threshold"),
-            distance_metric=DistanceMetric(doc.get("distance_metric", "manhattan")),
-            mobility_metric=MobilityMetric(doc.get("mobility_metric", "euclidean_rate")),
+            distance_metric=_metric(DistanceMetric, doc, "distance_metric", "manhattan"),
+            mobility_metric=_metric(MobilityMetric, doc, "mobility_metric", "euclidean_rate"),
             threshold_strict=strict,
             non_coop_drop_prob=_number(doc.get("non_coop_drop_prob", 1.0), "non_coop_drop_prob"),
             rng_seed=seed,
         )
     except KeyError as exc:  # the required keys are present, so a node lacks this one
         # a four-key node that lacks a schema key holds an unknown one in its place
-        _check_keys(entry, _NODE_KEYS, f"node {entry.get('id')!r}")
-        where = f"node {entry['id']!r}" if "id" in entry else f"nodes[{len(nodes)}]"
+        where = _node_label(entry, len(nodes))
+        _check_keys(entry, _NODE_KEYS, where)
         raise ScenarioFormatError(f"{where}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc

@@ -48,18 +48,23 @@ def _delivered(rng: random.Random | None, packets: int, drops: int, drop_prob: f
     Each packet draws once per droppable hop, in route order, and is lost at
     the first draw below `drop_prob`; a route with no droppable hop draws
     nothing and needs no `rng`. Cooperative hops never draw, so only the
-    droppable ones are counted.
+    droppable ones are counted. A packet's first two droppable hops are tested
+    inline; only a packet that crosses both on a longer route loops over the rest.
     """
     if not drops:
         return packets
     draw = rng.random
-    hops = (None,) * drops
+    pair = drops > 1
+    more = (None,) * (drops - 2)  # the hops after the second; empty for one or two
     lost = 0
     for _ in repeat(None, packets):
-        for _ in hops:
-            if draw() < drop_prob:
-                lost += 1
-                break
+        if draw() < drop_prob or pair and draw() < drop_prob:
+            lost += 1
+        elif more:
+            for _ in more:
+                if draw() < drop_prob:
+                    lost += 1
+                    break
     return packets - lost
 
 

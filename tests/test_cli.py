@@ -557,6 +557,10 @@ OUTSIDE_THE_SCHEMA = {
     ),
     "area-null": (lambda d: d.update(area=None), "area must be [width, height], got None"),
     "node-without-id": (lambda d: d["nodes"][5].pop("id"), "nodes[5]: missing key 'id'"),
+    "node-with-an-unknown-key-for-its-id": (
+        lambda d: (d["nodes"][0].pop("id"), d["nodes"][0].update(zz=1)),
+        "nodes[0]: unknown keys 'zz'",
+    ),
     "node-without-energy": (
         lambda d: d["nodes"][5].pop("energy"),
         "node 5: missing key 'energy'",

@@ -2,6 +2,7 @@
 replaced, which draws at each non-cooperative intermediate in route order."""
 
 import dataclasses
+import math
 import random
 import types
 
@@ -46,6 +47,37 @@ def test_delivered_makes_the_walks_draws(drops, drop_prob):
         delivered = sim._delivered(ours, packets, drops, p)
         assert delivered == walk_delivered(walk, packets, flags, p)
         assert ours.getstate() == walk.getstate()
+
+
+@pytest.mark.parametrize("drops", [1, 2, 3])
+def test_delivered_makes_the_walks_draws_at_scale(drops):
+    # long runs of packets lost at the first or second hop, or sent past them
+    flags = [False] * drops + [True]
+    ours, walk = random.Random(drops), random.Random(drops)
+    delivered = sim._delivered(ours, 10**5, drops, 0.1)
+    assert delivered == walk_delivered(walk, 10**5, flags, 0.1)
+    assert ours.getstate() == walk.getstate()
+
+
+class _Fixed:
+    """A generator whose every draw is `value`; counts its draws."""
+
+    def __init__(self, value):
+        self.value, self.draws = value, 0
+
+    def random(self):
+        self.draws += 1
+        return self.value
+
+
+@pytest.mark.parametrize("drops", [1, 2, 3])
+def test_a_draw_equal_to_drop_prob_is_no_loss(drops):
+    at = _Fixed(0.5)
+    assert sim._delivered(at, 40, drops, 0.5) == 40
+    assert at.draws == 40 * drops
+    below = _Fixed(math.nextafter(0.5, 0))
+    assert sim._delivered(below, 40, drops, 0.5) == 0
+    assert below.draws == 40  # each packet is lost at its first draw
 
 
 def test_delivered_without_droppable_hops_draws_nothing():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from coaodv_sim.cli import main
 from coaodv_sim.errors import (
     DuplicateNodeId,
     InvalidNodeId,
@@ -143,6 +144,65 @@ def test_malformed_node_entry_is_format_error():
 def test_non_object_document_is_format_error():
     with pytest.raises(ScenarioFormatError):
         scenario_from_json(json.dumps([1, 2, 3]))
+
+
+BIG = int("1" + "0" * 400)  # a JSON integer that no float can hold
+
+# (change to the bundled scenario, the message that names the key)
+NAMED_KEYS = {
+    "distance_metric": (
+        lambda d: d.update(distance_metric="x"),
+        "distance_metric must be one of 'manhattan', 'euclidean', got 'x'",
+    ),
+    "mobility_metric": (
+        lambda d: d.update(mobility_metric="x"),
+        "mobility_metric must be one of 'euclidean_rate', 'manhattan_rate', got 'x'",
+    ),
+    "transmission_range": (
+        lambda d: d.update(transmission_range=BIG),
+        "transmission_range is an integer too large for a float",
+    ),
+    "energy_threshold": (
+        lambda d: d.update(energy_threshold=-BIG),
+        "energy_threshold is an integer too large for a float",
+    ),
+    "area": (lambda d: d["area"].__setitem__(1, BIG), "area is an integer too large for a float"),
+    "elapsed_time": (
+        lambda d: d.update(elapsed_time=BIG),
+        "elapsed_time is an integer too large for a float",
+    ),
+    "pos_t1": (
+        lambda d: d["nodes"][3]["pos_t1"].__setitem__(1, BIG),
+        "node 3: pos_t1 is an integer too large for a float",
+    ),
+    "pos_t2": (
+        lambda d: d["nodes"][4]["pos_t2"].__setitem__(0, -BIG),
+        "node 4: pos_t2 is an integer too large for a float",
+    ),
+    "non_coop_drop_prob": (
+        lambda d: d.update(non_coop_drop_prob=BIG),
+        "non_coop_drop_prob is an integer too large for a float",
+    ),
+    "energy": (
+        lambda d: d["nodes"][3].update(energy=BIG),
+        "node 3: energy is an integer too large for a float",
+    ),
+}
+
+
+def _validate(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return main(["validate", str(path)])
+
+
+@pytest.mark.parametrize("key", sorted(NAMED_KEYS))
+def test_bad_metric_names_and_oversized_numbers_name_their_key(tmp_path, capsys, key):
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    change, message = NAMED_KEYS[key]
+    change(doc)
+    assert _validate(tmp_path, doc) == 2
+    assert capsys.readouterr().err == f"error: invalid scenario: {message}\n"
 
 
 def test_route_invariants_enforced():
