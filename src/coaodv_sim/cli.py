@@ -285,19 +285,21 @@ def cmd_compare(args) -> int:
     runs = chain([next(runs)], runs)
     summaries = (sim.Summary(), sim.Summary())
 
-    def seed_rows():  # one list of rows per seed; nothing of a seed is kept after it
+    def folded():  # each seed's pair, after it is folded into the means; no seed is kept
         for seed, pair in runs:
-            rows = []
             for summary, metrics in zip(summaries, pair):
                 summary.add(metrics)
-                rows += _metric_rows(name, seed, metrics)
-            yield rows
+            yield seed, pair
 
-    if args.out:
-        _write_report(args.out, seed_rows())
+    if args.out:  # one list of rows per seed; without a report no row is built
+        rows = (
+            _metric_rows(name, seed, aodv) + _metric_rows(name, seed, coaodv)
+            for seed, (aodv, coaodv) in folded()
+        )
+        _write_report(args.out, rows)
         log.info("report written to %s", args.out)
     else:
-        deque(seed_rows(), maxlen=0)
+        deque(folded(), maxlen=0)
 
     print(f"{'protocol':<8} {'routed_flows':>12} {'mean_hops':>10} {'mean_pdr':>9}")
     for label, summary in zip(("aodv", "coaodv"), summaries):

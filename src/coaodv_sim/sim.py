@@ -41,6 +41,12 @@ _DISCOVER = {
     Protocol.COAODV: protocol.coaodv_discover,
 }
 
+# Each discovery failure's `FlowMetrics.failure` name and its log text.
+_FAILURES = {
+    NoRoute: ("no_route", "no route"),
+    NoCooperativeRoute: ("no_cooperative_route", "no cooperative route"),
+}
+
 
 def _delivered(rng: random.Random | None, packets: int, drops: int, drop_prob: float) -> int:
     """How many of `packets` cross a route with `drops` droppable hops.
@@ -48,23 +54,32 @@ def _delivered(rng: random.Random | None, packets: int, drops: int, drop_prob: f
     Each packet draws once per droppable hop, in route order, and is lost at
     the first draw below `drop_prob`; a route with no droppable hop draws
     nothing and needs no `rng`. Cooperative hops never draw, so only the
-    droppable ones are counted. A packet's first two droppable hops are tested
-    inline; only a packet that crosses both on a longer route loops over the rest.
+    droppable ones are counted. The loop is chosen once per call by `drops`:
+    one or two hops are tested inline, and only a packet that crosses the
+    first two of a longer route loops over the rest.
     """
     if not drops:
         return packets
     draw = rng.random
-    pair = drops > 1
-    more = (None,) * (drops - 2)  # the hops after the second; empty for one or two
     lost = 0
-    for _ in repeat(None, packets):
-        if draw() < drop_prob or pair and draw() < drop_prob:
-            lost += 1
-        elif more:
-            for _ in more:
-                if draw() < drop_prob:
-                    lost += 1
-                    break
+    if drops == 1:
+        for _ in repeat(None, packets):
+            if draw() < drop_prob:
+                lost += 1
+    elif drops == 2:
+        for _ in repeat(None, packets):
+            if draw() < drop_prob or draw() < drop_prob:
+                lost += 1
+    else:
+        more = (None,) * (drops - 2)  # the hops after the second
+        for _ in repeat(None, packets):
+            if draw() < drop_prob or draw() < drop_prob:
+                lost += 1
+            else:
+                for _ in more:
+                    if draw() < drop_prob:
+                        lost += 1
+                        break
     return packets - lost
 
 
@@ -81,9 +96,9 @@ def run(
         try:
             route = discover(flow.source, flow.destination, scenario)
         except (NoRoute, NoCooperativeRoute) as exc:
-            failure = "no_route" if isinstance(exc, NoRoute) else "no_cooperative_route"
+            failure, text = _FAILURES[type(exc)]
             per_flow.append(FlowMetrics(flow.source, flow.destination, None, 0, 0, failure))
-            log.info("flow %s->%s: %s", flow.source, flow.destination, failure.replace("_", " "))
+            log.info("flow %s->%s: %s", flow.source, flow.destination, text)
             continue
 
         drops = route.route_stability.count(False)

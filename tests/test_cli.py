@@ -314,6 +314,26 @@ def test_compare_summary_equals_the_means_of_its_pairs(tmp_path, capsys, case):
         assert out.splitlines()[-1].split()[2:] == ["-", "-"]
 
 
+def test_compare_builds_report_rows_only_for_a_report(tmp_path, capsys, monkeypatch):
+    args = ["compare", str(PAPER_SCENARIO), "--flows", "0:9:30", "4:9:30", "--seeds", "3",
+            "--drop-prob", "0.5"]
+    seeds, rows = [], cli._metric_rows
+
+    def counted(name, seed, metrics):
+        seeds.append(seed)
+        return rows(name, seed, metrics)
+
+    monkeypatch.setattr(cli, "_metric_rows", counted)
+    assert main(args) == 0
+    quiet = capsys.readouterr()
+    assert seeds == []
+    assert main([*args, "--out", str(tmp_path / "R")]) == 0
+    first = load_scenario(PAPER_SCENARIO).rng_seed
+    assert seeds == [first, first, first + 1, first + 1, first + 2, first + 2]  # once per run
+    assert capsys.readouterr() == quiet
+    assert quiet.err == "" and "aodv" in quiet.out
+
+
 @pytest.mark.parametrize("existing", [None, b"an earlier report\n"])
 def test_compare_unknown_node_leaves_the_report_as_it_was(tmp_path, capsys, existing):
     out = tmp_path / "R"

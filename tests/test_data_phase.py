@@ -49,9 +49,10 @@ def test_delivered_makes_the_walks_draws(drops, drop_prob):
         assert ours.getstate() == walk.getstate()
 
 
-@pytest.mark.parametrize("drops", [1, 2, 3])
+@pytest.mark.parametrize("drops", [1, 2, 3, 4])
 def test_delivered_makes_the_walks_draws_at_scale(drops):
-    # long runs of packets lost at the first or second hop, or sent past them
+    # long runs of packets lost at the first or second hop, or sent past them;
+    # each drop count of sim._delivered's three loops, and four for a tail of two
     flags = [False] * drops + [True]
     ours, walk = random.Random(drops), random.Random(drops)
     delivered = sim._delivered(ours, 10**5, drops, 0.1)
@@ -70,7 +71,7 @@ class _Fixed:
         return self.value
 
 
-@pytest.mark.parametrize("drops", [1, 2, 3])
+@pytest.mark.parametrize("drops", [1, 2, 3, 4])
 def test_a_draw_equal_to_drop_prob_is_no_loss(drops):
     at = _Fixed(0.5)
     assert sim._delivered(at, 40, drops, 0.5) == 40

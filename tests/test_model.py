@@ -17,8 +17,11 @@ from coaodv_sim.errors import (
 )
 from coaodv_sim.model import (
     DistanceMetric,
+    FlowMetrics,
     MobilityMetric,
+    Protocol,
     Route,
+    SimMetrics,
     WeightProfile,
     scenario_from_dict,
     scenario_from_json,
@@ -225,8 +228,44 @@ def test_weight_profile_helpers():
 
 
 def test_metrics_pdr_definition():
-    from coaodv_sim.model import FlowMetrics
-
     assert FlowMetrics(0, 1, 2, 10, 4).packet_delivery_ratio == 0.4
     assert FlowMetrics(0, 1, None, 0, 0).packet_delivery_ratio is None
     assert math.isclose(FlowMetrics(0, 1, 1, 3, 1).packet_delivery_ratio, 1 / 3)
+
+
+def test_run_totals_are_read_off_the_flows():
+    flows = (FlowMetrics(0, 9, 4, 40, 10), FlowMetrics(0, 9, None, 0, 0, "no_route"))
+    assert SimMetrics(Protocol.AODV, flows).packets_sent == 40
+    assert SimMetrics(Protocol.AODV, (*flows, FlowMetrics(4, 9, 2, 7, 7))).packets_sent == 47
+    assert SimMetrics(Protocol.COAODV, ()).packets_sent == 0
+
+
+def test_result_records_are_immutable():
+    flow = FlowMetrics(0, 9, 4, 40, 10)
+    metrics = SimMetrics(Protocol.AODV, (flow,))
+    with pytest.raises(AttributeError):
+        flow.packets_delivered = 40
+    with pytest.raises(AttributeError):
+        metrics.per_flow = ()
+    assert flow.packets_delivered == 10 and metrics.per_flow == (flow,)
+
+
+def test_result_record_reprs_name_every_field():
+    refused = FlowMetrics(0, 9, None, 0, 0, "no_route")
+    assert repr(refused) == (
+        "FlowMetrics(source=0, destination=9, hop_count=None, packets_sent=0, "
+        "packets_delivered=0, failure='no_route')"
+    )
+    assert repr(SimMetrics(Protocol.COAODV, (refused,))) == (
+        f"SimMetrics(protocol=<Protocol.COAODV: 'coaodv'>, per_flow=({refused!r},))"
+    )
+
+
+def test_equal_result_records_hash_equal():
+    flow, same = FlowMetrics(0, 9, 4, 40, 10), FlowMetrics(0, 9, 4, 40, 10)
+    assert flow == same and hash(flow) == hash(same)
+    assert flow != FlowMetrics(0, 9, 4, 40, 11)
+    assert flow == (0, 9, 4, 40, 10, None)  # a NamedTuple equals the plain tuple of its values
+    metrics, again = SimMetrics(Protocol.AODV, (flow,)), SimMetrics(Protocol.AODV, (same,))
+    assert metrics == again and hash(metrics) == hash(again)
+    assert len({metrics, again, SimMetrics(Protocol.COAODV, (flow,))}) == 2

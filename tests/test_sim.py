@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import random
 import sys
 from functools import reduce
@@ -32,6 +33,28 @@ def test_paper_aodv_flow_delivers_nothing_at_full_drop(paper_scenario):
     assert flow.packets_delivered == 0
     assert flow.packet_delivery_ratio == 0.0
     assert len(metrics.per_flow) == 1
+
+
+def test_run_logs_each_flow_once(caplog, paper_scenario):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    apart = make_scenario([make_node(0, 0, 0), make_node(1, 99, 99)])
+    caplog.set_level(logging.DEBUG, logger="coaodv_sim.sim")
+    flows = (Flow(0, 9, 40), Flow(4, 9, 40))
+    run(half, Protocol.COAODV, flows, seed=1)
+    run(half, Protocol.AODV, flows, seed=1)
+    run(apart, Protocol.AODV, (Flow(0, 1, 5),), seed=1)
+    lines = [
+        f"{r.levelname} {r.name}: {r.getMessage()}"
+        for r in caplog.records
+        if r.name == "coaodv_sim.sim"
+    ]
+    assert lines == [
+        "INFO coaodv_sim.sim: flow 0->9: no cooperative route",
+        "DEBUG coaodv_sim.sim: flow 4->9: path=(4, 8, 9) delivered=40/40",
+        "DEBUG coaodv_sim.sim: flow 0->9: path=(0, 2, 1, 5, 9) delivered=10/40",
+        "DEBUG coaodv_sim.sim: flow 4->9: path=(4, 5, 9) delivered=24/40",
+        "INFO coaodv_sim.sim: flow 0->1: no route",
+    ]
 
 
 def test_paper_coaodv_flow_has_no_route(paper_scenario):
