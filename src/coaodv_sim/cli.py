@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import logging
 import math
 import os
@@ -202,51 +203,55 @@ def _shown(text: str) -> str:
 
 
 def _report_name(args) -> str:
-    """The report's scenario column, the file stem; a report needs it in UTF-8."""
+    """The report's scenario column, the file stem as the report's csv writer
+    quotes it; a report needs it in UTF-8."""
     name = Path(args.path).stem
     if args.out and _shown(name) != name:
         raise UsageError(f"cannot write {args.out}: scenario name {_shown(name)} is not UTF-8")
-    return name
+    # the report's own terminator: csv quotes a field for each character in it
+    field = io.StringIO()
+    csv.writer(field, lineterminator="\n").writerow((name,))
+    return field.getvalue()[:-1]
 
 
-def _write_report(path: str, chunks: Iterable[list[tuple]]) -> None:
-    """Write the header, then each chunk of rows as it comes."""
-    # csv.writer prints None as an empty field and a float as its repr
+def _write_report(path: str, chunks: Iterable[str]) -> None:
+    """Write the header, then each chunk of lines as it comes."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(REPORT_HEADER)
-            for rows in chunks:
-                writer.writerows(rows)
+            csv.writer(handle, lineterminator="\n").writerow(REPORT_HEADER)
+            handle.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _metric_rows(name: str, seed: int, metrics: SimMetrics) -> list[tuple]:
-    """One report row per flow, raw values in REPORT_HEADER order."""
-    protocol = metrics.protocol.value
-    return [
-        (
-            name,
-            protocol,
-            seed,
-            f.source,
-            f.destination,
-            f.hop_count,
-            f.packets_sent,
-            f.packets_delivered,
-            f.packet_delivery_ratio,
-            1,
-        )
-        for f in metrics.per_flow
-    ]
+def _metric_rows(name_field: str, seed: int, metrics: SimMetrics, tails: dict) -> str:
+    """The run's report lines, one per flow, in REPORT_HEADER order.
+
+    `name_field` is the scenario column from `_report_name`. `tails` maps each
+    flow outcome to its text after the seed column; it is the command's own
+    dict, so an outcome that recurs over seeds is rendered once per command.
+    """
+    head = f"{name_field},{metrics.protocol.value},{seed},"
+    lines = []
+    for f in metrics.per_flow:
+        tail = tails.get(f)
+        if tail is None:  # as csv writes them: '' for None, str for an int, repr for the PDR
+            hops = "" if f.hop_count is None else f.hop_count
+            pdr = f.packet_delivery_ratio
+            pdr = "" if pdr is None else repr(pdr)
+            tail = tails[f] = (
+                f"{f.source},{f.destination},{hops},"
+                f"{f.packets_sent},{f.packets_delivered},{pdr},1\n"
+            )
+        lines.append(head + tail)
+    return "".join(lines)
 
 
 def _flow_summary(metrics: SimMetrics) -> None:
     for f in metrics.per_flow:
         tag = f"flow {f.source}->{f.destination} [{metrics.protocol.value}]"
         if f.failure:
-            print(f"{tag}: {f.failure.replace('_', ' ')}")
+            print(f"{tag}: {sim.FAILURE_TEXT[f.failure]}")
         else:
             print(
                 f"{tag}: hops={f.hop_count} sent={f.packets_sent} "
@@ -266,7 +271,7 @@ def cmd_run(args) -> int:
     name = _report_name(args)
     metrics = sim.run(config, Protocol(args.protocol), flows, config.rng_seed)
     if args.out:  # before the summary, so a report that cannot be written prints nothing
-        _write_report(args.out, [_metric_rows(name, config.rng_seed, metrics)])
+        _write_report(args.out, [_metric_rows(name, config.rng_seed, metrics, {})])
         log.info("report written to %s", args.out)
     _flow_summary(metrics)
     return 0
@@ -291,9 +296,10 @@ def cmd_compare(args) -> int:
                 summary.add(metrics)
             yield seed, pair
 
-    if args.out:  # one list of rows per seed; without a report no row is built
+    if args.out:  # one chunk of lines per seed; without a report no line is built
+        tails = {}  # each flow outcome's text after the seed column, for this command
         rows = (
-            _metric_rows(name, seed, aodv) + _metric_rows(name, seed, coaodv)
+            _metric_rows(name, seed, aodv, tails) + _metric_rows(name, seed, coaodv, tails)
             for seed, (aodv, coaodv) in folded()
         )
         _write_report(args.out, rows)

@@ -41,11 +41,10 @@ _DISCOVER = {
     Protocol.COAODV: protocol.coaodv_discover,
 }
 
-# Each discovery failure's `FlowMetrics.failure` name and its log text.
-_FAILURES = {
-    NoRoute: ("no_route", "no route"),
-    NoCooperativeRoute: ("no_cooperative_route", "no cooperative route"),
-}
+# Each discovery failure's `FlowMetrics.failure` name, and the text that the
+# log and `run`'s summary print for that name.
+_FAILURES = {NoRoute: "no_route", NoCooperativeRoute: "no_cooperative_route"}
+FAILURE_TEXT = {"no_route": "no route", "no_cooperative_route": "no cooperative route"}
 
 
 def _delivered(rng: random.Random | None, packets: int, drops: int, drop_prob: float) -> int:
@@ -96,9 +95,9 @@ def run(
         try:
             route = discover(flow.source, flow.destination, scenario)
         except (NoRoute, NoCooperativeRoute) as exc:
-            failure, text = _FAILURES[type(exc)]
+            failure = _FAILURES[type(exc)]
             per_flow.append(FlowMetrics(flow.source, flow.destination, None, 0, 0, failure))
-            log.info("flow %s->%s: %s", flow.source, flow.destination, text)
+            log.info("flow %s->%s: %s", flow.source, flow.destination, FAILURE_TEXT[failure])
             continue
 
         drops = route.route_stability.count(False)

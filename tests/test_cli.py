@@ -1,5 +1,8 @@
+import copy
+import csv
 import dataclasses
 import errno
+import io
 import json
 import logging
 import math
@@ -18,6 +21,7 @@ from coaodv_sim.errors import NegativeArea
 from coaodv_sim.model import (
     DistanceMetric,
     MobilityMetric,
+    Protocol,
     load_scenario,
     scenario_from_dict,
     validate_scenario,
@@ -319,9 +323,9 @@ def test_compare_builds_report_rows_only_for_a_report(tmp_path, capsys, monkeypa
             "--drop-prob", "0.5"]
     seeds, rows = [], cli._metric_rows
 
-    def counted(name, seed, metrics):
+    def counted(name, seed, *rest):
         seeds.append(seed)
-        return rows(name, seed, metrics)
+        return rows(name, seed, *rest)
 
     monkeypatch.setattr(cli, "_metric_rows", counted)
     assert main(args) == 0
@@ -332,6 +336,128 @@ def test_compare_builds_report_rows_only_for_a_report(tmp_path, capsys, monkeypa
     assert seeds == [first, first, first + 1, first + 1, first + 2, first + 2]  # once per run
     assert capsys.readouterr() == quiet
     assert quiet.err == "" and "aodv" in quiet.out
+
+
+def _csv_report(name: str, runs) -> bytes:
+    """The report that `csv.writer` writes for `runs`, (seed, SimMetrics)
+    pairs in order: REPORT_HEADER, then one tuple of raw values per flow."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(REPORT_HEADER)
+    for seed, metrics in runs:
+        for f in metrics.per_flow:
+            writer.writerow((name, metrics.protocol.value, seed, f.source, f.destination,
+                             f.hop_count, f.packets_sent, f.packets_delivered,
+                             f.packet_delivery_ratio, 1))
+    return text.getvalue().encode()
+
+
+def _report_rows(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
+# 4:9 drops at node 5 alone; a no-route flow (0:9 under coaodv), a self-flow,
+# and 1 of 6 packets delivered on some seed, a PDR whose repr needs 17 digits
+REPORT_FLOWS = ("4:9:6", "0:9:5", "3:3:10")
+
+
+@pytest.mark.parametrize("stem", ["plain", "a,b", 'say "hi"', "x\ny", "r\rz", "a\r\nb"])
+def test_report_lines_equal_a_csv_writer_rendering(tmp_path, capsys, stem):
+    scenario = tmp_path / f"{stem}.json"
+    scenario.write_bytes(PAPER_SCENARIO.read_bytes())
+    config = load_scenario(PAPER_SCENARIO, non_coop_drop_prob=0.5)
+    flows = cli._parse_flows(list(REPORT_FLOWS))
+    seeds = range(config.rng_seed, config.rng_seed + 20)
+    common = ["--flows", *REPORT_FLOWS, "--drop-prob", "0.5", "--out", str(tmp_path / "R")]
+
+    assert main(["compare", str(scenario), "--seeds", "20", *common]) == 0
+    runs = [(seed, m) for seed, pair in zip(seeds, sim.pairs(config, flows, seeds)) for m in pair]
+    assert (tmp_path / "R").read_bytes() == _csv_report(stem, runs)
+
+    assert main(["run", str(scenario), "--protocol", "aodv", "--seed", "3", *common]) == 0
+    one = sim.run(config, Protocol.AODV, flows, 3)
+    assert (tmp_path / "R").read_bytes() == _csv_report(stem, [(3, one)])
+    capsys.readouterr()
+
+
+def test_report_fields_for_a_missing_route_a_self_flow_and_a_long_pdr(tmp_path, capsys):
+    out = tmp_path / "R"
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", *REPORT_FLOWS, "--seeds", "20",
+            "--drop-prob", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    rows = _report_rows(out)
+    refused = [r for r in rows if r["protocol"] == "coaodv" and r["flow_src"] == "0"]
+    assert len(refused) == 20
+    assert all(r["hop_count"] == r["pdr"] == "" and r["packets_sent"] == "0" for r in refused)
+    selves = [r for r in rows if r["flow_src"] == r["flow_dst"] == "3"]
+    assert len(selves) == 40
+    assert all(r["hop_count"] == "0" and r["pdr"] == "1.0" for r in selves)
+    sixth = [r for r in rows if r["packets_sent"] == "6" and r["packets_delivered"] == "1"]
+    assert sixth and all(r["pdr"] == "0.16666666666666666" for r in sixth)
+    capsys.readouterr()
+
+
+def test_one_flow_outcome_under_two_seeds_differs_only_in_the_seed(tmp_path, capsys):
+    out = tmp_path / "R"
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "4:9:6", "--seeds", "2",
+            "--drop-prob", "0", "--out", str(out)]
+    assert main(argv) == 0
+    first = load_scenario(PAPER_SCENARIO).rng_seed
+    lines = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert lines == [
+        f"paper_table123,{protocol},{seed},4,9,2,6,6,1.0,1"
+        for seed in (first, first + 1)
+        for protocol in ("aodv", "coaodv")
+    ]
+    capsys.readouterr()
+
+
+def test_report_is_the_same_on_a_second_call_and_cli_keeps_no_cache(tmp_path, capsys):
+    def state():
+        return {
+            k: copy.deepcopy(v)
+            for k, v in vars(cli).items()
+            if not k.startswith("__") and isinstance(v, (dict, list, set, bytearray))
+        }
+
+    # outcomes no other test makes, so that a cache that outlived a command would grow
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "4:9:97", "0:9:89", "--seeds", "5",
+            "--drop-prob", "0.37", "--out"]
+    before = state()
+    assert main([*argv, str(tmp_path / "A")]) == 0
+    assert state() == before
+    assert main([*argv, str(tmp_path / "B")]) == 0
+    assert (tmp_path / "A").read_bytes() == (tmp_path / "B").read_bytes()
+    for value in vars(cli).values():
+        assert not hasattr(value, "cache_info")  # no functools cache
+        defaults = getattr(value, "__defaults__", None) or ()
+        assert not any(isinstance(d, (dict, list, set)) for d in defaults), value
+    capsys.readouterr()
+
+
+def test_compare_summary_counts_a_self_flow_as_routed(capsys):
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "3:3:10", "--seeds", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "aodv              2/2     0.0000    1.0000",
+        "coaodv            2/2     0.0000    1.0000",
+    ]
+
+
+@pytest.mark.parametrize(
+    "protocol, extra, line",
+    [
+        ("coaodv", [], "flow 0->9 [coaodv]: no cooperative route\n"),
+        ("aodv", ["--range", "0.001"], "flow 0->9 [aodv]: no route\n"),
+        ("coaodv", ["--range", "0.001"], "flow 0->9 [coaodv]: no route\n"),
+    ],
+)
+def test_run_prints_a_failure_in_the_log_vocabulary(capsys, protocol, extra, line):
+    argv = ["run", str(PAPER_SCENARIO), "--protocol", protocol, "--flows", "0:9:5", *extra]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (line, "")
+    assert set(sim.FAILURE_TEXT) == set(sim._FAILURES.values())
 
 
 @pytest.mark.parametrize("existing", [None, b"an earlier report\n"])
