@@ -45,14 +45,20 @@ class NeighborTable:
 # that rounding (and the index itself) bounded when the range is tiny.
 _CELL_MARGIN = 1 + 2**-20
 _MAX_CELLS = 2**30
+# Half of the eight neighbor cells: with a cell itself, each pair of nearby
+# cells is visited once, from whichever of the two holds the other forward.
+_FORWARD = ((1, -1), (1, 0), (1, 1), (0, 1))
 
 
 def _adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
     """In-range neighbor ids per node, sorted for deterministic iteration.
 
     Cell lists: nodes are binned into square cells at least one range wide,
-    and each node is tested only against the 3x3 block of cells around it,
-    so the build costs O(n * degree) instead of O(n^2).
+    and each cell is scanned against itself and its four forward neighbor
+    cells (the half-shell scan), so each unordered pair of nodes in the same
+    or adjacent cells is tested exactly once and the build costs O(n * degree)
+    instead of O(n^2). A pair may be measured larger id first; both distance
+    functions are symmetric, so the edges match an all-pairs scan.
     """
     pos = {n.id: n.position for n in config.nodes}
     ids = sorted(pos)
@@ -69,15 +75,16 @@ def _adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
         cells.setdefault(home[u], []).append(u)
 
     adj: dict[int, list[int]] = {u: [] for u in ids}
-    for u in ids:
-        (cx, cy), pu = home[u], pos[u]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for v in cells.get((cx + dx, cy + dy), ()):
-                    # each pair once, smaller id first, so edges match an all-pairs scan
-                    if v > u and dist(pu, pos[v]) <= reach:
-                        adj[u].append(v)
-                        adj[v].append(u)
+    for (cx, cy), members in cells.items():
+        # the cell's own members, then those of its forward cells: member k is
+        # tested against everything after it
+        block = members + [v for dx, dy in _FORWARD for v in cells.get((cx + dx, cy + dy), ())]
+        for k, u in enumerate(members, 1):
+            pu, near = pos[u], adj[u]
+            for v in block[k:]:
+                if dist(pu, pos[v]) <= reach:
+                    near.append(v)
+                    adj[v].append(u)
     for neighbors in adj.values():
         neighbors.sort()
     return adj
@@ -89,17 +96,23 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
 
     Each node's mobility is computed once per round. Only an owner's least
     mobile neighbor sets the mobility bar, so it stands in for all the peers.
+    Every flag starts False, and the predicate is asked only for a neighbor
+    that meets the bar: for any other, its mobility clause fails by the same
+    comparison, so the flag stays False. Each table lists its neighbors in
+    adjacency order.
     """
     adj = _adjacency(config)
     by_id = config.node_map()
     rates = mobility_rates((by_id[u] for u, nbrs in adj.items() if nbrs), config.mobility_metric)
     tables: dict[int, NeighborTable] = {}
     for owner, neighbor_ids in adj.items():
-        bar = [by_id[min(neighbor_ids, key=rates.__getitem__)]] if neighbor_ids else []
-        entries = {
-            v: _ENTRY[is_cooperative(by_id[v], by_id[owner], bar, config, rates)]
-            for v in neighbor_ids
-        }
+        entries = dict.fromkeys(neighbor_ids, _ENTRY[False])
+        if neighbor_ids:
+            bar = by_id[min(neighbor_ids, key=rates.__getitem__)]
+            low, prev, peers = rates[bar.id], by_id[owner], [bar]
+            for v in neighbor_ids:
+                if not low < rates[v]:
+                    entries[v] = _ENTRY[is_cooperative(by_id[v], prev, peers, config, rates)]
         tables[owner] = NeighborTable(entries=entries)
     if log.isEnabledFor(logging.INFO):
         flags = [e.coop_status for t in tables.values() for e in t.entries.values()]
@@ -198,7 +211,9 @@ def completed_request(path: tuple[int, ...], config: ScenarioConfig) -> Route:
 def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool) -> Route:
     """The route from source to dest, resolved on the first call and memoized
     with the topology. A memoized failure is raised as a fresh exception of its
-    class: re-raising one stored instance would grow its traceback on every raise."""
+    class: re-raising one stored instance would grow its traceback on every raise.
+    A refused cooperative discovery is a `NoCooperativeRoute` if the plain
+    discovery of the same pair, memoized too, finds a route, else a `NoRoute`."""
     tables, routes = _topology(config)
     _check_endpoints(source, dest, tables)
     key = (cooperative, source, dest)
@@ -211,8 +226,13 @@ def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool)
             outcome = completed_request(path, config)
             if cooperative and not outcome.fully_cooperative:
                 raise InternalError(f"cooperative discovery chose non-cooperative path {path}")
-        elif cooperative and source in _hops_to(source, dest, tables, False):
-            outcome = NoCooperativeRoute
+        elif cooperative:
+            try:
+                _discover(source, dest, config, False)
+            except NoRoute:
+                outcome = NoRoute
+            else:
+                outcome = NoCooperativeRoute
         else:
             outcome = NoRoute
         routes[key] = outcome

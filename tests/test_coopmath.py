@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import random
+import struct
 import sys
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coaodv_sim import coopmath
 from coaodv_sim.coopmath import (
@@ -291,6 +292,27 @@ def test_composite_score_rejects_unnormalized_weights():
 @given(points, points)
 def test_manhattan_symmetry_and_nonnegativity(a, b):
     assert manhattan_distance(a, b) == manhattan_distance(b, a) >= 0
+
+
+# any finite or infinite coordinate, with the extremes drawn often
+edge_coords = st.floats(allow_nan=False) | st.sampled_from(
+    [1e308, -1e308, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min, 0.0, -0.0]
+)
+
+
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+@settings(derandomize=True, database=None)
+@given(edge_coords, edge_coords, edge_coords, edge_coords, st.booleans(), st.booleans())
+@example(1e308, -1e308, -1e308, 1e308, False, False)
+@example(5e-324, -5e-324, -5e-324, 5e-324, False, False)
+@example(5e-324, 1e308, 0.0, 0.0, True, False)
+def test_distances_are_bit_for_bit_symmetric(metric, ax, ay, bx, by, same_x, same_y):
+    # the range graph measures a pair in either order, so the edge test
+    # must not depend on it
+    a = Position(ax, ay)
+    b = Position(ax if same_x else bx, ay if same_y else by)
+    dist = coopmath.DISTANCES[metric]
+    assert struct.pack("<d", dist(a, b)) == struct.pack("<d", dist(b, a))
 
 
 @given(points)

@@ -63,6 +63,24 @@ def _layout(points, r, metric, area=(100.0, 100.0)):
     return make_scenario(nodes, transmission_range=r, area=area, distance_metric=metric)
 
 
+def _forward_pairs(metric):
+    # one pair exactly 20 apart across each forward cell direction (1, 0),
+    # (0, 1), (1, 1) and (1, -1), each pair 60 units right of the last; the
+    # larger id sits in the cell whose forward scan reaches the other, so the
+    # pair is measured larger id first
+    a, b = (10.0, 10.0) if metric is DistanceMetric.MANHATTAN else (12.0, 16.0)
+    pairs = [
+        ((19.0, 10.0), (39.0, 10.0)),
+        ((10.0, 19.0), (10.0, 39.0)),
+        ((19.0, 19.0), (19.0 + a, 19.0 + b)),
+        ((19.0, 21.0), (19.0 + a, 21.0 - b)),
+    ]
+    points = []
+    for k, ((px, py), (qx, qy)) in enumerate(pairs):
+        points += [(qx + 60.0 * k, qy), (px + 60.0 * k, py)]
+    return points
+
+
 ADVERSARIAL = {
     "exact-range-grid": lambda m: _layout(_axis_and_diagonal_pairs(20.0), 20.0, m),
     "pythagorean-diagonals": lambda m: _layout(
@@ -99,6 +117,7 @@ ADVERSARIAL = {
     "infinite-range": lambda m: _layout(
         [(0.0, 0.0), (math.inf, 0.0), (50.0, 50.0), (99.0, 1.0)], math.inf, m
     ),
+    "exact-range-forward": lambda m: _layout(_forward_pairs(m), 20.0, m, area=(300.0, 100.0)),
 }
 
 
@@ -114,6 +133,68 @@ def test_adversarial_layouts_contain_boundary_edges():
     assert 1 in adj[0] and 4 in adj[0]  # (0, 0) to (r, 0) and to (0, r)
     tiny = protocol._adjacency(ADVERSARIAL["tiny-range"](DistanceMetric.EUCLIDEAN))
     assert tiny == {0: [1], 1: [0], 2: [3], 3: [2], 4: []}
+
+
+def _cells(config):
+    """Each node's cell, binned as the build bins a finite layout."""
+    width = config.transmission_range * protocol._CELL_MARGIN
+    return {
+        n.id: (math.floor(n.position.x / width), math.floor(n.position.y / width))
+        for n in config.nodes
+    }
+
+
+def _measured_pairs(monkeypatch, config):
+    """The (id, id) pairs the metric's distance function is called on from now
+    on, in call order, by each position's identity."""
+    ids = {id(n.position): n.id for n in config.nodes}
+    measured = []
+    original = coopmath.DISTANCES[config.distance_metric]
+
+    def counted(a, b):
+        measured.append((ids[id(a)], ids[id(b)]))
+        return original(a, b)
+
+    monkeypatch.setitem(coopmath.DISTANCES, config.distance_metric, counted)
+    return measured
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_forward_layout_measures_each_pair_larger_id_first(monkeypatch, metric):
+    config = ADVERSARIAL["exact-range-forward"](metric)
+    cell = _cells(config)
+    by_id = config.node_map()
+    directions = []
+    for small in range(0, 8, 2):
+        large = small + 1
+        assert coopmath.distance(
+            by_id[large].position, by_id[small].position, metric
+        ) == config.transmission_range
+        directions.append(tuple(q - p for p, q in zip(cell[large], cell[small])))
+    assert directions == [(1, 0), (0, 1), (1, 1), (1, -1)]
+
+    measured = _measured_pairs(monkeypatch, config)
+    adj = protocol._adjacency(config)
+    assert all(adj[small] == [small + 1] for small in range(0, 8, 2))
+    assert measured == [(1, 0), (3, 2), (5, 4), (7, 6)]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("n", [50, 300])
+def test_adjacency_measures_each_nearby_pair_once(monkeypatch, n, metric):
+    config = seeded_scenario(n, seed=3, distance_metric=metric)
+    cell = _cells(config)
+    ids = sorted(cell)
+    nearby = sum(
+        1
+        for i, u in enumerate(ids)
+        for v in ids[i + 1 :]
+        if abs(cell[u][0] - cell[v][0]) <= 1 and abs(cell[u][1] - cell[v][1]) <= 1
+    )
+    measured = _measured_pairs(monkeypatch, config)
+    protocol._adjacency(config)
+    assert len(measured) == nearby  # one call per unordered pair of nearby nodes
+    assert len({frozenset(pair) for pair in measured}) == nearby  # and none twice
 
 
 # -- one topology per scenario object ----------------------------------------
@@ -157,8 +238,9 @@ def test_compare_resolves_each_route_once(monkeypatch):
     flows = (sim.Flow(0, 9, 5), sim.Flow(4, 9, 5))
     sim.compare(config, flows, list(range(20)))
     # aodv: one search per flow; coaodv 4->9: one cooperative search;
-    # coaodv 0->9: a cooperative search, then a plain one to tell the failures apart
-    assert len(searches) == 2 + 1 + 2
+    # coaodv 0->9: one cooperative search, then aodv's memoized 0->9 route
+    # tells the failures apart
+    assert len(searches) == 2 + 1 + 1
 
 
 def test_replaced_config_gets_its_own_topology(paper_scenario):
@@ -284,14 +366,15 @@ def test_hello_computes_each_mobility_once(monkeypatch, n, mobility_metric):
     config = dataclasses.replace(seeded_scenario(n, 1), mobility_metric=mobility_metric)
     by_id = config.node_map()
     adj = protocol._adjacency(config)
-    full_peers = {
-        (owner, v): coop_verdict(
-            by_id[v], by_id[owner], [by_id[u] for u in nbrs], config
-        ).cooperative
+    verdicts = {
+        (owner, v): coop_verdict(by_id[v], by_id[owner], [by_id[u] for u in nbrs], config)
         for owner, nbrs in adj.items()
         for v in nbrs
     }
+    full_peers = {edge: verdict.cooperative for edge, verdict in verdicts.items()}
     assert 0 < sum(full_peers.values()) < len(full_peers)
+    at_the_bar = sum(verdict.mobility_ok for verdict in verdicts.values())
+    assert at_the_bar < len(full_peers)
 
     rates = []
     original = coopmath.mobility
@@ -304,7 +387,7 @@ def test_hello_computes_each_mobility_once(monkeypatch, n, mobility_metric):
     checks = _counting(monkeypatch, "is_cooperative")
     tables = protocol.exchange_hello(config)
     assert len(rates) <= n
-    assert len(checks) == len(full_peers)  # one check per directed edge
+    assert len(checks) == at_the_bar  # one check per directed edge that meets the bar
     hello = {(o, v): e.coop_status for o, t in tables.items() for v, e in t.entries.items()}
     assert hello == full_peers
 
@@ -336,8 +419,78 @@ def test_hello_tests_range_only_after_energy_and_mobility(monkeypatch, metric):
     monkeypatch.setattr(coopmath, "has_comm_capability", counted)
     checks = _counting(monkeypatch, "is_cooperative")
     protocol.exchange_hello(config)
-    assert len(checks) == len(verdicts)  # still one check per directed edge
+    # one check per directed edge whose candidate meets its owner's mobility bar
+    assert len(checks) == sum(v.mobility_ok for v in verdicts.values())
     assert len(ranges) == passing  # the range clause only where the cheap ones passed
+
+
+HELLO_NEIGHBORHOODS = {
+    # node 0's neighbors 1, 2 and 3 move at 2.0, tied at its bar (2 fails
+    # energy); 4 moves faster; each of 1-4 has node 0 as its one neighbor
+    "tied-at-the-bar": [
+        make_node(0, 50.0, 50.0, 51.0, 50.0),
+        make_node(1, 38.0, 50.0, 38.0, 52.0),
+        make_node(2, 62.0, 50.0, 62.0, 48.0, energy=100.0),
+        make_node(3, 50.0, 38.0, 52.0, 38.0),
+        make_node(4, 50.0, 62.0, 50.0, 67.0),
+    ],
+    # every rate is 0.0, so every edge meets its bar; 2 fails energy
+    "all-stationary": [
+        make_node(0, 50.0, 50.0),
+        make_node(1, 40.0, 50.0),
+        make_node(2, 60.0, 50.0, energy=100.0),
+        make_node(3, 50.0, 40.0),
+    ],
+    # node 0's least mobile neighbor, 1, fails energy: no flag of 0's is set
+    "least-mobile-fails-energy": [
+        make_node(0, 50.0, 50.0, 51.0, 50.0),
+        make_node(1, 40.0, 50.0, energy=100.0),
+        make_node(2, 60.0, 50.0, 63.0, 50.0),
+        make_node(3, 50.0, 40.0, 50.0, 37.0),
+    ],
+    # one edge, each end the other's bar, and a node with no neighbor
+    "one-neighbor": [
+        make_node(0, 50.0, 50.0, 54.0, 50.0, energy=100.0),
+        make_node(1, 60.0, 50.0, 62.0, 50.0),
+        make_node(2, 0.0, 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELLO_NEIGHBORHOODS))
+def test_hello_asks_the_predicate_only_at_the_bar(monkeypatch, case):
+    config = make_scenario(HELLO_NEIGHBORHOODS[case])
+    verdicts = _reference_verdicts(config)
+    checks = _counting(monkeypatch, "is_cooperative")
+    tables = protocol.exchange_hello(config)
+    # the same flags, in the same key order, as the reference
+    assert [(o, v, e.coop_status) for o, t in tables.items() for v, e in t.entries.items()] == [
+        (o, v, verdict.cooperative) for (o, v), verdict in verdicts.items()
+    ]
+    # exactly one check per directed edge whose candidate meets the bar
+    asked = sorted((prev.id, candidate.id) for candidate, prev, *_ in checks)
+    assert asked == sorted(edge for edge, verdict in verdicts.items() if verdict.mobility_ok)
+    assert 0 < len(asked) <= len(verdicts)
+
+
+def test_hello_neighborhoods_hold_their_ties():
+    # guard the hand-built cases: each shows the tie or failure it is named for
+    def verdicts(case):
+        return _reference_verdicts(make_scenario(HELLO_NEIGHBORHOODS[case]))
+
+    tied = verdicts("tied-at-the-bar")
+    assert [v for (o, v), r in tied.items() if o == 0 and r.mobility_ok] == [1, 2, 3]
+    assert [r.cooperative for (o, _), r in tied.items() if o == 0] == [True, False, True, False]
+    still = verdicts("all-stationary")
+    assert all(r.mobility_ok for r in still.values()) and len(still) == 12
+    weak = verdicts("least-mobile-fails-energy")
+    assert [(v, r.mobility_ok, r.cooperative) for (o, v), r in weak.items() if o == 0] == [
+        (1, True, False),
+        (2, False, False),
+        (3, False, False),
+    ]
+    single = verdicts("one-neighbor")
+    assert {edge: r.cooperative for edge, r in single.items()} == {(0, 1): True, (1, 0): False}
 
 
 def _flags(tables):
