@@ -13,6 +13,7 @@ from coaodv_sim.errors import (
     NodeOutsideArea,
     NonPositiveRange,
     ScenarioFormatError,
+    ScenarioValidationError,
     ZeroElapsedTime,
 )
 from coaodv_sim.model import (
@@ -98,6 +99,86 @@ def test_bad_drop_probability_rejected():
 def test_zero_elapsed_rejected():
     with pytest.raises(ZeroElapsedTime):
         validate_scenario(make_scenario([make_node(0, 1, 1, elapsed=0.0)]))
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+def _set_node(index, **fields):
+    return lambda d: d["nodes"][index].update(fields)
+
+
+# (change to the bundled scenario, the exact message of the invariant it breaks)
+INVARIANTS = {
+    "area-width-inf": (
+        lambda d: d["area"].__setitem__(0, INF), "area width must be finite, got inf"
+    ),
+    "area-width-nan": (
+        lambda d: d["area"].__setitem__(0, NAN), "area width must be finite, got nan"
+    ),
+    "area-height-inf": (
+        lambda d: d["area"].__setitem__(1, INF), "area height must be finite, got inf"
+    ),
+    "area-height-nan": (
+        lambda d: d["area"].__setitem__(1, NAN), "area height must be finite, got nan"
+    ),
+    "range-inf": (
+        lambda d: d.update(transmission_range=INF), "transmission_range must be finite, got inf"
+    ),
+    "threshold-minus-inf": (
+        lambda d: d.update(energy_threshold=-INF), "energy_threshold must be finite, got -inf"
+    ),
+    "negative-area": (
+        lambda d: d.update(area=[-5, 10]), "area width and height must be >= 0, got -5.0x10.0"
+    ),
+    "range-zero": (
+        lambda d: d.update(transmission_range=0), "transmission_range must be > 0, got 0.0"
+    ),
+    "negative-threshold": (
+        lambda d: d.update(energy_threshold=-0.5), "energy_threshold must be >= 0, got -0.5"
+    ),
+    "drop-prob-above-one": (
+        lambda d: d.update(non_coop_drop_prob=1.5),
+        "non_coop_drop_prob must be in [0, 1], got 1.5",
+    ),
+    "drop-prob-nan": (
+        lambda d: d.update(non_coop_drop_prob=NAN),
+        "non_coop_drop_prob must be in [0, 1], got nan",
+    ),
+    "negative-seed": (lambda d: d.update(seed=-2), "seed must be >= 0, got -2"),
+    "negative-id": (_set_node(0, id=-1), "node id must be a nonnegative integer, got -1"),
+    "bool-id": (_set_node(0, id=True), "node id must be a nonnegative integer, got True"),
+    "float-id": (_set_node(0, id=1.0), "node id must be a nonnegative integer, got 1.0"),
+    "duplicate-id": (_set_node(1, id=0), "duplicate node id 0"),
+    "outside-at-pos-t1": (
+        _set_node(3, pos_t1=[150, 10]), "node 3 position (150.0, 10.0) outside area 100.0x100.0"
+    ),
+    "outside-at-pos-t2": (
+        _set_node(3, pos_t2=[10, 101]), "node 3 position (10.0, 101.0) outside area 100.0x100.0"
+    ),
+    "energy-inf": (_set_node(3, energy=INF), "node 3 energy must be finite, got inf"),
+    "negative-energy": (_set_node(3, energy=-3), "node 3 energy must be >= 0, got -3.0"),
+    "elapsed-nan": (
+        lambda d: d.update(elapsed_time=NAN), "node 0 elapsed time must be finite, got nan"
+    ),
+    "elapsed-zero": (
+        lambda d: d.update(elapsed_time=0),
+        "elapsed time between position records must be > 0 (node 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANTS))
+def test_each_invariant_is_rejected_with_its_exact_message(tmp_path, capsys, case):
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    change, message = INVARIANTS[case]
+    change(doc)
+    config = scenario_from_dict(doc)
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        validate_scenario(config)
+    assert str(excinfo.value) == message
+    assert _validate(tmp_path, doc) == 2
+    assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
 
 
 def test_json_round_trip(paper_scenario):
