@@ -8,73 +8,7 @@ class SimulatorError(Exception):
 
 
 class ScenarioValidationError(SimulatorError):
-    """A scenario violates one of its invariants."""
-
-
-class DuplicateNodeId(ScenarioValidationError):
-    def __init__(self, node_id: int):
-        super().__init__(f"duplicate node id {node_id}")
-        self.node_id = node_id
-
-
-class InvalidNodeId(ScenarioValidationError):
-    def __init__(self, node_id):
-        super().__init__(f"node id must be a nonnegative integer, got {node_id!r}")
-        self.node_id = node_id
-
-
-class NodeOutsideArea(ScenarioValidationError):
-    def __init__(self, node_id: int, position, area):
-        super().__init__(
-            f"node {node_id} position {position} outside area {area[0]}x{area[1]}"
-        )
-        self.node_id = node_id
-        self.position = position
-
-
-class NegativeArea(ScenarioValidationError):
-    def __init__(self, area):
-        super().__init__(f"area width and height must be >= 0, got {area[0]}x{area[1]}")
-        self.area = area
-
-
-class NonFiniteValue(ScenarioValidationError):
-    def __init__(self, field: str, value: float):
-        super().__init__(f"{field} must be finite, got {value}")
-        self.field = field
-        self.value = value
-
-
-class NonPositiveRange(ScenarioValidationError):
-    def __init__(self, value: float):
-        super().__init__(f"transmission_range must be > 0, got {value}")
-        self.value = value
-
-
-class NegativeThreshold(ScenarioValidationError):
-    def __init__(self, value: float):
-        super().__init__(f"energy_threshold must be >= 0, got {value}")
-        self.value = value
-
-
-class NegativeEnergy(ScenarioValidationError):
-    def __init__(self, node_id: int, value: float):
-        super().__init__(f"node {node_id} energy must be >= 0, got {value}")
-        self.node_id = node_id
-        self.value = value
-
-
-class InvalidProbability(ScenarioValidationError):
-    def __init__(self, field: str, value: float):
-        super().__init__(f"{field} must be in [0, 1], got {value}")
-        self.field = field
-        self.value = value
-
-
-class NegativeSeed(ScenarioValidationError):
-    def __init__(self, value: int):
-        super().__init__(f"seed must be >= 0, got {value}")
-        self.value = value
+    """A scenario violates one of its invariants; the message names the field or the node."""
 
 
 class ZeroElapsedTime(ScenarioValidationError):

@@ -14,20 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (
-    DuplicateNodeId,
-    InvalidNodeId,
-    InvalidProbability,
-    NegativeArea,
-    NegativeEnergy,
-    NegativeSeed,
-    NegativeThreshold,
-    NodeOutsideArea,
-    NonFiniteValue,
-    NonPositiveRange,
-    ScenarioFormatError,
-    ZeroElapsedTime,
-)
+from .errors import ScenarioFormatError, ScenarioValidationError, ZeroElapsedTime
 
 
 class DistanceMetric(str, Enum):
@@ -179,7 +166,8 @@ class SimMetrics(NamedTuple):
 
 
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
-    """Return `config` unchanged iff every invariant holds, else raise.
+    """Return `config` unchanged iff every invariant holds, else raise a
+    ScenarioValidationError whose message names the field or the node.
 
     Checks: finite area, range, threshold, energies and elapsed times;
     nonnegative area, unique nonnegative ids, both position epochs inside the
@@ -187,44 +175,57 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     threshold, probabilities in [0, 1], positive elapsed times, and a
     nonnegative seed (random.Random(-s) draws the stream of random.Random(s)).
     """
+    width, height = config.area
     for name, value in (
-        ("area width", config.area[0]),
-        ("area height", config.area[1]),
+        ("area width", width),
+        ("area height", height),
         ("transmission_range", config.transmission_range),
         ("energy_threshold", config.energy_threshold),
     ):
         if not math.isfinite(value):
-            raise NonFiniteValue(name, value)
+            raise ScenarioValidationError(f"{name} must be finite, got {value}")
     if min(config.area) < 0:
-        raise NegativeArea(config.area)
+        raise ScenarioValidationError(f"area width and height must be >= 0, got {width}x{height}")
     if config.transmission_range <= 0:
-        raise NonPositiveRange(config.transmission_range)
+        raise ScenarioValidationError(
+            f"transmission_range must be > 0, got {config.transmission_range}"
+        )
     if config.energy_threshold < 0:
-        raise NegativeThreshold(config.energy_threshold)
+        raise ScenarioValidationError(
+            f"energy_threshold must be >= 0, got {config.energy_threshold}"
+        )
     if not 0.0 <= config.non_coop_drop_prob <= 1.0:
-        raise InvalidProbability("non_coop_drop_prob", config.non_coop_drop_prob)
+        raise ScenarioValidationError(
+            f"non_coop_drop_prob must be in [0, 1], got {config.non_coop_drop_prob}"
+        )
     if config.rng_seed < 0:
-        raise NegativeSeed(config.rng_seed)
+        raise ScenarioValidationError(f"seed must be >= 0, got {config.rng_seed}")
 
-    width, height = config.area
     seen: set[int] = set()
     for node in config.nodes:
         if not isinstance(node.id, int) or isinstance(node.id, bool) or node.id < 0:
-            raise InvalidNodeId(node.id)
+            raise ScenarioValidationError(f"node id must be a nonnegative integer, got {node.id!r}")
         if node.id in seen:
-            raise DuplicateNodeId(node.id)
+            raise ScenarioValidationError(f"duplicate node id {node.id}")
         seen.add(node.id)
         # a finite area also rejects infinite and NaN coordinates here
         for pos in (node.mobility_record.pos_t1, node.mobility_record.pos_t2):
             if not (0.0 <= pos.x <= width and 0.0 <= pos.y <= height):
-                raise NodeOutsideArea(node.id, (pos.x, pos.y), config.area)
+                raise ScenarioValidationError(
+                    f"node {node.id} position {(pos.x, pos.y)} outside area {width}x{height}"
+                )
         if not math.isfinite(node.energy):
-            raise NonFiniteValue(f"node {node.id} energy", node.energy)
+            raise ScenarioValidationError(
+                f"node {node.id} energy must be finite, got {node.energy}"
+            )
         if node.energy < 0:
-            raise NegativeEnergy(node.id, node.energy)
-        if not math.isfinite(node.mobility_record.elapsed):
-            raise NonFiniteValue(f"node {node.id} elapsed time", node.mobility_record.elapsed)
-        if not node.mobility_record.elapsed > 0:
+            raise ScenarioValidationError(f"node {node.id} energy must be >= 0, got {node.energy}")
+        elapsed = node.mobility_record.elapsed
+        if not math.isfinite(elapsed):
+            raise ScenarioValidationError(
+                f"node {node.id} elapsed time must be finite, got {elapsed}"
+            )
+        if not elapsed > 0:
             raise ZeroElapsedTime(node.id)
     return config
 

@@ -8,6 +8,7 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ import pytest
 
 from coaodv_sim import cli, protocol, sim
 from coaodv_sim.cli import REPORT_HEADER, main
-from coaodv_sim.errors import NegativeArea
+from coaodv_sim.errors import ScenarioValidationError
 from coaodv_sim.model import (
     DistanceMetric,
     MobilityMetric,
@@ -757,7 +758,8 @@ def test_negative_seed_is_invalid(tmp_path, capsys):
 @pytest.mark.parametrize("area", [[-5, -5], [10, -1], [-1, 10]])
 def test_negative_area_is_invalid(tmp_path, capsys, area):
     doc = {"nodes": [], "area": area, "transmission_range": 20, "energy_threshold": 500}
-    with pytest.raises(NegativeArea):
+    message = "area width and height must be >= 0, got {:.1f}x{:.1f}".format(*area)
+    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$"):
         validate_scenario(scenario_from_dict(doc))
     assert _validate_doc(tmp_path, doc) == 2
     assert "area width and height must be >= 0" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coaodv_sim import coopmath
 from coaodv_sim.coopmath import (
@@ -301,7 +301,6 @@ edge_coords = st.floats(allow_nan=False) | st.sampled_from(
 
 
 @pytest.mark.parametrize("metric", list(DistanceMetric))
-@settings(derandomize=True, database=None)
 @given(edge_coords, edge_coords, edge_coords, edge_coords, st.booleans(), st.booleans())
 @example(1e308, -1e308, -1e308, 1e308, False, False)
 @example(5e-324, -5e-324, -5e-324, 5e-324, False, False)
