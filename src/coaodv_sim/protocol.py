@@ -125,21 +125,22 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
 # ScenarioConfig through a weak reference, so it never keeps a config alive.
 # Each HELLO table lists its owner's neighbors in adjacency order, so the tables
 # are the range graph. Discovery never changes them; exchange_hello's callers
-# get fresh tables. Beside them sit the routes resolved on them: discovery
-# depends on the topology alone, so each (cooperative, source, dest) is resolved once.
+# get fresh tables. Beside them sits the memo of what depends on the topology
+# alone: each (cooperative, source, dest) route, resolved once, and each
+# (protocol, flows) run that drew nothing (see sim.run).
 _topology_cache: tuple[weakref.ref, dict[int, NeighborTable], dict[tuple, object]] | None = None
 
 
 def _topology(config: ScenarioConfig) -> tuple[dict[int, NeighborTable], dict[tuple, object]]:
     """The scenario's HELLO tables, built once per config object, and the memo
-    of the routes discovered on them."""
+    of the routes and seed-invariant runs resolved on them."""
     global _topology_cache
     cached = _topology_cache
     if cached is not None and cached[0]() is config:
         return cached[1:]
-    tables, routes = exchange_hello(config), {}
-    _topology_cache = (weakref.ref(config), tables, routes)
-    return tables, routes
+    tables, memo = exchange_hello(config), {}
+    _topology_cache = (weakref.ref(config), tables, memo)
+    return tables, memo
 
 
 def _check_endpoints(source: int, dest: int, tables: dict[int, NeighborTable]) -> None:
@@ -214,10 +215,10 @@ def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool)
     class: re-raising one stored instance would grow its traceback on every raise.
     A refused cooperative discovery is a `NoCooperativeRoute` if the plain
     discovery of the same pair, memoized too, finds a route, else a `NoRoute`."""
-    tables, routes = _topology(config)
+    tables, memo = _topology(config)
     _check_endpoints(source, dest, tables)
     key = (cooperative, source, dest)
-    outcome = routes.get(key)
+    outcome = memo.get(key)
     if outcome is None:
         if source == dest:
             outcome = Route(path=(source,), hop_count=0, route_stability=())
@@ -235,7 +236,7 @@ def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool)
                 outcome = NoCooperativeRoute
         else:
             outcome = NoRoute
-        routes[key] = outcome
+        memo[key] = outcome
     if isinstance(outcome, Route):
         return outcome
     raise outcome(source, dest)

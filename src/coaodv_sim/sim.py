@@ -31,6 +31,12 @@ class Flow:
     packets: int
 
     def __post_init__(self):
+        # Exactly int: a float or a bool would run (or fail deep in the data
+        # phase), and 4.0 == 4 would let run's memo answer for another flow.
+        for name in ("source", "destination", "packets"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # sys.maxsize is the most packets the repeat() in _delivered can count
         if not 1 <= self.packets <= sys.maxsize:
             raise ValueError(f"packets must be from 1 to {sys.maxsize}, got {self.packets}")
@@ -85,7 +91,20 @@ def _delivered(rng: random.Random | None, packets: int, drops: int, drop_prob: f
 def run(
     scenario: ScenarioConfig, proto: Protocol, flows: tuple[Flow, ...], seed: int
 ) -> SimMetrics:
-    """Execute one seeded run of `proto` over `flows`."""
+    """Execute one seeded run of `proto` over `flows`.
+
+    A run that never draws (no flow reached a droppable hop, as in every
+    `coaodv` run) is the same for every seed, so its result is memoized with
+    the scenario's topology, keyed by (proto, flows). A later run of the same
+    protocol and flows on the same config object returns that object without
+    discovering or logging again; a run that draws is computed every time.
+    """
+    if not flows:  # nothing to discover: no topology is built
+        return SimMetrics(proto, ())
+    _, memo = protocol._topology(scenario)
+    key = (proto, flows)
+    if (metrics := memo.get(key)) is not None:
+        return metrics
     rng = None  # built at the first droppable hop: a run that never draws builds none
     discover = _DISCOVER[proto]
     drop_prob = scenario.non_coop_drop_prob
@@ -115,7 +134,10 @@ def run(
             delivered,
             flow.packets,
         )
-    return SimMetrics(proto, tuple(per_flow))
+    metrics = SimMetrics(proto, tuple(per_flow))
+    if rng is None:
+        memo[key] = metrics
+    return metrics
 
 
 def pairs(

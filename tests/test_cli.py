@@ -548,6 +548,31 @@ def test_info_log_leaves_stdout_and_report_bytes_alone(tmp_path, monkeypatch, ca
     assert (outputs[None][2], outputs["info"][2]) == (0, 1)  # one line per HELLO round
 
 
+def test_trace_log_writes_a_memoized_run_once(tmp_path, monkeypatch, capsys):
+    args = ["compare", str(PAPER_SCENARIO), "--flows", "0:9:20", "4:9:20", "--seeds", "3"]
+    outputs = {}
+    for mode in ("quiet", "trace"):
+        monkeypatch.setenv("COAODV_SIM_LOG", mode)
+        report = tmp_path / f"{mode}.csv"
+        assert main([*args, "--out", str(report)]) == 0
+        out, err = capsys.readouterr()
+        outputs[mode] = (out, report.read_bytes(), err)
+    assert outputs["quiet"][:2] == outputs["trace"][:2]
+    sim_lines = [line for line in outputs["trace"][2].splitlines() if " coaodv_sim.sim: " in line]
+    # each aodv run draws, so its lines come once per seed; the coaodv run
+    # draws nothing, so the seeds after the first reuse it and log nothing
+    aodv = [
+        "DEBUG coaodv_sim.sim: flow 0->9: path=(0, 2, 1, 5, 9) delivered=0/20",
+        "DEBUG coaodv_sim.sim: flow 4->9: path=(4, 5, 9) delivered=0/20",
+    ]
+    coaodv = [
+        "INFO coaodv_sim.sim: flow 0->9: no cooperative route",
+        "DEBUG coaodv_sim.sim: flow 4->9: path=(4, 8, 9) delivered=20/20",
+    ]
+    assert sim_lines == aodv + coaodv + aodv + aodv
+    assert outputs["quiet"][2] == ""
+
+
 @pytest.mark.parametrize("mode", ["info", "loud"])
 def test_log_level_does_not_outlive_main(monkeypatch, capsys, mode):
     logger = logging.getLogger("coaodv_sim")

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import random
+import re
 import sys
 from functools import reduce
 from operator import add
@@ -110,6 +111,15 @@ def test_flow_packet_count_is_checked_at_construction(packets):
     assert Flow(0, 9, sys.maxsize).packets == sys.maxsize
 
 
+@pytest.mark.parametrize("field", ["source", "destination", "packets"])
+@pytest.mark.parametrize("value", [1.5, 4.0, True, False, "4", None])
+def test_flow_fields_must_be_integers(field, value):
+    fields = {"source": 4, "destination": 9, "packets": 5, field: value}
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Flow(**fields)
+
+
 def test_unknown_node_in_a_later_flow_is_rejected(paper_scenario):
     flows = (Flow(4, 9, 5), Flow(0, 9, 5), Flow(9, 42, 5))
     for protocol in (Protocol.AODV, Protocol.COAODV):
@@ -127,7 +137,58 @@ def test_endpoints_are_checked_once_per_discovery(monkeypatch, paper_scenario):
 
     monkeypatch.setattr(protocol_module, "_check_endpoints", counted)
     compare(paper_scenario, (Flow(0, 9, 10), Flow(4, 9, 10)), seeds=list(range(1, 21)))
-    assert len(calls) == 20 * 2 * 2  # seeds x protocols x flows, one per discovery
+    # one per discovery: aodv draws, so each of its runs discovers both flows;
+    # coaodv draws nothing, so only its first run discovers and later seeds reuse it
+    assert len(calls) == 20 * 2 + 2
+
+
+def test_a_run_that_draws_nothing_is_computed_once(monkeypatch, caplog, paper_scenario):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    flows = (Flow(0, 9, 20), Flow(4, 9, 20))
+    caplog.set_level(logging.DEBUG, logger="coaodv_sim.sim")
+
+    def logged():
+        return sum(r.name == "coaodv_sim.sim" for r in caplog.records)
+
+    first = run(half, Protocol.COAODV, flows, seed=1)
+    assert logged() == 2
+    discoveries = []
+    monkeypatch.setitem(
+        sim_module._DISCOVER, Protocol.COAODV, lambda *args: discoveries.append(args)
+    )
+    # equal flows, not the same objects, find the memoized run too
+    again = tuple(Flow(f.source, f.destination, f.packets) for f in flows)
+    assert all(run(half, Protocol.COAODV, again, seed) is first for seed in range(1, 6))
+    assert discoveries == [] and logged() == 2  # no discovery, no log line
+    monkeypatch.undo()
+    assert run(dataclasses.replace(half), Protocol.COAODV, flows, seed=1) == first
+    # a run with another protocol or other flows is a key of its own
+    assert run(half, Protocol.COAODV, flows[1:], seed=1).per_flow == first.per_flow[1:]
+    one_hop = (Flow(4, 5, 20),)  # no intermediate: aodv draws nothing either
+    aodv, coaodv = (run(half, proto, one_hop, seed=1) for proto in Protocol)
+    assert (aodv.protocol, coaodv.protocol) == (Protocol.AODV, Protocol.COAODV)
+    assert run(half, Protocol.AODV, one_hop, seed=2) is aodv
+    # a run that fails stores nothing: the unknown node is raised every time
+    for _ in range(2):
+        with pytest.raises(UnknownNode, match="42"):
+            run(half, Protocol.COAODV, (*flows, Flow(9, 42, 5)), seed=1)
+
+
+def test_a_run_that_draws_is_computed_every_time(paper_scenario):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    flows = (Flow(0, 9, 200), Flow(4, 9, 200))
+    a, b, again = (run(half, Protocol.AODV, flows, seed) for seed in (1, 2, 1))
+    assert a != b
+    assert again == a and again is not a
+
+
+@pytest.mark.parametrize("proto", list(Protocol))
+def test_a_run_without_flows_builds_no_topology(monkeypatch, paper_scenario, proto):
+    config = dataclasses.replace(paper_scenario)  # a fresh object, not yet cached
+    hellos = []
+    monkeypatch.setattr(protocol_module, "exchange_hello", hellos.append)
+    assert run(config, proto, (), 1) == (proto, ())
+    assert hellos == []
 
 
 def test_replay_determinism(paper_scenario):

@@ -279,6 +279,10 @@ def test_cache_does_not_keep_config_alive():
     protocol.coaodv_discover(4, 9, config)
     with pytest.raises(NoCooperativeRoute):
         protocol.coaodv_discover(0, 9, config)
+    # and so does a memoized run
+    flows = (sim.Flow(0, 9, 5), sim.Flow(4, 9, 5))
+    memoized = sim.run(config, sim.Protocol.COAODV, flows, 1)
+    assert sim.run(config, sim.Protocol.COAODV, flows, 2) is memoized
     ref = weakref.ref(config)
     del config
     gc.collect()
