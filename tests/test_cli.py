@@ -446,6 +446,19 @@ def test_compare_summary_counts_a_self_flow_as_routed(capsys):
     ]
 
 
+def test_compare_summary_counts_a_flow_that_delivers_nothing(capsys):
+    # the scenario's own drop probability is 1.0: each aodv flow delivers
+    # nothing, and its PDR of 0.0 is in the mean as a 0, not left out
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "0:9:10", "4:9:10", "--seeds", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (
+        "protocol routed_flows  mean_hops  mean_pdr\n"
+        "aodv              4/4     3.0000    0.0000\n"
+        "coaodv            2/4     2.0000    1.0000\n",
+        "",
+    )
+
+
 @pytest.mark.parametrize(
     "protocol, extra, line",
     [
