@@ -22,7 +22,6 @@ from itertools import chain
 from pathlib import Path
 
 from . import sim
-from .classifier import classify_network
 from .errors import (
     AmbiguousProfile,
     ScenarioFormatError,
@@ -114,9 +113,16 @@ def _enum_choices(enum) -> dict:
     return {"type": lambda text: members.get(text, text), "choices": list(members)}
 
 
-def build_parser() -> _Parser:
+_COMMANDS = ("validate", "run", "compare", "classify")
+
+
+def build_parser(argv: list[str]) -> _Parser:
+    """The parser for `argv`, with only the subparser that argv[0] names. When
+    argv[0] names no command (an exact match, as argparse's choice check is),
+    it has all four, so that help and a missing or unknown command list them."""
     parser = _Parser(prog="coaodv-sim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    built = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
 
     def add_overrides(p):  # each dest is the ScenarioConfig field the option replaces
         p.add_argument("--threshold", type=_number, dest="energy_threshold", metavar="THRESHOLD",
@@ -131,33 +137,37 @@ def build_parser() -> _Parser:
         p.add_argument("--drop-prob", type=_number, dest="non_coop_drop_prob", metavar="DROP_PROB",
                        help="override non-cooperative drop probability")
 
-    p_validate = sub.add_parser("validate", help="check a scenario file")
-    p_validate.add_argument("path")
-    p_validate.set_defaults(handler=cmd_validate)
+    if "validate" in built:
+        p_validate = sub.add_parser("validate", help="check a scenario file")
+        p_validate.add_argument("path")
+        p_validate.set_defaults(handler=cmd_validate)
 
-    p_run = sub.add_parser("run", help="run one protocol over the given flows")
-    p_run.add_argument("path")
-    p_run.add_argument("--protocol", choices=[p.value for p in Protocol], required=True)
-    p_run.add_argument(
-        "--flows", nargs="+", required=True, metavar="SRC:DST:COUNT", help="one or more flows"
-    )
-    p_run.add_argument("--seed", type=_integer, dest="rng_seed", metavar="SEED",
-                       help="override the scenario seed")
-    p_run.add_argument("--out", help="write a CSV report here")
-    add_overrides(p_run)
-    p_run.set_defaults(handler=cmd_run)
+    if "run" in built:
+        p_run = sub.add_parser("run", help="run one protocol over the given flows")
+        p_run.add_argument("path")
+        p_run.add_argument("--protocol", choices=[p.value for p in Protocol], required=True)
+        p_run.add_argument(
+            "--flows", nargs="+", required=True, metavar="SRC:DST:COUNT", help="one or more flows"
+        )
+        p_run.add_argument("--seed", type=_integer, dest="rng_seed", metavar="SEED",
+                           help="override the scenario seed")
+        p_run.add_argument("--out", help="write a CSV report here")
+        add_overrides(p_run)
+        p_run.set_defaults(handler=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run both protocols over seeded repetitions")
-    p_cmp.add_argument("path")
-    p_cmp.add_argument("--flows", nargs="+", required=True, metavar="SRC:DST:COUNT")
-    p_cmp.add_argument("--seeds", type=_integer, default=1, help="number of seeds (default 1)")
-    p_cmp.add_argument("--out", help="write a CSV report here")
-    add_overrides(p_cmp)
-    p_cmp.set_defaults(handler=cmd_compare)
+    if "compare" in built:
+        p_cmp = sub.add_parser("compare", help="run both protocols over seeded repetitions")
+        p_cmp.add_argument("path")
+        p_cmp.add_argument("--flows", nargs="+", required=True, metavar="SRC:DST:COUNT")
+        p_cmp.add_argument("--seeds", type=_integer, default=1, help="number of seeds (default 1)")
+        p_cmp.add_argument("--out", help="write a CSV report here")
+        add_overrides(p_cmp)
+        p_cmp.set_defaults(handler=cmd_compare)
 
-    p_cls = sub.add_parser("classify", help="label the network type for a weight profile")
-    p_cls.add_argument("--weights", required=True, metavar="W1,W2,W3")
-    p_cls.set_defaults(handler=cmd_classify)
+    if "classify" in built:
+        p_cls = sub.add_parser("classify", help="label the network type for a weight profile")
+        p_cls.add_argument("--weights", required=True, metavar="W1,W2,W3")
+        p_cls.set_defaults(handler=cmd_classify)
 
     return parser
 
@@ -319,6 +329,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classifier import classify_network  # no other command imports it
+
     try:
         weights = [_number(p) for p in args.weights.split(",")]
     except argparse.ArgumentTypeError:
@@ -337,8 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     logger = logging.getLogger("coaodv_sim")
     found = logger.level  # COAODV_SIM_LOG and the handler hold for this invocation only
     handler = _configure_logging(logger)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

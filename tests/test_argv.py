@@ -1,18 +1,22 @@
 """The argv surface: for each command line below, the exit code, stdout and
 stderr of `cli.main`, pinned as literals, and the same through the console
-script's own path, `python -m coaodv_sim.cli`, which reads `sys.argv`.
+script's own path, `python -m coaodv_sim.cli`, which reads `sys.argv`. A call
+builds only the subparser that argv[0] names, so each command's help is also
+checked against the full parser's.
 
 Help text is rendered at 80 columns. argparse wraps a long usage line at
 different words from one Python version to the next (3.13 keeps an option and
 its metavars on one line), so the usage paragraph of a help text is compared
 with its line breaks taken out; every other byte is compared as it is."""
 
+import argparse
 import os
 import subprocess
 import sys
 
 import pytest
 
+from coaodv_sim import cli
 from coaodv_sim.cli import main
 
 from .conftest import REPO_ROOT
@@ -187,6 +191,15 @@ def test_argv_exit_code_stdout_and_stderr(at_root, capsys, case):
     assert (_unwrapped(got.out), got.err) == (_unwrapped(out), err)
 
 
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter run at the repository root, with the package on its path."""
+    src = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=REPO_ROOT, timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["compare", "--help"], ["validate", SCENARIO], ["run", SCENARIO], ["bogus"]],
@@ -194,12 +207,7 @@ def test_argv_exit_code_stdout_and_stderr(at_root, capsys, case):
 )
 def test_console_script_path_matches_main(at_root, capsys, argv):
     # `main(None)` reads sys.argv, which only a process of its own reaches
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
-                                                         os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.run(
-        [sys.executable, "-m", "coaodv_sim.cli", *argv],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=60,
-    )
+    child = _python("-m", "coaodv_sim.cli", *argv)
     code = main(list(argv))
     got = capsys.readouterr()
     assert (child.returncode, child.stdout, child.stderr) == (code, got.out, got.err)
@@ -212,3 +220,50 @@ def test_main_reads_sys_argv_without_the_program_name(at_root, monkeypatch, caps
     monkeypatch.setattr(sys, "argv", ["coaodv-sim"])
     assert main() == 1
     assert capsys.readouterr() == ("", MISSING_COMMAND)
+
+
+COMMANDS = ["validate", "run", "compare", "classify"]
+
+
+def _commands(parser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_holds_only_the_named_command(command):
+    assert _commands(cli.build_parser([command, "--help"])) == [command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["--help"], ["--"], ["bogus"], [""], ["Compare"], ["comp"], ["compare "],
+     ["--", "compare"]],
+)
+def test_parser_holds_every_command_when_argv0_names_none(argv):
+    assert _commands(cli.build_parser(argv)) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_is_the_same_from_the_full_parser(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = []
+    for built in ([command], []):
+        with pytest.raises(SystemExit) as stop:
+            cli.build_parser(built).parse_args([command, "--help"])
+        assert stop.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out.startswith(f"usage: coaodv-sim {command} ")
+
+
+def test_only_classify_imports_the_classifier(at_root):
+    script = (
+        "import sys\n"
+        "from coaodv_sim.cli import main\n"
+        f"main(['validate', {SCENARIO!r}])\n"
+        "print('coaodv_sim.classifier' in sys.modules)\n"
+        "main(['classify', '--weights', '0.5,0.25,0.25'])\n"
+        "print('coaodv_sim.classifier' in sys.modules)\n"
+    )
+    child = _python("-c", script)
+    assert child.stdout.splitlines()[1::2] == ["False", "True"], child.stderr

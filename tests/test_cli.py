@@ -943,7 +943,7 @@ def test_overrides_replace_their_scenario_fields():
         " --mobility-metric manhattan_rate --no-strict --drop-prob 0.25"
     )
     argv = _argv("run", PAPER_SCENARIO) + overrides.split()
-    config = cli._load_effective_scenario(cli.build_parser().parse_args(argv))
+    config = cli._load_effective_scenario(cli.build_parser(argv).parse_args(argv))
     assert config.distance_metric is DistanceMetric.EUCLIDEAN
     assert config.mobility_metric is MobilityMetric.MANHATTAN_RATE
     assert (config.energy_threshold, config.transmission_range) == (7.0, 30.0)
