@@ -213,15 +213,6 @@ def test_console_script_path_matches_main(at_root, capsys, argv):
     assert (child.returncode, child.stdout, child.stderr) == (code, got.out, got.err)
 
 
-def test_main_reads_sys_argv_without_the_program_name(at_root, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["coaodv-sim", "validate", SCENARIO])
-    assert main() == 0
-    assert capsys.readouterr() == (f"{SCENARIO}: OK\n", "")
-    monkeypatch.setattr(sys, "argv", ["coaodv-sim"])
-    assert main() == 1
-    assert capsys.readouterr() == ("", MISSING_COMMAND)
-
-
 COMMANDS = ["validate", "run", "compare", "classify"]
 
 
