@@ -164,6 +164,23 @@ ARGV = {
         ["classify", "--weights", "0.5,0.25"], 1, "",
         "error: --weights must be three finite numbers W1,W2,W3\n",
     ),
+    "invalid-protocol": (
+        ["run", SCENARIO, "--protocol", "bogus", "--flows", "4:9:1"], 1, "",
+        "error: argument --protocol: invalid choice: 'bogus' (choose from 'aodv', 'coaodv')\n",
+    ),
+    "weights-not-normalized": (
+        ["classify", "--weights", "0.1,0.2,0.3"], 1, "",
+        "error: weights must sum to 1 (within 1e-9), got sum 0.6\n",
+    ),
+    "ambiguous-profile": (
+        ["classify", "--weights", "0.4,0.4,0.2"], 1, "",
+        "error: no strictly dominant weight in (0.4, 0.4, 0.2); "
+        "network type is undefined for ties\n",
+    ),
+    "unknown-node": (
+        ["run", SCENARIO, "--protocol", "aodv", "--flows", "4:77:1"], 1, "",
+        "error: unknown node id 77\n",
+    ),
     "validate-ok": (["validate", SCENARIO], 0, f"{SCENARIO}: OK\n", ""),
 }
 
