@@ -22,13 +22,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import sim
-from .errors import (
-    AmbiguousProfile,
-    ScenarioFormatError,
-    ScenarioValidationError,
-    UnknownNode,
-    WeightsNotNormalized,
-)
+from .errors import AmbiguousProfile, ScenarioValidationError, UnknownNode, WeightsNotNormalized
 from .model import (
     DistanceMetric,
     MobilityMetric,
@@ -145,7 +139,7 @@ def build_parser(argv: list[str]) -> _Parser:
     if "run" in built:
         p_run = sub.add_parser("run", help="run one protocol over the given flows")
         p_run.add_argument("path")
-        p_run.add_argument("--protocol", choices=[p.value for p in Protocol], required=True)
+        p_run.add_argument("--protocol", **_enum_choices(Protocol), required=True)
         p_run.add_argument(
             "--flows", nargs="+", required=True, metavar="SRC:DST:COUNT", help="one or more flows"
         )
@@ -202,8 +196,8 @@ def _load_effective_scenario(args) -> ScenarioConfig:
         reason = getattr(exc, "strerror", None) or exc
         raise UsageError(f"cannot read {args.path}: {reason}") from None
     except (ValueError, RecursionError) as exc:
-        # json.loads: the scenario's own failures are ScenarioFormatError or
-        # ScenarioValidationError, neither of which is a ValueError
+        # json.loads: the scenario's own failures are ScenarioValidationError,
+        # which is not a ValueError
         raise UsageError(f"not valid JSON: {exc}") from None
 
 
@@ -279,7 +273,7 @@ def cmd_run(args) -> int:
     config = _load_effective_scenario(args)
     flows = _parse_flows(args.flows)
     name = _report_name(args)
-    metrics = sim.run(config, Protocol(args.protocol), flows, config.rng_seed)
+    metrics = sim.run(config, args.protocol, flows, config.rng_seed)
     if args.out:  # before the summary, so a report that cannot be written prints nothing
         _write_report(args.out, [_metric_rows(name, config.rng_seed, metrics, {})])
         log.info("report written to %s", args.out)
@@ -355,15 +349,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except UsageError as exc:
+    except (UsageError, UnknownNode, WeightsNotNormalized, AmbiguousProfile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ScenarioFormatError, ScenarioValidationError) as exc:
+    except ScenarioValidationError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return 2
-    except (WeightsNotNormalized, AmbiguousProfile, UnknownNode) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     finally:
         logger.removeHandler(handler)
         logger.setLevel(found)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyPeerSet, WeightsNotNormalized, ZeroElapsedTime
+from .errors import ScenarioValidationError, WeightsNotNormalized
 from .model import (
     DistanceMetric,
     MobilityMetric,
@@ -59,7 +59,7 @@ def mobility(rec: MobilityRecord, metric: MobilityMetric = MobilityMetric.EUCLID
     mode for integer-grid movement records).
     """
     if not rec.elapsed > 0:
-        raise ZeroElapsedTime()
+        raise ScenarioValidationError("elapsed time between position records must be > 0")
     if metric is MobilityMetric.MANHATTAN_RATE:
         moved = manhattan_distance(rec.pos_t1, rec.pos_t2)
     else:
@@ -91,7 +91,7 @@ def is_cooperative(
     can precede the range.
     """
     if not peers:
-        raise EmptyPeerSet()
+        raise ValueError("cooperative check requires a nonempty peer set")
     energy, threshold = candidate.energy, config.energy_threshold
     if not (energy > threshold if config.threshold_strict else energy >= threshold):
         return False

@@ -4,22 +4,12 @@ import math
 
 
 class SimulatorError(Exception):
-    """Base class for all errors raised by this package."""
+    """The base of the error types this package defines."""
 
 
 class ScenarioValidationError(SimulatorError):
-    """A scenario violates one of its invariants; the message names the field or the node."""
-
-
-class ZeroElapsedTime(ScenarioValidationError):
-    def __init__(self, node_id=None):
-        where = "" if node_id is None else f" (node {node_id})"
-        super().__init__(f"elapsed time between position records must be > 0{where}")
-        self.node_id = node_id
-
-
-class ScenarioFormatError(SimulatorError):
-    """A scenario document is structurally malformed (missing/ill-typed keys)."""
+    """A scenario is invalid: its document is malformed or it violates one of
+    its invariants; the message names the key, the field or the node."""
 
 
 class UnknownNode(SimulatorError):
@@ -43,11 +33,6 @@ class NoCooperativeRoute(SimulatorError):
         )
         self.source = source
         self.destination = destination
-
-
-class EmptyPeerSet(SimulatorError):
-    def __init__(self):
-        super().__init__("cooperative check requires a nonempty peer set")
 
 
 class WeightsNotNormalized(SimulatorError):

@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ScenarioFormatError, ScenarioValidationError, ZeroElapsedTime
+from .errors import ScenarioValidationError
 
 
 class DistanceMetric(str, Enum):
@@ -226,7 +226,9 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
                 f"node {node.id} elapsed time must be finite, got {elapsed}"
             )
         if not elapsed > 0:
-            raise ZeroElapsedTime(node.id)
+            raise ScenarioValidationError(
+                f"elapsed time between position records must be > 0 (node {node.id})"
+            )
     return config
 
 
@@ -246,11 +248,11 @@ _NUMBER_TYPES = frozenset((int, float))
 
 def _number(value, name: str) -> float:
     if type(value) not in _NUMBER_TYPES:
-        raise ScenarioFormatError(f"{name} must be a number, got {value!r}")
+        raise ScenarioValidationError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # a JSON integer beyond float range
-        raise ScenarioFormatError(f"{name} is an integer too large for a float") from None
+        raise ScenarioValidationError(f"{name} is an integer too large for a float") from None
 
 
 def _metric(enum: type[Enum], doc: dict, key: str, default: str):
@@ -259,7 +261,7 @@ def _metric(enum: type[Enum], doc: dict, key: str, default: str):
         return enum(value)
     except ValueError:
         names = ", ".join(repr(m.value) for m in enum)
-        raise ScenarioFormatError(f"{key} must be one of {names}, got {value!r}") from None
+        raise ScenarioValidationError(f"{key} must be one of {names}, got {value!r}") from None
 
 
 def _node_label(entry: dict, index: int) -> str:
@@ -271,7 +273,7 @@ def _check_keys(obj: dict, known: frozenset, where: str) -> None:
     """Reject the keys of `obj` that the schema does not name."""
     unknown = [k for k in obj if k not in known]
     if unknown:
-        raise ScenarioFormatError(f"{where}: unknown keys {', '.join(map(repr, unknown))}")
+        raise ScenarioValidationError(f"{where}: unknown keys {', '.join(map(repr, unknown))}")
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
@@ -283,38 +285,44 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     mobility_metric ("euclidean_rate"), threshold_strict (true),
     non_coop_drop_prob (1.0), seed (0), elapsed_time (1.0, applied to every node).
 
-    Raises ScenarioFormatError for structural problems, for keys the schema
-    does not name and for values of the wrong JSON type; invariants are
-    checked separately by validate_scenario.
+    Raises ScenarioValidationError for structural problems, for keys the schema
+    does not name and for values of the wrong JSON type; validate_scenario
+    checks the invariants separately and raises the same type.
     """
     if not isinstance(doc, dict):
-        raise ScenarioFormatError(f"scenario document must be an object, got {type(doc).__name__}")
+        raise ScenarioValidationError(
+            f"scenario document must be an object, got {type(doc).__name__}"
+        )
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
-        raise ScenarioFormatError(f"missing required keys: {', '.join(missing)}")
+        raise ScenarioValidationError(f"missing required keys: {', '.join(missing)}")
     _check_keys(doc, _KEYS, "scenario")
     try:
         elapsed = _number(doc.get("elapsed_time", 1.0), "elapsed_time")
         entries = doc["nodes"]
         if type(entries) is not list:
-            raise ScenarioFormatError(f"nodes must be an array of node objects, got {entries!r}")
+            raise ScenarioValidationError(
+                f"nodes must be an array of node objects, got {entries!r}"
+            )
         nodes = []
         for entry in entries:  # checked inline: a call per node slowed a 300-node parse 5%
             if type(entry) is not dict:
-                raise ScenarioFormatError(f"nodes[{len(nodes)}] must be an object, got {entry!r}")
+                raise ScenarioValidationError(
+                    f"nodes[{len(nodes)}] must be an object, got {entry!r}"
+                )
             # four keys that the reads below all find are exactly the schema's
             if len(entry) != 4:
                 _check_keys(entry, _NODE_KEYS, _node_label(entry, len(nodes)))
             try:
                 (x1, y1), (x2, y2) = entry["pos_t1"], entry["pos_t2"]
             except (TypeError, ValueError):  # not a pair: too short, too long or not iterable
-                raise ScenarioFormatError(
+                raise ScenarioValidationError(
                     f"node {entry['id']!r}: pos_t1 and pos_t2 must each be [x, y], "
                     f"got {entry['pos_t1']!r} and {entry['pos_t2']!r}"
                 ) from None
             values = (x1, y1, x2, y2, entry["energy"])
             if not _NUMBER_TYPES.issuperset(map(type, values)):
-                raise ScenarioFormatError(
+                raise ScenarioValidationError(
                     f"node {entry['id']!r}: positions and energy must be numbers, got {values!r}"
                 )
             try:
@@ -328,12 +336,12 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         try:
             width, height = area
         except (TypeError, ValueError):
-            raise ScenarioFormatError(f"area must be [width, height], got {area!r}") from None
+            raise ScenarioValidationError(f"area must be [width, height], got {area!r}") from None
         seed, strict = doc.get("seed", 0), doc.get("threshold_strict", True)
         if type(seed) is not int:
-            raise ScenarioFormatError(f"seed must be an integer, got {seed!r}")
+            raise ScenarioValidationError(f"seed must be an integer, got {seed!r}")
         if type(strict) is not bool:
-            raise ScenarioFormatError(f"threshold_strict must be true or false, got {strict!r}")
+            raise ScenarioValidationError(f"threshold_strict must be true or false, got {strict!r}")
         config = ScenarioConfig(
             nodes=tuple(nodes),
             area=(_number(width, "area"), _number(height, "area")),
@@ -349,9 +357,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         # a four-key node that lacks a schema key holds an unknown one in its place
         where = _node_label(entry, len(nodes))
         _check_keys(entry, _NODE_KEYS, where)
-        raise ScenarioFormatError(f"{where}: missing key {exc}") from None
+        raise ScenarioValidationError(f"{where}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioFormatError(f"malformed scenario document: {exc}") from exc
+        raise ScenarioValidationError(f"malformed scenario document: {exc}") from exc
     return config
 
 
@@ -362,7 +370,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
-                raise ScenarioFormatError(f"repeated key {key!r}")
+                raise ScenarioValidationError(f"repeated key {key!r}")
             seen.add(key)
     return obj
 

@@ -18,7 +18,7 @@ from coaodv_sim.coopmath import (
     mobility,
     mobility_rates,
 )
-from coaodv_sim.errors import EmptyPeerSet, WeightsNotNormalized, ZeroElapsedTime
+from coaodv_sim.errors import ScenarioValidationError, WeightsNotNormalized
 from coaodv_sim.model import (
     DistanceMetric,
     MobilityMetric,
@@ -86,7 +86,8 @@ def rates(*nodes):
 
 def test_mobility_zero_elapsed_raises():
     rec = MobilityRecord(Position(0, 0), Position(1, 1), elapsed=0.0)
-    with pytest.raises(ZeroElapsedTime):
+    message = "^elapsed time between position records must be > 0$"
+    with pytest.raises(ScenarioValidationError, match=message):
         mobility(rec)
 
 
@@ -143,7 +144,7 @@ def test_mobility_ties_pass():
 def test_empty_peer_set_raises():
     config = make_scenario([], energy_threshold=500.0)
     for node in (make_node(0, 1, 1), make_node(1, 1, 1, energy=100)):  # the latter fails energy
-        with pytest.raises(EmptyPeerSet):
+        with pytest.raises(ValueError, match="^cooperative check requires a nonempty peer set$"):
             is_cooperative(node, node, [], config, rates(node))
 
 

@@ -102,8 +102,8 @@ def _raised_names():
 
 def test_raise_sites_are_found():
     # an empty scan would leave every error type unraised and say nothing of why
-    assert {"ScenarioFormatError", "ZeroElapsedTime", "NoRoute"} <= _raised_names()
-    assert _error_bases()["ZeroElapsedTime"] == ["ScenarioValidationError"]
+    assert {"ScenarioValidationError", "UnknownNode", "NoRoute"} <= _raised_names()
+    assert _error_bases()["ScenarioValidationError"] == ["SimulatorError"]
 
 
 def test_every_error_type_is_raised_or_a_base_of_one_that_is():

@@ -118,6 +118,9 @@ ADVERSARIAL = {
         [(0.0, 0.0), (math.inf, 0.0), (50.0, 50.0), (99.0, 1.0)], math.inf, m
     ),
     "exact-range-forward": lambda m: _layout(_forward_pairs(m), 20.0, m, area=(300.0, 100.0)),
+    # 2 - (1 - 2**-53) rounds to exactly 1.0, so the pair is in range, yet
+    # with cells exactly one range wide the two nodes bin to cells 0 and 2
+    "cell-edge-rounding": lambda m: _layout([(1 - 2**-53, 0.0), (2.0, 0.0)], 1.0, m),
 }
 
 
@@ -133,6 +136,8 @@ def test_adversarial_layouts_contain_boundary_edges():
     assert 1 in adj[0] and 4 in adj[0]  # (0, 0) to (r, 0) and to (0, r)
     tiny = protocol._adjacency(ADVERSARIAL["tiny-range"](DistanceMetric.EUCLIDEAN))
     assert tiny == {0: [1], 1: [0], 2: [3], 3: [2], 4: []}
+    for metric in METRICS:  # an edge that only _CELL_MARGIN keeps
+        assert protocol._adjacency(ADVERSARIAL["cell-edge-rounding"](metric)) == {0: [1], 1: [0]}
 
 
 def _cells(config):
