@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-from collections import deque
 from collections.abc import Iterable
 from itertools import chain
 from pathlib import Path
@@ -206,10 +205,21 @@ def _shown(text: str) -> str:
     return os.fsencode(text).decode("utf-8", "backslashreplace")
 
 
+def _same_file(out: str, path: str) -> bool:
+    """Whether `out` already exists as the file at `path`, under any spelling
+    or link."""
+    try:
+        return os.path.samefile(out, path)
+    except OSError:  # no file at `out` yet
+        return False
+
+
 def _report_name(args) -> str:
     """The report's scenario column, the file stem as the report's csv writer
-    quotes it; a report needs it in UTF-8."""
+    quotes it; a report needs it in UTF-8, and must not overwrite the scenario."""
     name = Path(args.path).stem
+    if args.out and _same_file(args.out, args.path):
+        raise UsageError(f"cannot write {args.out}: it is the scenario file")
     if args.out and _shown(name) != name:
         raise UsageError(f"cannot write {args.out}: scenario name {_shown(name)} is not UTF-8")
     # the report's own terminator: csv quotes a field for each character in it
@@ -235,7 +245,8 @@ def _metric_rows(name_field: str, seed: int, metrics: SimMetrics, tails: dict) -
     flow outcome to its text after the seed column; it is the command's own
     dict, so an outcome that recurs over seeds is rendered once per command.
     """
-    head = f"{name_field},{metrics.protocol.value},{seed},"
+    # the member's value attribute: reading .value calls a Python-level descriptor
+    head = f"{name_field},{metrics.protocol._value_},{seed},"
     lines = []
     for f in metrics.per_flow:
         tail = tails.get(f)
@@ -292,24 +303,23 @@ def cmd_compare(args) -> int:
     # so an unknown node exits without creating or truncating the report.
     runs = zip(seeds, sim.pairs(config, flows, seeds))
     runs = chain([next(runs)], runs)
-    summaries = (sim.Summary(), sim.Summary())
+    summaries = aodv_summary, coaodv_summary = sim.Summary(), sim.Summary()
+    tails = {}  # each flow outcome's text after the seed column, for this command
 
-    def folded():  # each seed's pair, after it is folded into the means; no seed is kept
-        for seed, pair in runs:
-            for summary, metrics in zip(summaries, pair):
-                summary.add(metrics)
-            yield seed, pair
+    def steps():  # one per seed: fold its two runs, then render them for a report
+        for seed, (aodv, coaodv) in runs:  # no seed's runs or lines are kept
+            aodv_summary.add(aodv)
+            coaodv_summary.add(coaodv)
+            if args.out:
+                yield (_metric_rows(name, seed, aodv, tails)
+                       + _metric_rows(name, seed, coaodv, tails))
 
-    if args.out:  # one chunk of lines per seed; without a report no line is built
-        tails = {}  # each flow outcome's text after the seed column, for this command
-        rows = (
-            _metric_rows(name, seed, aodv, tails) + _metric_rows(name, seed, coaodv, tails)
-            for seed, (aodv, coaodv) in folded()
-        )
-        _write_report(args.out, rows)
+    if args.out:
+        _write_report(args.out, steps())
         log.info("report written to %s", args.out)
     else:
-        deque(folded(), maxlen=0)
+        for _ in steps():  # yields nothing: without a report no line is built
+            pass
 
     print(f"{'protocol':<8} {'routed_flows':>12} {'mean_hops':>10} {'mean_pdr':>9}")
     for label, summary in zip(("aodv", "coaodv"), summaries):

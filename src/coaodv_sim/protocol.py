@@ -244,7 +244,7 @@ def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool)
 
 def aodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     """Minimum-hop route over the range graph (first-arrival flood semantics)."""
-    return _discover(source, dest, config, cooperative=False)
+    return _discover(source, dest, config, False)
 
 
 def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
@@ -254,4 +254,4 @@ def coaodv_discover(source: int, dest: int, config: ScenarioConfig) -> Route:
     drops candidate paths containing any CO=0 intermediate and answers the
     lowest-hop survivor. Source and destination themselves are never filtered.
     """
-    return _discover(source, dest, config, cooperative=True)
+    return _discover(source, dest, config, True)

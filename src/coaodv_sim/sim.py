@@ -108,6 +108,7 @@ def run(
     rng = None  # built at the first droppable hop: a run that never draws builds none
     discover = _DISCOVER[proto]
     drop_prob = scenario.non_coop_drop_prob
+    debug = log.isEnabledFor(logging.DEBUG)  # once per run, not once per flow
 
     per_flow: list[FlowMetrics] = []
     for flow in flows:
@@ -126,14 +127,15 @@ def run(
         per_flow.append(
             FlowMetrics(flow.source, flow.destination, route.hop_count, flow.packets, delivered)
         )
-        log.debug(
-            "flow %s->%s: path=%s delivered=%d/%d",
-            flow.source,
-            flow.destination,
-            route.path,
-            delivered,
-            flow.packets,
-        )
+        if debug:
+            log.debug(
+                "flow %s->%s: path=%s delivered=%d/%d",
+                flow.source,
+                flow.destination,
+                route.path,
+                delivered,
+                flow.packets,
+            )
     metrics = SimMetrics(proto, tuple(per_flow))
     if rng is None:
         memo[key] = metrics
@@ -174,15 +176,21 @@ class Summary:
     pdr_count: int = 0
 
     def add(self, metrics: SimMetrics) -> None:
-        for f in metrics.per_flow:
-            self.flows += 1
-            if f.hop_count is not None:
-                self.routed += 1
-                self.hop_sum += f.hop_count
+        per_flow = metrics.per_flow
+        self.flows += len(per_flow)
+        routed, hop_sum = self.routed, self.hop_sum
+        pdr_sum, pdr_count = self.pdr_sum, self.pdr_count
+        for f in per_flow:
+            hops = f.hop_count
+            if hops is not None:
+                routed += 1
+                hop_sum += hops
             pdr = f.packet_delivery_ratio
             if pdr is not None:
-                self.pdr_sum += pdr
-                self.pdr_count += 1
+                pdr_sum += pdr
+                pdr_count += 1
+        self.routed, self.hop_sum = routed, hop_sum
+        self.pdr_sum, self.pdr_count = pdr_sum, pdr_count
 
     @property
     def mean_hops(self) -> float | None:

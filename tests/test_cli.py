@@ -586,6 +586,22 @@ def test_trace_log_writes_a_memoized_run_once(tmp_path, monkeypatch, capsys):
     assert outputs["quiet"][2] == ""
 
 
+@pytest.mark.parametrize("mode, calls", [(None, 0), ("trace", 41)])
+def test_run_asks_for_a_flow_trace_line_only_at_trace_level(monkeypatch, capsys, mode, calls):
+    if mode is None:
+        monkeypatch.delenv("COAODV_SIM_LOG", raising=False)
+    else:
+        monkeypatch.setenv("COAODV_SIM_LOG", mode)
+    debug = []
+    monkeypatch.setattr(sim.log, "debug", lambda *args: debug.append(args))
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "0:9:100", "4:9:100", "--seeds", "20",
+            "--drop-prob", "0.5"]
+    assert main(argv) == 0
+    # at trace: 2 per aodv run, and 1 for the one coaodv run not read from the run memo
+    assert len(debug) == calls
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("mode", ["info", "loud"])
 def test_log_level_does_not_outlive_main(monkeypatch, capsys, mode):
     logger = logging.getLogger("coaodv_sim")
@@ -852,6 +868,23 @@ def test_report_in_a_missing_directory_is_a_write_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: cannot write {out}: {os.strerror(errno.ENOENT)}" in err
     assert "file not found" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("spelling", ["dot", "symlink"])
+def test_report_cannot_overwrite_the_scenario(tmp_path, capsys, monkeypatch, command, spelling):
+    scenario = tmp_path / "s.json"
+    scenario.write_bytes(PAPER_SCENARIO.read_bytes())
+    if spelling == "dot":
+        out = f"{tmp_path}/./s.json"
+    else:
+        out = str(tmp_path / "link.json")
+        os.symlink(scenario, out)
+    monkeypatch.setattr(sim, "run", None)  # no run may start
+    argv = _argv(command, scenario) + ["--out", out]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: it is the scenario file\n")
+    assert scenario.read_bytes() == PAPER_SCENARIO.read_bytes()
 
 
 def test_runtime_needs_no_networkx():

@@ -282,6 +282,9 @@ def test_discovery_on_a_line_searches_only_up_to_the_source(monkeypatch, discove
     )
     assert discover(3, 0, config).path == (3, 2, 1, 0)
     assert searched == [{0: 0, 1: 1, 2: 2, 3: 3}]
+    searched.clear()  # an adjacent source stops the search at its first level
+    assert discover(1, 0, config).path == (1, 0)
+    assert searched == [{0: 0, 1: 1}]
 
 
 def test_cooperative_self_check_raises_a_named_error(monkeypatch):
