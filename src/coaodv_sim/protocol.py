@@ -127,8 +127,11 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
 # are the range graph. Discovery never changes them; exchange_hello's callers
 # get fresh tables. Beside them sits the memo of what depends on the topology
 # alone: each (cooperative, source, dest) route, resolved once, and each
-# (protocol, flows) run that drew nothing (see sim.run).
-_topology_cache: tuple[weakref.ref, dict[int, NeighborTable], dict[tuple, object]] | None = None
+# (protocol, flows) run that drew nothing (see sim.run). The slot holds the
+# (tables, memo) pair itself, which `_topology` returns as it is.
+_topology_cache: (
+    tuple[weakref.ref, tuple[dict[int, NeighborTable], dict[tuple, object]]] | None
+) = None
 
 
 def _topology(config: ScenarioConfig) -> tuple[dict[int, NeighborTable], dict[tuple, object]]:
@@ -137,10 +140,10 @@ def _topology(config: ScenarioConfig) -> tuple[dict[int, NeighborTable], dict[tu
     global _topology_cache
     cached = _topology_cache
     if cached is not None and cached[0]() is config:
-        return cached[1:]
-    tables, memo = exchange_hello(config), {}
-    _topology_cache = (weakref.ref(config), tables, memo)
-    return tables, memo
+        return cached[1]
+    topology = exchange_hello(config), {}
+    _topology_cache = (weakref.ref(config), topology)
+    return topology
 
 
 def _check_endpoints(source: int, dest: int, tables: dict[int, NeighborTable]) -> None:
@@ -214,12 +217,15 @@ def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool)
     with the topology. A memoized failure is raised as a fresh exception of its
     class: re-raising one stored instance would grow its traceback on every raise.
     A refused cooperative discovery is a `NoCooperativeRoute` if the plain
-    discovery of the same pair, memoized too, finds a route, else a `NoRoute`."""
+    discovery of the same pair, memoized too, finds a route, else a `NoRoute`.
+    The endpoints are checked only when a key is first resolved: an outcome is
+    stored only after its check passed, so an unknown node never gets a key and
+    is an `UnknownNode` on every call."""
     tables, memo = _topology(config)
-    _check_endpoints(source, dest, tables)
     key = (cooperative, source, dest)
     outcome = memo.get(key)
     if outcome is None:
+        _check_endpoints(source, dest, tables)
         if source == dest:
             outcome = Route(path=(source,), hop_count=0, route_stability=())
         elif source in (hops := _hops_to(source, dest, tables, cooperative)):
@@ -237,7 +243,7 @@ def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool)
         else:
             outcome = NoRoute
         memo[key] = outcome
-    if isinstance(outcome, Route):
+    if type(outcome) is Route:  # else NoRoute or NoCooperativeRoute
         return outcome
     raise outcome(source, dest)
 

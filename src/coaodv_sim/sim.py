@@ -16,6 +16,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from . import protocol
 from .errors import NoCooperativeRoute, NoRoute
@@ -24,22 +25,36 @@ from .model import FlowMetrics, Protocol, ScenarioConfig, SimMetrics
 log = logging.getLogger("coaodv_sim.sim")
 
 
-@dataclass(frozen=True)
-class Flow:
+class _FlowFields(NamedTuple):
     source: int
     destination: int
     packets: int
 
-    def __post_init__(self):
+
+class Flow(_FlowFields):
+    """One flow of a run: a tuple, so run's memo key hashes and compares in C.
+    No two records of equal shape meet: the memo's run keys are
+    (protocol, flows) pairs, its route keys (bool, int, int), and a Flow is
+    never a key itself."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: int, destination: int, packets: int):
         # Exactly int: a float or a bool would run (or fail deep in the data
         # phase), and 4.0 == 4 would let run's memo answer for another flow.
-        for name in ("source", "destination", "packets"):
-            value = getattr(self, name)
+        for name, value in zip(cls._fields, (source, destination, packets)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         # sys.maxsize is the most packets the repeat() in _delivered can count
-        if not 1 <= self.packets <= sys.maxsize:
-            raise ValueError(f"packets must be from 1 to {sys.maxsize}, got {self.packets}")
+        if not 1 <= packets <= sys.maxsize:
+            raise ValueError(f"packets must be from 1 to {sys.maxsize}, got {packets}")
+        return super().__new__(cls, source, destination, packets)
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's own _make (and _replace, which calls it) builds through
+        # tuple.__new__ and would skip the checks above
+        return cls(*iterable)
 
 
 _DISCOVER = {

@@ -120,6 +120,33 @@ def test_flow_fields_must_be_integers(field, value):
         Flow(**fields)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Flow._make((0, 9, 1.5)), "packets must be an integer, got 1.5"),
+        (
+            lambda: Flow(0, 9, 5)._replace(packets=0),
+            f"packets must be from 1 to {sys.maxsize}, got 0",
+        ),
+        (lambda: Flow(True, 9, 5), "source must be an integer, got True"),
+    ],
+)
+def test_flow_is_checked_on_every_constructor_path(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_flow_is_a_tuple_that_hashes_and_compares_in_c():
+    # run's memo key (proto, flows) then hashes with no Python-level call
+    assert Flow.__hash__ is tuple.__hash__ and Flow.__eq__ is tuple.__eq__
+    flow = Flow(0, 9, 5)
+    assert repr(flow) == "Flow(source=0, destination=9, packets=5)"
+    assert flow == Flow(**flow._asdict()) == Flow._make(flow)
+    assert type(flow._replace(packets=7)) is Flow and flow._replace(packets=7).packets == 7
+    with pytest.raises(AttributeError):
+        flow.extra = 1  # no instance dict: __slots__ = ()
+
+
 def test_unknown_node_in_a_later_flow_is_rejected(paper_scenario):
     flows = (Flow(4, 9, 5), Flow(0, 9, 5), Flow(9, 42, 5))
     for protocol in (Protocol.AODV, Protocol.COAODV):
@@ -127,19 +154,30 @@ def test_unknown_node_in_a_later_flow_is_rejected(paper_scenario):
             run(paper_scenario, protocol, flows, seed=1)
 
 
-def test_endpoints_are_checked_once_per_discovery(monkeypatch, paper_scenario):
+def test_endpoints_are_checked_once_per_resolved_route(monkeypatch, paper_scenario):
     calls = []
     check = protocol_module._check_endpoints
 
     def counted(*args):
-        calls.append(args)
+        calls.append(args[:2])
         return check(*args)
 
     monkeypatch.setattr(protocol_module, "_check_endpoints", counted)
-    compare(paper_scenario, (Flow(0, 9, 10), Flow(4, 9, 10)), seeds=list(range(1, 21)))
-    # one per discovery: aodv draws, so each of its runs discovers both flows;
-    # coaodv draws nothing, so only its first run discovers and later seeds reuse it
-    assert len(calls) == 20 * 2 + 2
+    config = dataclasses.replace(paper_scenario)  # a topology and memo of its own
+    compare(config, (Flow(0, 9, 10), Flow(4, 9, 10)), seeds=list(range(1, 21)))
+    # one per resolved (cooperative, source, destination): a memo hit, as in
+    # every aodv discovery after the first seed's, checks nothing
+    assert sorted(calls) == [(0, 9), (0, 9), (4, 9), (4, 9)]
+    _, memo = protocol_module._topology(config)
+    keys = set(memo)
+    for discover in sim_module._DISCOVER.values():
+        for source, dest in ((0, 42), (42, 9), (42, 42)):
+            with pytest.raises(UnknownNode, match="42"):
+                discover(source, dest, config)
+    # a failed check stores nothing, so a hit never answers for an unchecked
+    # pair, and an unknown node is checked on every call
+    assert set(memo) == keys
+    assert len(calls) == 4 + 6
 
 
 def test_a_run_that_draws_nothing_is_computed_once(monkeypatch, caplog, paper_scenario):
