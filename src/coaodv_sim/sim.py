@@ -5,7 +5,8 @@ sends its packets along the discovered route. Every non-cooperative
 intermediate drops a traversing packet with the scenario's drop probability;
 a dropped packet never reaches later hops. All randomness comes from one
 `random.Random` (Mersenne Twister) seeded per run, so identical runs are
-bit-for-bit reproducible.
+bit-for-bit reproducible; `pairs` reseeds one generator for each run instead
+of building one per run, which gives the same stream.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import logging
 import random
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -67,6 +67,10 @@ _DISCOVER = {
 _FAILURES = {NoRoute: "no_route", NoCooperativeRoute: "no_cooperative_route"}
 FAILURE_TEXT = {"no_route": "no route", "no_cooperative_route": "no cooperative route"}
 
+# NamedTuple's own _make builds through this, in C; the generated __new__
+# is a Python-level call
+_new = tuple.__new__
+
 
 def _delivered(rng: random.Random | None, packets: int, drops: int, drop_prob: float) -> int:
     """How many of `packets` cross a route with `drops` droppable hops.
@@ -104,9 +108,21 @@ def _delivered(rng: random.Random | None, packets: int, drops: int, drop_prob: f
 
 
 def run(
-    scenario: ScenarioConfig, proto: Protocol, flows: tuple[Flow, ...], seed: int
+    scenario: ScenarioConfig,
+    proto: Protocol,
+    flows: tuple[Flow, ...],
+    seed: int,
+    *,
+    rng: random.Random | None = None,
 ) -> SimMetrics:
     """Execute one seeded run of `proto` over `flows`.
+
+    `seed` must be exactly a non-negative `int`: `random.Random` would draw
+    the stream of 1 for -1, True and 1.0, hash a string and seed None from
+    the OS. A run draws from `rng` reseeded with `seed` when one is given,
+    else from a new `random.Random(seed)`; both give the same stream. Either
+    is seeded at the first droppable hop, so a run that never draws seeds
+    nothing.
 
     A run that never draws (no flow reached a droppable hop, as in every
     `coaodv` run) is the same for every seed, so its result is memoized with
@@ -114,13 +130,15 @@ def run(
     protocol and flows on the same config object returns that object without
     discovering or logging again; a run that draws is computed every time.
     """
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not flows:  # nothing to discover: no topology is built
-        return SimMetrics(proto, ())
+        return _new(SimMetrics, (proto, ()))
     _, memo = protocol._topology(scenario)
     key = (proto, flows)
     if (metrics := memo.get(key)) is not None:
         return metrics
-    rng = None  # built at the first droppable hop: a run that never draws builds none
+    seeded = None  # the generator once seeded, at the first droppable hop
     discover = _DISCOVER[proto]
     drop_prob = scenario.non_coop_drop_prob
     debug = log.isEnabledFor(logging.DEBUG)  # once per run, not once per flow
@@ -131,16 +149,25 @@ def run(
             route = discover(flow.source, flow.destination, scenario)
         except (NoRoute, NoCooperativeRoute) as exc:
             failure = _FAILURES[type(exc)]
-            per_flow.append(FlowMetrics(flow.source, flow.destination, None, 0, 0, failure))
+            per_flow.append(
+                _new(FlowMetrics, (flow.source, flow.destination, None, 0, 0, failure))
+            )
             log.info("flow %s->%s: %s", flow.source, flow.destination, FAILURE_TEXT[failure])
             continue
 
         drops = route.route_stability.count(False)
-        if drops and rng is None:
-            rng = random.Random(seed)
-        delivered = _delivered(rng, flow.packets, drops, drop_prob)
+        if drops and seeded is None:
+            if rng is None:
+                seeded = random.Random(seed)
+            else:
+                rng.seed(seed)  # the stream of random.Random(seed)
+                seeded = rng
+        delivered = _delivered(seeded, flow.packets, drops, drop_prob)
         per_flow.append(
-            FlowMetrics(flow.source, flow.destination, route.hop_count, flow.packets, delivered)
+            _new(
+                FlowMetrics,
+                (flow.source, flow.destination, route.hop_count, flow.packets, delivered, None),
+            )
         )
         if debug:
             log.debug(
@@ -151,8 +178,8 @@ def run(
                 delivered,
                 flow.packets,
             )
-    metrics = SimMetrics(proto, tuple(per_flow))
-    if rng is None:
+    metrics = _new(SimMetrics, (proto, tuple(per_flow)))
+    if seeded is None:
         memo[key] = metrics
     return metrics
 
@@ -161,11 +188,14 @@ def pairs(
     scenario: ScenarioConfig, flows: tuple[Flow, ...], seeds: Iterable[int]
 ) -> Iterator[tuple[SimMetrics, SimMetrics]]:
     """Run both protocols on identical inputs for each seed, in seed order,
-    yielding each seed's (aodv, coaodv) pair as soon as it is run."""
+    yielding each seed's (aodv, coaodv) pair as soon as it is run. Every
+    run that draws reseeds one generator, built here rather than at import,
+    from `random.Random` as this module sees it when the loop starts."""
+    rng = random.Random(0)  # never drawn from unseeded: run reseeds it first
     for seed in seeds:
         yield (
-            run(scenario, Protocol.AODV, flows, seed),
-            run(scenario, Protocol.COAODV, flows, seed),
+            run(scenario, Protocol.AODV, flows, seed, rng=rng),
+            run(scenario, Protocol.COAODV, flows, seed, rng=rng),
         )
 
 
@@ -178,17 +208,15 @@ def compare(
     return list(pairs(scenario, flows, seeds))
 
 
-@dataclass
 class Summary:
     """Running totals over one protocol's runs, folded one `SimMetrics` at a
     time. The sums add flow by flow in run order, so the means are the same
     whether the runs were kept in a list or streamed."""
 
-    routed: int = 0
-    flows: int = 0
-    hop_sum: int = 0
-    pdr_sum: float = 0
-    pdr_count: int = 0
+    __slots__ = ("routed", "flows", "hop_sum", "pdr_sum", "pdr_count")
+
+    def __init__(self) -> None:
+        self.routed = self.flows = self.hop_sum = self.pdr_sum = self.pdr_count = 0
 
     def add(self, metrics: SimMetrics) -> None:
         per_flow = metrics.per_flow
@@ -200,9 +228,10 @@ class Summary:
             if hops is not None:
                 routed += 1
                 hop_sum += hops
-            pdr = f.packet_delivery_ratio
-            if pdr is not None:
-                pdr_sum += pdr
+            # FlowMetrics.packet_delivery_ratio, read without the property call
+            sent = f.packets_sent
+            if sent > 0:
+                pdr_sum += f.packets_delivered / sent
                 pdr_count += 1
         self.routed, self.hop_sum = routed, hop_sum
         self.pdr_sum, self.pdr_count = pdr_sum, pdr_count

@@ -948,7 +948,7 @@ def test_hostile_input_is_a_named_usage_error(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, command):
-    def broken(*args):
+    def broken(*args, **kwargs):  # compare passes its generator as rng=
         raise ValueError("internal fault")
 
     monkeypatch.setattr(cli.sim, "run", broken)

@@ -181,21 +181,29 @@ def test_generator_is_built_only_for_a_run_that_draws(monkeypatch, paper_scenari
         proto: [_eager_run(half, proto, flows, seed) for seed in seeds]
         for proto in Protocol
     }
-    built = []
+    built, reseeded = [], []  # (generator, seed) per construction and per later seed call
 
     class RecordingRandom(random.Random):
         def __init__(self, seed):
-            built.append(seed)
             super().__init__(seed)
+            built.append((self, seed))  # after: the seed call inside __init__ is no reseed
+
+        def seed(self, a=None, version=2):
+            if any(self is generator for generator, _ in built):
+                reseeded.append((self, a))
+            super().seed(a, version)
 
     monkeypatch.setattr(sim, "random", types.SimpleNamespace(Random=RecordingRandom))
     coaodv = [sim.run(half, Protocol.COAODV, flows, seed) for seed in seeds]
-    assert built == []
+    assert built == [] and reseeded == []
     assert coaodv == eager[Protocol.COAODV]
     aodv = sim.run(half, Protocol.AODV, flows, seeds[3])
-    assert built == [seeds[3]]
+    assert [seed for _, seed in built] == [seeds[3]] and reseeded == []
     assert aodv == eager[Protocol.AODV][3]
     built.clear()
     results = sim.compare(half, flows, seeds)
-    assert built == seeds  # one generator per aodv run, none for coaodv
+    # one generator per compare, reseeded once per aodv run with that run's
+    # seed; never by a coaodv run, and never a second time within a run
+    ((generator, _),) = built
+    assert reseeded == [(generator, seed) for seed in seeds]
     assert results == list(zip(eager[Protocol.AODV], eager[Protocol.COAODV]))

@@ -11,7 +11,7 @@ import pytest
 from coaodv_sim import protocol as protocol_module
 from coaodv_sim import sim as sim_module
 from coaodv_sim.errors import UnknownNode
-from coaodv_sim.model import Protocol
+from coaodv_sim.model import FlowMetrics, Protocol, SimMetrics
 from coaodv_sim.sim import (
     Flow,
     Summary,
@@ -118,6 +118,33 @@ def test_flow_fields_must_be_integers(field, value):
     message = f"{field} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Flow(**fields)
+
+
+# Each would run as another seed's stream, or as none: random.Random draws
+# the stream of 1 for -1, True and 1.0, hashes a string and seeds None from
+# the OS.
+BAD_SEEDS = [-1, -(2**64), True, False, 1.0, 0.0, "x", None, b"\x01"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+@pytest.mark.parametrize("flows", [(), (Flow(0, 9, 5), Flow(4, 9, 5))])
+@pytest.mark.parametrize("proto", list(Protocol))
+def test_run_rejects_a_seed_that_is_not_a_non_negative_int(paper_scenario, proto, flows, seed):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    memoized = run(half, proto, flows, 1)  # a coaodv run is memoized: checked before the lookup
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(half, proto, flows, seed)
+    assert run(half, proto, flows, 1) == memoized
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_compare_rejects_a_seed_that_is_not_a_non_negative_int(paper_scenario, seed):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    for seeds in ([seed], [2, seed]):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compare(half, (Flow(0, 9, 5), Flow(4, 9, 5)), seeds)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +350,9 @@ def test_summary_of_no_routed_flow_has_no_means(paper_scenario):
 
 def test_pairs_runs_each_seed_when_it_is_asked_for(monkeypatch, paper_scenario):
     seeds = []
-    monkeypatch.setattr(sim_module, "run", lambda scenario, proto, flows, seed: seeds.append(seed))
+    monkeypatch.setattr(
+        sim_module, "run", lambda scenario, proto, flows, seed, *, rng: seeds.append(seed)
+    )
     loop = pairs(paper_scenario, (Flow(4, 9, 1),), iter([5, 6, 7]))
     assert seeds == []
     next(loop)
@@ -358,3 +387,50 @@ def test_compare_equals_its_runs(n, scenario_seed):
         f.failure or f.packets_delivered < f.packets_sent for m in results[0] for f in m.per_flow
     }
     assert {True, "no_cooperative_route"} <= outcomes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
+def test_a_reseeded_generator_draws_a_fresh_generators_stream(paper_scenario, seed):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    flows = (Flow(0, 9, 300), Flow(4, 9, 300))
+    rng = random.Random(7)
+    run(half, Protocol.AODV, flows, 12345, rng=rng)  # leaves rng mid-stream
+    assert run(half, Protocol.AODV, flows, seed, rng=rng) == run(half, Protocol.AODV, flows, seed)
+    rng.random()
+    rng.seed(seed)  # the call run makes on a given generator
+    fresh = random.Random(seed)
+    assert [rng.random() for _ in range(1000)] == [fresh.random() for _ in range(1000)]
+
+
+def test_compare_over_repeated_seeds_equals_its_runs(paper_scenario):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    flows = (Flow(4, 5, 30), Flow(0, 9, 200), Flow(4, 9, 200))
+    seeds = [5, 3, 5, 0]
+    runs = [
+        tuple(run(dataclasses.replace(half), proto, flows, seed) for proto in Protocol)
+        for seed in seeds
+    ]
+    assert compare(half, flows, seeds) == runs
+    assert runs[0] == runs[2] and runs[0] != runs[1]
+
+
+def test_run_builds_exact_records(paper_scenario):
+    half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
+    apart = make_scenario([make_node(0, 0, 0), make_node(1, 99, 99)])
+    # routed with and without drops, refused by coaodv, a self flow, no route
+    runs = [
+        run(half, proto, (Flow(0, 9, 20), Flow(4, 9, 20), Flow(3, 3, 5)), seed)
+        for proto in Protocol
+        for seed in (1, 2)
+    ]
+    runs += [run(apart, Protocol.AODV, (Flow(0, 1, 5),), 1), run(half, Protocol.AODV, (), 1)]
+    flows = [f for m in runs for f in m.per_flow]
+    assert {f.failure for f in flows} == {None, "no_route", "no_cooperative_route"}
+    assert any(f.hop_count == 0 for f in flows)
+    for m in runs:
+        assert type(m) is SimMetrics
+        assert m == SimMetrics(*m) and repr(m) == repr(SimMetrics(*m))
+    for f in flows:
+        assert type(f) is FlowMetrics
+        assert f == FlowMetrics(*f) and repr(f) == repr(FlowMetrics(*f))
+        assert (f.failure is None) is (f.hop_count is not None)
