@@ -5,8 +5,8 @@ sends its packets along the discovered route. Every non-cooperative
 intermediate drops a traversing packet with the scenario's drop probability;
 a dropped packet never reaches later hops. All randomness comes from one
 `random.Random` (Mersenne Twister) seeded per run, so identical runs are
-bit-for-bit reproducible; `pairs` reseeds one generator for each run instead
-of building one per run, which gives the same stream.
+bit-for-bit reproducible. Under `pairs` every run that draws reseeds one
+generator instead of building its own, which gives the same stream.
 """
 
 from __future__ import annotations
