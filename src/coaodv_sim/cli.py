@@ -205,6 +205,11 @@ def _shown(text: str) -> str:
     return os.fsencode(text).decode("utf-8", "backslashreplace")
 
 
+def _one_line(text: str) -> str:
+    """`text` with each character that str.isprintable() rejects as its repr escape."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _same_file(out: str, path: str) -> bool:
     """Whether `out` already exists as the file at `path`, under any spelling
     or link."""
@@ -276,7 +281,7 @@ def _flow_summary(metrics: SimMetrics) -> None:
 
 def cmd_validate(args) -> int:
     _load_effective_scenario(args)
-    print(f"{_shown(args.path)}: OK")
+    print(f"{_one_line(_shown(args.path))}: OK")
     return 0
 
 
@@ -360,10 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (UsageError, UnknownNode, WeightsNotNormalized, AmbiguousProfile) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return 1
     except ScenarioValidationError as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
+        print(f"error: invalid scenario: {_one_line(str(exc))}", file=sys.stderr)
         return 2
     finally:
         logger.removeHandler(handler)

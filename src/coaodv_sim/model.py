@@ -286,9 +286,16 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     non_coop_drop_prob (1.0), seed (0), elapsed_time (1.0, applied to every node).
 
     Raises ScenarioValidationError for structural problems, for keys the schema
-    does not name and for values of the wrong JSON type; validate_scenario
-    checks the invariants separately and raises the same type.
+    does not name, for values of the wrong JSON type and for ints too long to
+    print; validate_scenario checks the invariants and raises the same type.
     """
+    try:
+        return _from_dict(doc)
+    except ValueError:  # only from quoting an int past the str() digit limit in a message
+        raise ScenarioValidationError("an integer has too many digits to print") from None
+
+
+def _from_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ScenarioValidationError(
             f"scenario document must be an object, got {type(doc).__name__}"
@@ -358,8 +365,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         where = _node_label(entry, len(nodes))
         _check_keys(entry, _NODE_KEYS, where)
         raise ScenarioValidationError(f"{where}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioValidationError(f"malformed scenario document: {exc}") from exc
     return config
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 import sys
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -121,28 +120,18 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
     return tables
 
 
-# One-slot cache of the last scenario's topology, keyed by the identity of its
-# ScenarioConfig through a weak reference, so it never keeps a config alive.
-# Each HELLO table lists its owner's neighbors in adjacency order, so the tables
-# are the range graph. Discovery never changes them; exchange_hello's callers
-# get fresh tables. Beside them sits the memo of what depends on the topology
-# alone: each (cooperative, source, dest) route, resolved once, and each
-# (protocol, flows) run that drew nothing (see sim.run). The slot holds the
-# (tables, memo) pair itself, which `_topology` returns as it is.
-_topology_cache: (
-    tuple[weakref.ref, tuple[dict[int, NeighborTable], dict[tuple, object]]] | None
-) = None
-
-
 def _topology(config: ScenarioConfig) -> tuple[dict[int, NeighborTable], dict[tuple, object]]:
     """The scenario's HELLO tables, built once per config object, and the memo
-    of the routes and seed-invariant runs resolved on them."""
-    global _topology_cache
-    cached = _topology_cache
-    if cached is not None and cached[0]() is config:
-        return cached[1]
+    of the routes and seed-invariant runs resolved on them (see sim.run). The
+    pair is set as a frozen dataclass's `__init__` sets a field, but is no field:
+    equality, hashing, repr and `dataclasses.replace` never see it, and it is
+    freed with the config. Touching `__dict__` slows CPython 3.11-3.12 reads."""
+    try:
+        return config._topology
+    except AttributeError:
+        pass
     topology = exchange_hello(config), {}
-    _topology_cache = (weakref.ref(config), topology)
+    object.__setattr__(config, "_topology", topology)
     return topology
 
 

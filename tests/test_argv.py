@@ -182,6 +182,18 @@ ARGV = {
         "error: unknown node id 77\n",
     ),
     "validate-ok": (["validate", SCENARIO], 0, f"{SCENARIO}: OK\n", ""),
+    # argv text goes into the one error line with its line breaks escaped
+    "validate-newline-path": (
+        ["validate", "new\nline.json"], 1, "", "error: file not found: new\\nline.json\n"
+    ),
+    "newline-out-in-missing-directory": (
+        ["compare", SCENARIO, "--flows", "4:9:1", "--out", "/nonexistent/a\nb.csv"], 1, "",
+        "error: cannot write /nonexistent/a\\nb.csv: No such file or directory\n",
+    ),
+    "unrecognized-newline-option": (
+        ["validate", SCENARIO, "--bo\r\ngus\x1b"], 1, "",
+        "error: unrecognized arguments: --bo\\r\\ngus\\x1b\n",
+    ),
 }
 
 
@@ -206,6 +218,14 @@ def test_argv_exit_code_stdout_and_stderr(at_root, capsys, case):
     assert main(list(argv)) == code
     got = capsys.readouterr()
     assert (_unwrapped(got.out), got.err) == (_unwrapped(out), err)
+
+
+def test_validate_prints_one_line_for_a_name_with_a_newline(capsys, tmp_path):
+    path = tmp_path / "new\nline.json"
+    path.write_bytes((REPO_ROOT / SCENARIO).read_bytes())
+    assert main(["validate", str(path)]) == 0
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (f"{tmp_path}/new\\nline.json: OK\n", "")
 
 
 def _python(*args) -> subprocess.CompletedProcess:

@@ -217,6 +217,34 @@ def test_malformed_node_entry_is_format_error():
         scenario_from_dict(doc)
 
 
+# Each change to a small document that makes its message quote an int past
+# the str() digit limit, which only a dict built in Python can hold.
+HUGE = 10**5000
+SMALL_DOC = {
+    "nodes": [{"id": 0, "pos_t1": [1, 2], "pos_t2": [1, 2], "energy": 5}],
+    "area": [10, 10],
+    "transmission_range": 5,
+    "energy_threshold": 0,
+}
+_POS = {"pos_t1": [1, 2], "pos_t2": [1, 2]}
+UNPRINTABLE_INTS = {
+    "node-id": {"nodes": [{"id": HUGE, "pos_t1": [1], "pos_t2": [1, 2], "energy": 5}]},
+    "node-id-missing-a-key": {"nodes": [{"id": HUGE, **_POS}]},
+    "node-key": {"nodes": [{"id": 0, **_POS, "energy": 5, HUGE: 0}]},
+    "node-key-for-a-missing-one": {"nodes": [{"id": 0, **_POS, HUGE: 5}]},
+    "position": {"nodes": [{"id": 0, "pos_t1": [HUGE, "x"], "pos_t2": [1, 2], "energy": 5}]},
+    "area": {"area": [HUGE]},
+    "metric": {"distance_metric": HUGE},
+    "scenario-key": {HUGE: 0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPRINTABLE_INTS))
+def test_an_int_too_long_to_print_is_named(case):
+    with _rejects("an integer has too many digits to print"):
+        scenario_from_dict({**SMALL_DOC, **UNPRINTABLE_INTS[case]})
+
+
 def test_non_object_document_is_format_error():
     with _rejects("scenario document must be an object, got list"):
         scenario_from_json(json.dumps([1, 2, 3]))

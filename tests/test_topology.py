@@ -248,14 +248,20 @@ def test_compare_resolves_each_route_once(monkeypatch):
     assert len(searches) == 2 + 1 + 1
 
 
-def test_replaced_config_gets_its_own_topology(paper_scenario):
-    narrow = paper_scenario
+def test_replaced_config_gets_its_own_topology(monkeypatch):
+    narrow = load_scenario(PAPER_SCENARIO)  # a fresh object, not the session's
+    shown = repr(narrow)
     wide = dataclasses.replace(narrow, transmission_range=40.0)
-    assert protocol.aodv_discover(0, 9, narrow).hop_count == 4
-    assert protocol.aodv_discover(0, 9, wide).hop_count == 2
-    # alternate A, B, A: each lookup answers for its own config
+    hello = _counting(monkeypatch, "exchange_hello")
+    # alternate A, B, A, B: each lookup answers for its own config, and each
+    # config object builds its topology once
     for config, hops in ((narrow, 4), (wide, 2), (narrow, 4), (wide, 2)):
         assert protocol.aodv_discover(0, 9, config).hop_count == hops
+    assert len(hello) == 2 and hello[0][0] is narrow and hello[1][0] is wide
+    # the topology is no field: equality, hashing and repr never see it
+    assert narrow == dataclasses.replace(narrow)
+    assert hash(narrow) == hash(dataclasses.replace(narrow))
+    assert repr(narrow) == shown
     with pytest.raises(NoCooperativeRoute):
         protocol.coaodv_discover(0, 9, narrow)
     assert protocol.completed_request((0, 2, 1, 5, 9), narrow).route_stability == (
@@ -289,9 +295,11 @@ def test_cache_does_not_keep_config_alive():
     memoized = sim.run(config, sim.Protocol.COAODV, flows, 1)
     assert sim.run(config, sim.Protocol.COAODV, flows, 2) is memoized
     ref = weakref.ref(config)
+    table = weakref.ref(protocol._topology(config)[0][0])
     del config
     gc.collect()
     assert ref() is None
+    assert table() is None  # the topology is freed with its config
 
 
 # -- one resolved route per (protocol, source, destination) per config ------
