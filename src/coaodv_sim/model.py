@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -93,6 +93,11 @@ class ScenarioConfig:
     def node_map(self) -> dict[int, NodeState]:
         return {n.id: n for n in self.nodes}
 
+    def __reduce__(self):
+        # pickle and copy rebuild a config from its fields alone, never with
+        # what a caller has set on the object outside them
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 @dataclass(frozen=True)
 class Route:
@@ -174,8 +179,18 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     area, nonnegative energies, positive transmission range, nonnegative
     threshold, probabilities in [0, 1], positive elapsed times, and a
     nonnegative seed (random.Random(-s) draws the stream of random.Random(s)).
+    A message that would quote an int past the str() digit limit is replaced
+    by one that says so.
     """
     width, height = config.area
+    try:
+        _check_invariants(config, width, height)
+    except ValueError:  # only from quoting an int past the str() digit limit in a message
+        raise ScenarioValidationError("an integer has too many digits to print") from None
+    return config
+
+
+def _check_invariants(config: ScenarioConfig, width: float, height: float) -> None:
     for name, value in (
         ("area width", width),
         ("area height", height),
@@ -229,7 +244,6 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
             raise ScenarioValidationError(
                 f"elapsed time between position records must be > 0 (node {node.id})"
             )
-    return config
 
 
 # --- JSON scenario document ---------------------------------------------

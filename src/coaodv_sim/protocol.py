@@ -99,11 +99,20 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
     that meets the bar: for any other, its mobility clause fails by the same
     comparison, so the flag stays False. Each table lists its neighbors in
     adjacency order.
+
+    At the bar a verdict depends on the candidate alone, so it is asked once
+    per candidate per round, at its first edge that meets a bar, and reused
+    for every later owner. This is exact: the range clause holds, because the
+    candidate comes from `_adjacency` and both distance functions are exactly
+    symmetric; the mobility clause passes, because it makes the comparison
+    against the peer set `[bar]` that the code has just made; and the energy
+    clause reads only the candidate.
     """
     adj = _adjacency(config)
     by_id = config.node_map()
     rates = mobility_rates((by_id[u] for u, nbrs in adj.items() if nbrs), config.mobility_metric)
     tables: dict[int, NeighborTable] = {}
+    at_bar: dict[int, NeighborEntry] = {}  # this round's entry of each candidate at a bar
     for owner, neighbor_ids in adj.items():
         entries = dict.fromkeys(neighbor_ids, _ENTRY[False])
         if neighbor_ids:
@@ -111,7 +120,11 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
             low, prev, peers = rates[bar.id], by_id[owner], [bar]
             for v in neighbor_ids:
                 if not low < rates[v]:
-                    entries[v] = _ENTRY[is_cooperative(by_id[v], prev, peers, config, rates)]
+                    entry = at_bar.get(v)
+                    if entry is None:
+                        verdict = is_cooperative(by_id[v], prev, peers, config, rates)
+                        entry = at_bar[v] = _ENTRY[verdict]
+                    entries[v] = entry
         tables[owner] = NeighborTable(entries=entries)
     if log.isEnabledFor(logging.INFO):
         flags = [e.coop_status for t in tables.values() for e in t.entries.values()]
@@ -209,7 +222,12 @@ def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool)
     discovery of the same pair, memoized too, finds a route, else a `NoRoute`.
     The endpoints are checked only when a key is first resolved: an outcome is
     stored only after its check passed, so an unknown node never gets a key and
-    is an `UnknownNode` on every call."""
+    is an `UnknownNode` on every call. An end that is not exactly an `int` is
+    a `ValueError` on every call, memo hit or not: `True` or `4.0` would else
+    be served, or stored as, the route of the int it equals."""
+    if type(source) is not int or type(dest) is not int:
+        name, value = ("source", source) if type(source) is not int else ("destination", dest)
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     tables, memo = _topology(config)
     key = (cooperative, source, dest)
     outcome = memo.get(key)

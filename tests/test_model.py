@@ -245,6 +245,31 @@ def test_an_int_too_long_to_print_is_named(case):
         scenario_from_dict({**SMALL_DOC, **UNPRINTABLE_INTS[case]})
 
 
+# Configs built in Python whose invariant messages would quote an int past the
+# str() digit limit.
+UNPRINTABLE_CONFIGS = {
+    "duplicate-id": lambda: make_scenario([make_node(HUGE, 1, 1), make_node(HUGE, 2, 2)]),
+    "negative-id": lambda: make_scenario([make_node(-HUGE, 1, 1)]),
+    "id-of-a-node-outside-the-area": lambda: make_scenario([make_node(HUGE, 150, 1)]),
+    "position": lambda: make_scenario([make_node(0, HUGE, 1)]),
+    "drop-probability": lambda: make_scenario([make_node(0, 1, 1)], non_coop_drop_prob=HUGE),
+    "seed": lambda: make_scenario([make_node(0, 1, 1)], rng_seed=-HUGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPRINTABLE_CONFIGS))
+def test_validation_names_an_int_too_long_to_print(case):
+    with _rejects("an integer has too many digits to print"):
+        validate_scenario(UNPRINTABLE_CONFIGS[case]())
+
+
+def test_validation_keeps_the_unpacking_error_of_a_bad_area():
+    # only a message's int is renamed: a config whose area is no pair still
+    # fails as Python unpacks it
+    with pytest.raises(ValueError, match="^too many values to unpack"):
+        validate_scenario(make_scenario([], area=(1.0, 2.0, 3.0)))
+
+
 def test_non_object_document_is_format_error():
     with _rejects("scenario document must be an object, got list"):
         scenario_from_json(json.dumps([1, 2, 3]))

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,27 @@ def test_unknown_node_rejected(paper_scenario):
         coaodv_discover(42, 0, paper_scenario)
     with pytest.raises(UnknownNode):
         aodv_discover(42, 42, paper_scenario)
+
+
+# values that equal, or name, a node id of the bundled scenario but are no int
+NOT_INTS = [True, False, 4.0, 9.0, 9 + 0j, "4", None]
+
+
+@pytest.mark.parametrize("discover", [aodv_discover, coaodv_discover])
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+def test_discovery_rejects_an_end_that_is_not_an_int(discover, value):
+    config = load_scenario(PAPER_SCENARIO)  # a fresh memo
+    _, memo = protocol._topology(config)
+    for _ in range(2):  # before the int routes are memoized, and then on memo hits
+        for args, name in (((value, 9), "source"), ((4, value), "destination")):
+            message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                discover(*args, config)
+        assert all(type(s) is int and type(d) is int for _, s, d in memo)
+        for source in (1, 4):
+            path = aodv_discover(source, 9, config).path
+            assert path[0] == source and {type(n) for n in path} == {int}
+    assert coaodv_discover(4, 9, config).path == (4, 8, 9)
 
 
 def test_coaodv_paper_flow_has_no_cooperative_route(paper_scenario):
