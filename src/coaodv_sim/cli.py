@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import logging
 import math
 import os
 import re
+import shutil
 import sys
 from collections.abc import Iterable
 from itertools import chain
@@ -112,9 +114,14 @@ _COMMANDS = ("validate", "run", "compare", "classify")
 def build_parser(argv: list[str]) -> _Parser:
     """The parser for `argv`, with only the subparser that argv[0] names. When
     argv[0] names no command (an exact match, as argparse's choice check is),
-    it has all four, so that help and a missing or unknown command list them."""
-    parser = _Parser(prog="coaodv-sim", description=__doc__)
+    it has all four, so that help and a missing or unknown command list them.
+    argparse builds a formatter per argument, and each one without a width
+    looks up the terminal's; here every parser shares one lookup."""
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    parser = _Parser(prog="coaodv-sim", description=__doc__, formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
     built = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
 
     def add_overrides(p):  # each dest is the ScenarioConfig field the option replaces
@@ -131,12 +138,12 @@ def build_parser(argv: list[str]) -> _Parser:
                        help="override non-cooperative drop probability")
 
     if "validate" in built:
-        p_validate = sub.add_parser("validate", help="check a scenario file")
+        p_validate = add_parser("validate", help="check a scenario file")
         p_validate.add_argument("path")
         p_validate.set_defaults(handler=cmd_validate)
 
     if "run" in built:
-        p_run = sub.add_parser("run", help="run one protocol over the given flows")
+        p_run = add_parser("run", help="run one protocol over the given flows")
         p_run.add_argument("path")
         p_run.add_argument("--protocol", **_enum_choices(Protocol), required=True)
         p_run.add_argument(
@@ -149,7 +156,7 @@ def build_parser(argv: list[str]) -> _Parser:
         p_run.set_defaults(handler=cmd_run)
 
     if "compare" in built:
-        p_cmp = sub.add_parser("compare", help="run both protocols over seeded repetitions")
+        p_cmp = add_parser("compare", help="run both protocols over seeded repetitions")
         p_cmp.add_argument("path")
         p_cmp.add_argument("--flows", nargs="+", required=True, metavar="SRC:DST:COUNT")
         p_cmp.add_argument("--seeds", type=_integer, default=1, help="number of seeds (default 1)")
@@ -158,7 +165,7 @@ def build_parser(argv: list[str]) -> _Parser:
         p_cmp.set_defaults(handler=cmd_compare)
 
     if "classify" in built:
-        p_cls = sub.add_parser("classify", help="label the network type for a weight profile")
+        p_cls = add_parser("classify", help="label the network type for a weight profile")
         p_cls.add_argument("--weights", required=True, metavar="W1,W2,W3")
         p_cls.set_defaults(handler=cmd_classify)
 

@@ -60,10 +60,13 @@ def mobility(rec: MobilityRecord, metric: MobilityMetric = MobilityMetric.EUCLID
     """
     if not rec.elapsed > 0:
         raise ScenarioValidationError("elapsed time between position records must be > 0")
+    a, b = rec.pos_t1, rec.pos_t2
     if metric is MobilityMetric.MANHATTAN_RATE:
-        moved = manhattan_distance(rec.pos_t1, rec.pos_t2)
+        # in floats: two int legs, each in float range, may sum to an int past
+        # it, which no division takes
+        moved = float(abs(a.x - b.x)) + float(abs(a.y - b.y))
     else:
-        moved = euclidean_distance(rec.pos_t1, rec.pos_t2)
+        moved = euclidean_distance(a, b)
     return moved / rec.elapsed
 
 
@@ -84,7 +87,8 @@ def is_cooperative(
     peers are the rival next-hop candidates (the in-range neighbors of prev).
     Clauses, cheapest first: residual energy above the threshold (strictly,
     unless the scenario relaxes it), candidate's mobility minimal over the
-    peers' mobilities (ties pass), and candidate in range of prev. The first
+    peers' mobilities (`rate <= peer`, so ties pass and a NaN rate on either
+    side fails), and candidate in range of prev. The first
     clause that fails decides. `rates` maps node ids to their mobility under
     the scenario's metric (see `mobility_rates`) and must cover the candidate
     and every peer, so each mobility is computed once and the mobility clause
@@ -97,7 +101,7 @@ def is_cooperative(
         return False
     rate = rates[candidate.id]
     for p in peers:
-        if rates[p.id] < rate:
+        if not rate <= rates[p.id]:
             return False
     reach, metric = config.transmission_range, config.distance_metric
     return has_comm_capability(prev.position, candidate.position, reach, metric) == 1

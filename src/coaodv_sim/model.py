@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -171,78 +172,103 @@ class SimMetrics(NamedTuple):
 
 
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
-    """Return `config` unchanged iff every invariant holds, else raise a
-    ScenarioValidationError whose message names the field or the node.
+    """Return `config` unchanged iff every field has its exact type and every
+    invariant holds, else raise a ScenarioValidationError whose message names
+    the field or the node: the one check of a scenario's values, for a file
+    and a config built in Python alike. Nothing is converted.
 
-    Checks: finite area, range, threshold, energies and elapsed times;
-    nonnegative area, unique nonnegative ids, both position epochs inside the
-    area, nonnegative energies, positive transmission range, nonnegative
-    threshold, probabilities in [0, 1], positive elapsed times, and a
-    nonnegative seed (random.Random(-s) draws the stream of random.Random(s)).
-    A message that would quote an int past the str() digit limit is replaced
-    by one that says so.
+    Types: a number is an `int` or a `float`, never a `bool`; the seed an
+    `int`, `threshold_strict` a `bool`, each metric a member of its enum, the
+    area a pair, the nodes a tuple. Invariants: the area, range, threshold,
+    energies and elapsed times finite (an int past float range is named), the
+    area, threshold, energies, ids and seed nonnegative (random.Random(-s)
+    draws the stream of random.Random(s)), ids unique, both position epochs
+    inside the area, the range and elapsed times positive, the drop
+    probability in [0, 1]. A message that would quote an int past the str()
+    digit limit is replaced by one that says so.
     """
-    width, height = config.area
     try:
-        _check_invariants(config, width, height)
+        _check_invariants(config)
     except ValueError:  # only from quoting an int past the str() digit limit in a message
         raise ScenarioValidationError("an integer has too many digits to print") from None
     return config
 
 
-def _check_invariants(config: ScenarioConfig, width: float, height: float) -> None:
-    for name, value in (
-        ("area width", width),
-        ("area height", height),
-        ("transmission_range", config.transmission_range),
-        ("energy_threshold", config.energy_threshold),
-    ):
-        if not math.isfinite(value):
-            raise ScenarioValidationError(f"{name} must be finite, got {value}")
-    if min(config.area) < 0:
+# Exact types, so that a bool is never a number and nothing is coerced.
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
+
+
+def _check_number(name: str, value) -> None:
+    """Raise unless `value` is an int or float in float range, compared, never converted."""
+    if type(value) not in _NUMBER_TYPES:
+        raise ScenarioValidationError(f"{name} must be a number, got {value!r}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        if type(value) is int:
+            raise ScenarioValidationError(f"{name} is an integer too large for a float")
+        raise ScenarioValidationError(f"{name} must be finite, got {value}")
+
+
+def _check_invariants(config: ScenarioConfig) -> None:
+    area = config.area
+    if type(area) is not tuple or len(area) != 2:
+        raise ScenarioValidationError(f"area must be [width, height], got {area!r}")
+    (width, height), reach, threshold = area, config.transmission_range, config.energy_threshold
+    for name, value in (("area width", width), ("area height", height),
+                        ("transmission_range", reach), ("energy_threshold", threshold)):
+        _check_number(name, value)
+    if min(area) < 0:
         raise ScenarioValidationError(f"area width and height must be >= 0, got {width}x{height}")
-    if config.transmission_range <= 0:
-        raise ScenarioValidationError(
-            f"transmission_range must be > 0, got {config.transmission_range}"
-        )
-    if config.energy_threshold < 0:
-        raise ScenarioValidationError(
-            f"energy_threshold must be >= 0, got {config.energy_threshold}"
-        )
-    if not 0.0 <= config.non_coop_drop_prob <= 1.0:
-        raise ScenarioValidationError(
-            f"non_coop_drop_prob must be in [0, 1], got {config.non_coop_drop_prob}"
-        )
-    if config.rng_seed < 0:
-        raise ScenarioValidationError(f"seed must be >= 0, got {config.rng_seed}")
+    if reach <= 0:
+        raise ScenarioValidationError(f"transmission_range must be > 0, got {reach}")
+    if threshold < 0:
+        raise ScenarioValidationError(f"energy_threshold must be >= 0, got {threshold}")
+    drop = config.non_coop_drop_prob
+    if type(drop) not in _NUMBER_TYPES:
+        raise ScenarioValidationError(f"non_coop_drop_prob must be a number, got {drop!r}")
+    if not 0.0 <= drop <= 1.0:
+        raise ScenarioValidationError(f"non_coop_drop_prob must be in [0, 1], got {drop}")
+    seed, strict = config.rng_seed, config.threshold_strict
+    if type(seed) is not int:
+        raise ScenarioValidationError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ScenarioValidationError(f"seed must be >= 0, got {seed}")
+    if type(strict) is not bool:
+        raise ScenarioValidationError(f"threshold_strict must be true or false, got {strict!r}")
+    for key, enum in (("distance_metric", DistanceMetric), ("mobility_metric", MobilityMetric)):
+        if type(value := getattr(config, key)) is not enum:
+            names = ", ".join(repr(m.value) for m in enum)
+            raise ScenarioValidationError(f"{key} must be one of {names}, got {value!r}")
+    if type(config.nodes) is not tuple:
+        raise ScenarioValidationError(f"nodes must be a tuple of NodeState, got {config.nodes!r}")
 
     seen: set[int] = set()
     for node in config.nodes:
-        if not isinstance(node.id, int) or isinstance(node.id, bool) or node.id < 0:
-            raise ScenarioValidationError(f"node id must be a nonnegative integer, got {node.id!r}")
-        if node.id in seen:
-            raise ScenarioValidationError(f"duplicate node id {node.id}")
-        seen.add(node.id)
-        # a finite area also rejects infinite and NaN coordinates here
-        for pos in (node.mobility_record.pos_t1, node.mobility_record.pos_t2):
+        node_id, rec, energy = node.id, node.mobility_record, node.energy
+        if type(node_id) is not int or node_id < 0:
+            raise ScenarioValidationError(f"node id must be a nonnegative integer, got {node_id!r}")
+        if node_id in seen:
+            raise ScenarioValidationError(f"duplicate node id {node_id}")
+        seen.add(node_id)
+        p1, p2, elapsed = rec.pos_t1, rec.pos_t2, rec.elapsed
+        values = (p1.x, p1.y, p2.x, p2.y, energy)
+        if not _NUMBER_TYPES.issuperset(map(type, values)):
+            raise ScenarioValidationError(
+                f"node {node_id}: positions and energy must be numbers, got {values!r}"
+            )
+        # a finite area also rejects infinite, NaN and too large coordinates here
+        for pos in (p1, p2):
             if not (0.0 <= pos.x <= width and 0.0 <= pos.y <= height):
                 raise ScenarioValidationError(
-                    f"node {node.id} position {(pos.x, pos.y)} outside area {width}x{height}"
+                    f"node {node_id} position {(pos.x, pos.y)} outside area {width}x{height}"
                 )
-        if not math.isfinite(node.energy):
+        if not 0 <= energy <= _FLOAT_MAX:
+            _check_number(f"node {node_id} energy", energy)
+            raise ScenarioValidationError(f"node {node_id} energy must be >= 0, got {energy}")
+        if not (type(elapsed) in _NUMBER_TYPES and 0 < elapsed <= _FLOAT_MAX):
+            _check_number(f"node {node_id} elapsed time", elapsed)
             raise ScenarioValidationError(
-                f"node {node.id} energy must be finite, got {node.energy}"
-            )
-        if node.energy < 0:
-            raise ScenarioValidationError(f"node {node.id} energy must be >= 0, got {node.energy}")
-        elapsed = node.mobility_record.elapsed
-        if not math.isfinite(elapsed):
-            raise ScenarioValidationError(
-                f"node {node.id} elapsed time must be finite, got {elapsed}"
-            )
-        if not elapsed > 0:
-            raise ScenarioValidationError(
-                f"elapsed time between position records must be > 0 (node {node.id})"
+                f"elapsed time between position records must be > 0 (node {node_id})"
             )
 
 
@@ -256,26 +282,12 @@ _KEYS = frozenset(
 _NODE_KEYS = frozenset(("id", "pos_t1", "pos_t2", "energy"))
 
 
-# Exact JSON types, so that a bool is never a number and nothing is coerced.
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _number(value, name: str) -> float:
-    if type(value) not in _NUMBER_TYPES:
-        raise ScenarioValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond float range
-        raise ScenarioValidationError(f"{name} is an integer too large for a float") from None
-
-
-def _metric(enum: type[Enum], doc: dict, key: str, default: str):
-    value = doc.get(key, default)
+def _member(enum: type[Enum], value):
+    """The member of `enum` that `value` names, else `value`, for validate_scenario to name."""
     try:
         return enum(value)
     except ValueError:
-        names = ", ".join(repr(m.value) for m in enum)
-        raise ScenarioValidationError(f"{key} must be one of {names}, got {value!r}") from None
+        return value
 
 
 def _node_label(entry: dict, index: int) -> str:
@@ -299,9 +311,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     mobility_metric ("euclidean_rate"), threshold_strict (true),
     non_coop_drop_prob (1.0), seed (0), elapsed_time (1.0, applied to every node).
 
-    Raises ScenarioValidationError for structural problems, for keys the schema
-    does not name, for values of the wrong JSON type and for ints too long to
-    print; validate_scenario checks the invariants and raises the same type.
+    Only the document's shape is checked: a ScenarioValidationError names an
+    object or array of the wrong shape, a missing, unknown or repeated key, an
+    `elapsed_time` that is no number (no field holds it if there are no nodes)
+    and an int too long to print. Values are kept as written, a metric name as
+    its member; validate_scenario checks their types and bounds.
     """
     try:
         return _from_dict(doc)
@@ -318,8 +332,10 @@ def _from_dict(doc: dict) -> ScenarioConfig:
     if missing:
         raise ScenarioValidationError(f"missing required keys: {', '.join(missing)}")
     _check_keys(doc, _KEYS, "scenario")
+    elapsed = doc.get("elapsed_time", 1.0)
+    if type(elapsed) not in _NUMBER_TYPES:
+        raise ScenarioValidationError(f"elapsed_time must be a number, got {elapsed!r}")
     try:
-        elapsed = _number(doc.get("elapsed_time", 1.0), "elapsed_time")
         entries = doc["nodes"]
         if type(entries) is not list:
             raise ScenarioValidationError(
@@ -341,45 +357,29 @@ def _from_dict(doc: dict) -> ScenarioConfig:
                     f"node {entry['id']!r}: pos_t1 and pos_t2 must each be [x, y], "
                     f"got {entry['pos_t1']!r} and {entry['pos_t2']!r}"
                 ) from None
-            values = (x1, y1, x2, y2, entry["energy"])
-            if not _NUMBER_TYPES.issuperset(map(type, values)):
-                raise ScenarioValidationError(
-                    f"node {entry['id']!r}: positions and energy must be numbers, got {values!r}"
-                )
-            try:
-                x1, y1, x2, y2, energy = map(float, values)
-            except OverflowError:  # name the first key whose value overflows
-                for key, value in zip(("pos_t1", "pos_t1", "pos_t2", "pos_t2", "energy"), values):
-                    _number(value, f"{_node_label(entry, len(nodes))}: {key}")
             record = MobilityRecord(Position(x1, y1), Position(x2, y2), elapsed)
-            nodes.append(NodeState(entry["id"], record, energy))
+            nodes.append(NodeState(entry["id"], record, entry["energy"]))
         area = doc["area"]
         try:
             width, height = area
         except (TypeError, ValueError):
             raise ScenarioValidationError(f"area must be [width, height], got {area!r}") from None
-        seed, strict = doc.get("seed", 0), doc.get("threshold_strict", True)
-        if type(seed) is not int:
-            raise ScenarioValidationError(f"seed must be an integer, got {seed!r}")
-        if type(strict) is not bool:
-            raise ScenarioValidationError(f"threshold_strict must be true or false, got {strict!r}")
-        config = ScenarioConfig(
+        return ScenarioConfig(
             nodes=tuple(nodes),
-            area=(_number(width, "area"), _number(height, "area")),
-            transmission_range=_number(doc["transmission_range"], "transmission_range"),
-            energy_threshold=_number(doc["energy_threshold"], "energy_threshold"),
-            distance_metric=_metric(DistanceMetric, doc, "distance_metric", "manhattan"),
-            mobility_metric=_metric(MobilityMetric, doc, "mobility_metric", "euclidean_rate"),
-            threshold_strict=strict,
-            non_coop_drop_prob=_number(doc.get("non_coop_drop_prob", 1.0), "non_coop_drop_prob"),
-            rng_seed=seed,
+            area=(width, height),
+            transmission_range=doc["transmission_range"],
+            energy_threshold=doc["energy_threshold"],
+            distance_metric=_member(DistanceMetric, doc.get("distance_metric", "manhattan")),
+            mobility_metric=_member(MobilityMetric, doc.get("mobility_metric", "euclidean_rate")),
+            threshold_strict=doc.get("threshold_strict", True),
+            non_coop_drop_prob=doc.get("non_coop_drop_prob", 1.0),
+            rng_seed=doc.get("seed", 0),
         )
     except KeyError as exc:  # the required keys are present, so a node lacks this one
         # a four-key node that lacks a schema key holds an unknown one in its place
         where = _node_label(entry, len(nodes))
         _check_keys(entry, _NODE_KEYS, where)
         raise ScenarioValidationError(f"{where}: missing key {exc}") from None
-    return config
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

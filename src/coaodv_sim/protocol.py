@@ -97,8 +97,11 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
     mobile neighbor sets the mobility bar, so it stands in for all the peers.
     Every flag starts False, and the predicate is asked only for a neighbor
     that meets the bar: for any other, its mobility clause fails by the same
-    comparison, so the flag stays False. Each table lists its neighbors in
-    adjacency order.
+    comparison, `rate <= bar`, so the flag stays False. A NaN rate, which only
+    a config that skipped validation can hold (a node at infinity), fails that
+    comparison both ways: its own edges never meet a bar, and an owner with
+    such a neighbor gets a bar of -inf, which no rate meets. Each table lists
+    its neighbors in adjacency order.
 
     At the bar a verdict depends on the candidate alone, so it is asked once
     per candidate per round, at its first edge that meets a bar, and reused
@@ -111,15 +114,18 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
     adj = _adjacency(config)
     by_id = config.node_map()
     rates = mobility_rates((by_id[u] for u, nbrs in adj.items() if nbrs), config.mobility_metric)
+    bars = rates  # each rate as a bar: a NaN one as -inf, so that it sets the bar
+    if any(map(math.isnan, rates.values())):
+        bars = {u: -math.inf if math.isnan(r) else r for u, r in rates.items()}
     tables: dict[int, NeighborTable] = {}
     at_bar: dict[int, NeighborEntry] = {}  # this round's entry of each candidate at a bar
     for owner, neighbor_ids in adj.items():
         entries = dict.fromkeys(neighbor_ids, _ENTRY[False])
         if neighbor_ids:
-            bar = by_id[min(neighbor_ids, key=rates.__getitem__)]
-            low, prev, peers = rates[bar.id], by_id[owner], [bar]
+            bar = min(neighbor_ids, key=bars.__getitem__)
+            low, prev, peers = bars[bar], by_id[owner], [by_id[bar]]
             for v in neighbor_ids:
-                if not low < rates[v]:
+                if rates[v] <= low:
                     entry = at_bar.get(v)
                     if entry is None:
                         verdict = is_cooperative(by_id[v], prev, peers, config, rates)

@@ -4,13 +4,14 @@ script's own path, `python -m coaodv_sim.cli`, which reads `sys.argv`. A call
 builds only the subparser that argv[0] names, so each command's help is also
 checked against the full parser's.
 
-Help text is rendered at 80 columns. argparse wraps a long usage line at
+Help text is rendered at 80 columns, and once at 60. argparse wraps a long usage line at
 different words from one Python version to the next (3.13 keeps an option and
 its metavars on one line), so the usage paragraph of a help text is compared
 with its line breaks taken out; every other byte is compared as it is."""
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 
@@ -113,6 +114,43 @@ usage: coaodv-sim classify [-h] --weights W1,W2,W3
 options:
   -h, --help          show this help message and exit
   --weights W1,W2,W3
+"""
+
+RUN_HELP_AT_60_COLUMNS = """\
+usage: coaodv-sim run [-h] --protocol {aodv,coaodv}
+                      --flows SRC:DST:COUNT
+                      [SRC:DST:COUNT ...] [--seed SEED]
+                      [--out OUT] [--threshold THRESHOLD]
+                      [--range RANGE]
+                      [--distance-metric {manhattan,euclidean}]
+                      [--mobility-metric {euclidean_rate,manhattan_rate}]
+                      [--strict | --no-strict]
+                      [--drop-prob DROP_PROB]
+                      path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --protocol {aodv,coaodv}
+  --flows SRC:DST:COUNT [SRC:DST:COUNT ...]
+                        one or more flows
+  --seed SEED           override the scenario seed
+  --out OUT             write a CSV report here
+  --threshold THRESHOLD
+                        override energy threshold
+  --range RANGE         override transmission range
+  --distance-metric {manhattan,euclidean}
+                        override metric
+  --mobility-metric {euclidean_rate,manhattan_rate}
+                        override mobility mode
+  --strict, --no-strict
+                        energy strictly above threshold
+                        (--no-strict allows equality)
+  --drop-prob DROP_PROB
+                        override non-cooperative drop
+                        probability
 """
 
 MISSING_COMMAND = "error: the following arguments are required: command\n"
@@ -218,6 +256,29 @@ def test_argv_exit_code_stdout_and_stderr(at_root, capsys, case):
     assert main(list(argv)) == code
     got = capsys.readouterr()
     assert (_unwrapped(got.out), got.err) == (_unwrapped(out), err)
+
+
+def test_help_wraps_at_the_terminal_width(at_root, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "60")
+    assert main(["run", "--help"]) == 0
+    got = capsys.readouterr()
+    assert (_unwrapped(got.out), got.err) == (_unwrapped(RUN_HELP_AT_60_COLUMNS), "")
+
+
+@pytest.mark.parametrize("case", ARGV)
+def test_each_command_line_looks_up_the_terminal_width_once(at_root, monkeypatch, capsys, case):
+    # argparse's HelpFormatter looks it up whenever it is built without a width
+    calls = []
+    lookup = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lookup(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    main(list(ARGV[case][0]))
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_validate_prints_one_line_for_a_name_with_a_newline(capsys, tmp_path):

@@ -812,7 +812,7 @@ def test_negative_seed_is_invalid(tmp_path, capsys):
 @pytest.mark.parametrize("area", [[-5, -5], [10, -1], [-1, 10]])
 def test_negative_area_is_invalid(tmp_path, capsys, area):
     doc = {"nodes": [], "area": area, "transmission_range": 20, "energy_threshold": 500}
-    message = "area width and height must be >= 0, got {:.1f}x{:.1f}".format(*area)
+    message = "area width and height must be >= 0, got {}x{}".format(*area)
     with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$"):
         validate_scenario(scenario_from_dict(doc))
     assert _validate_doc(tmp_path, doc) == 2

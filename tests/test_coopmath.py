@@ -25,6 +25,7 @@ from coaodv_sim.model import (
     MobilityRecord,
     Position,
     WeightProfile,
+    validate_scenario,
 )
 
 from . import graph_reference
@@ -78,6 +79,18 @@ def test_mobility_manhattan_mode_differs_on_diagonal_movement():
     rec = MobilityRecord(Position(35, 35), Position(38, 38), elapsed=1.0)
     assert mobility(rec, MobilityMetric.MANHATTAN_RATE) == 6.0
     assert mobility(rec, MobilityMetric.EUCLIDEAN_RATE) == pytest.approx(math.sqrt(18))
+
+
+def test_mobility_of_int_legs_past_float_range_together_is_infinite():
+    # a config holds ints as written: each leg fits a float, their sum does not
+    top = int(sys.float_info.max)
+    config = make_scenario(
+        [make_node(0, 0, 0, top, top, elapsed=1)], area=(top, top), transmission_range=1
+    )
+    validate_scenario(config)
+    (node,) = config.nodes
+    assert mobility(node.mobility_record, MobilityMetric.MANHATTAN_RATE) == math.inf
+    assert mobility(node.mobility_record, MobilityMetric.EUCLIDEAN_RATE) == math.inf
 
 
 def rates(*nodes):

@@ -1,0 +1,179 @@
+"""Hostile library calls as a property: the public entry points called from
+Python with values of the wrong type or at the edge of a number.
+
+(a) `sim.Flow`, `sim.run`, `sim.compare`, `aodv_discover` and
+`coaodv_discover` get a bool, a float, a negative or huge int, a string or
+None in place of a node id, a seed or a packet count. Each call either equals
+the call with the int that the value equals, or raises `ValueError` or
+`UnknownNode`.
+
+(b) `validate_scenario` gets the bundled scenario with one field, or one
+node's energy, coordinate or elapsed time, replaced by a bool, a string,
+None, NaN, an infinity, an int past float range or past the str() digit
+limit, or a number of the other type equal to the bundled one. Each call
+either raises `ScenarioValidationError`, or accepts a config whose values
+equal the bundled ones: a number as an int or a float, anything else of its
+own type. A seed may be any non-negative int and `threshold_strict` either
+bool, so there each valid value is accepted as itself.
+
+No call raises any other exception.
+"""
+
+import dataclasses
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from coaodv_sim import sim
+from coaodv_sim.errors import ScenarioValidationError, UnknownNode
+from coaodv_sim.model import Protocol, load_scenario, validate_scenario
+from coaodv_sim.protocol import aodv_discover, coaodv_discover
+
+from .conftest import PAPER_SCENARIO
+
+# one config for every call, at a drop probability at which aodv runs draw
+CONFIG = dataclasses.replace(load_scenario(PAPER_SCENARIO), non_coop_drop_prob=0.5)
+
+HUGE, UNPRINTABLE = 10**400, 10**5000  # past float range; past the str() digit limit
+
+# in place of an int: one that equals it in another type, or no int at all
+ARGUMENTS = (
+    True, False, 0.0, 1.0, 4.0, 9.0, 1.5, -1, -(2**64), 2**64, HUGE, -HUGE, UNPRINTABLE,
+    math.nan, math.inf, "4", "", None,
+)
+
+# each entry point as (name, call of the replaced argument)
+FLOWS = (sim.Flow(0, 9, 5), sim.Flow(4, 9, 5))
+CALLS = {
+    "Flow source": lambda v: sim.Flow(v, 9, 5),
+    "Flow destination": lambda v: sim.Flow(4, v, 5),
+    "Flow packets": lambda v: sim.Flow(4, 9, v),
+    "run seed aodv": lambda v: sim.run(CONFIG, Protocol.AODV, FLOWS, v),
+    "run seed coaodv": lambda v: sim.run(CONFIG, Protocol.COAODV, FLOWS, v),
+    "compare seed": lambda v: sim.compare(CONFIG, FLOWS, [v]),
+    "compare later seed": lambda v: sim.compare(CONFIG, FLOWS, [1, v]),
+    "aodv source": lambda v: aodv_discover(v, 9, CONFIG),
+    "aodv destination": lambda v: aodv_discover(4, v, CONFIG),
+    "coaodv source": lambda v: coaodv_discover(v, 9, CONFIG),
+    "coaodv destination": lambda v: coaodv_discover(4, v, CONFIG),
+}
+
+
+def _int_equal_to(value):
+    """The int that `value` equals, or None if it equals none."""
+    if type(value) in (bool, float) and math.isfinite(value) and value == int(value):
+        return int(value)
+    return None
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(sorted(CALLS)), st.sampled_from(ARGUMENTS))
+def test_library_calls_return_the_int_call_or_a_named_error(name, value):
+    call = CALLS[name]
+    try:
+        result = call(value)
+    except (ValueError, UnknownNode):
+        return
+    exact = _int_equal_to(value)
+    if exact is not None:
+        assert result == call(exact)
+
+
+BUNDLED = load_scenario(PAPER_SCENARIO)
+NODE = 3  # the node whose own values are replaced
+
+HOSTILE = (
+    True, False, "20", "", "manhattan", None, math.nan, math.inf, -math.inf,
+    HUGE, -HUGE, UNPRINTABLE, -UNPRINTABLE,
+)
+
+
+def _replace_node(config, **changes):
+    """`config` with node NODE's energy, elapsed time or a coordinate replaced."""
+    def changed(node):
+        rec = node.mobility_record
+        if "energy" in changes:
+            return dataclasses.replace(node, energy=changes["energy"])
+        if "elapsed" in changes:
+            return dataclasses.replace(node, mobility_record=dataclasses.replace(rec, **changes))
+        pos_t1 = dataclasses.replace(rec.pos_t1, **changes)
+        return dataclasses.replace(node, mobility_record=dataclasses.replace(rec, pos_t1=pos_t1))
+
+    nodes = tuple(changed(n) if n.id == NODE else n for n in config.nodes)
+    return dataclasses.replace(config, nodes=nodes)
+
+
+def _with_area(index):
+    def change(config, value):
+        area = list(config.area)
+        area[index] = value
+        return dataclasses.replace(config, area=tuple(area))
+    return change
+
+
+# each place a value goes: (how to put it there, how to read it back)
+PLACES = {
+    **{
+        f.name: (
+            lambda config, value, name=f.name: dataclasses.replace(config, **{name: value}),
+            lambda config, name=f.name: getattr(config, name),
+        )
+        for f in dataclasses.fields(BUNDLED)
+    },
+    "area width": (_with_area(0), lambda config: config.area[0]),
+    "area height": (_with_area(1), lambda config: config.area[1]),
+    **{
+        key: (
+            lambda config, value, key=key: _replace_node(config, **{key: value}),
+            read,
+        )
+        for key, read in (
+            ("energy", lambda c: c.node_map()[NODE].energy),
+            ("elapsed", lambda c: c.node_map()[NODE].mobility_record.elapsed),
+            ("x", lambda c: c.node_map()[NODE].mobility_record.pos_t1.x),
+            ("y", lambda c: c.node_map()[NODE].mobility_record.pos_t1.y),
+        )
+    },
+}
+
+NUMBERS = (int, float)
+
+# the places whose valid values the replacements hold besides the bundled one
+VALID = {
+    "rng_seed": lambda value: type(value) is int and value >= 0,
+    "threshold_strict": lambda value: type(value) is bool,
+}
+
+
+def _same(value, bundled) -> bool:
+    """Whether `value` may stand for `bundled`: equal, and a number for a
+    number or of the bundled value's own type."""
+    if type(bundled) in NUMBERS:
+        return type(value) in NUMBERS and value == bundled
+    return type(value) is type(bundled) and value == bundled
+
+
+@st.composite
+def replacements(draw):
+    place = draw(st.sampled_from(sorted(PLACES)))
+    bundled = PLACES[place][1](BUNDLED)
+    # a number of the other type equal to the bundled value, where there is one
+    numeric = type(bundled) in (bool, *NUMBERS)
+    equal = [v for v in (int(bundled), float(bundled)) if v == bundled] if numeric else []
+    return place, draw(st.sampled_from([*equal, *HOSTILE]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(replacements())
+def test_validation_accepts_only_the_values_it_was_given(replacement):
+    place, value = replacement
+    put, read = PLACES[place]
+    config = put(BUNDLED, value)
+    try:
+        validate_scenario(config)
+    except ScenarioValidationError:
+        return
+    if place in VALID:
+        assert VALID[place](value)
+    else:
+        assert _same(read(config), read(BUNDLED))

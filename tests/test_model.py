@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -121,10 +122,10 @@ INVARIANTS = {
         lambda d: d.update(energy_threshold=-INF), "energy_threshold must be finite, got -inf"
     ),
     "negative-area": (
-        lambda d: d.update(area=[-5, 10]), "area width and height must be >= 0, got -5.0x10.0"
+        lambda d: d.update(area=[-5, 10]), "area width and height must be >= 0, got -5x10"
     ),
     "range-zero": (
-        lambda d: d.update(transmission_range=0), "transmission_range must be > 0, got 0.0"
+        lambda d: d.update(transmission_range=0), "transmission_range must be > 0, got 0"
     ),
     "negative-threshold": (
         lambda d: d.update(energy_threshold=-0.5), "energy_threshold must be >= 0, got -0.5"
@@ -143,13 +144,13 @@ INVARIANTS = {
     "float-id": (_set_node(0, id=1.0), "node id must be a nonnegative integer, got 1.0"),
     "duplicate-id": (_set_node(1, id=0), "duplicate node id 0"),
     "outside-at-pos-t1": (
-        _set_node(3, pos_t1=[150, 10]), "node 3 position (150.0, 10.0) outside area 100.0x100.0"
+        _set_node(3, pos_t1=[150, 10]), "node 3 position (150, 10) outside area 100x100"
     ),
     "outside-at-pos-t2": (
-        _set_node(3, pos_t2=[10, 101]), "node 3 position (10.0, 101.0) outside area 100.0x100.0"
+        _set_node(3, pos_t2=[10, 101]), "node 3 position (10, 101) outside area 100x100"
     ),
     "energy-inf": (_set_node(3, energy=INF), "node 3 energy must be finite, got inf"),
-    "negative-energy": (_set_node(3, energy=-3), "node 3 energy must be >= 0, got -3.0"),
+    "negative-energy": (_set_node(3, energy=-3), "node 3 energy must be >= 0, got -3"),
     "elapsed-nan": (
         lambda d: d.update(elapsed_time=NAN), "node 0 elapsed time must be finite, got nan"
     ),
@@ -217,8 +218,9 @@ def test_malformed_node_entry_is_format_error():
         scenario_from_dict(doc)
 
 
-# Each change to a small document that makes its message quote an int past
-# the str() digit limit, which only a dict built in Python can hold.
+# Each change to a small document that makes its message, from the reader or
+# from validation, quote an int past the str() digit limit, which only a dict
+# built in Python can hold.
 HUGE = 10**5000
 SMALL_DOC = {
     "nodes": [{"id": 0, "pos_t1": [1, 2], "pos_t2": [1, 2], "energy": 5}],
@@ -242,7 +244,7 @@ UNPRINTABLE_INTS = {
 @pytest.mark.parametrize("case", sorted(UNPRINTABLE_INTS))
 def test_an_int_too_long_to_print_is_named(case):
     with _rejects("an integer has too many digits to print"):
-        scenario_from_dict({**SMALL_DOC, **UNPRINTABLE_INTS[case]})
+        validate_scenario(scenario_from_dict({**SMALL_DOC, **UNPRINTABLE_INTS[case]}))
 
 
 # Configs built in Python whose invariant messages would quote an int past the
@@ -263,11 +265,89 @@ def test_validation_names_an_int_too_long_to_print(case):
         validate_scenario(UNPRINTABLE_CONFIGS[case]())
 
 
-def test_validation_keeps_the_unpacking_error_of_a_bad_area():
-    # only a message's int is renamed: a config whose area is no pair still
-    # fails as Python unpacks it
-    with pytest.raises(ValueError, match="^too many values to unpack"):
+def test_validation_names_an_area_that_is_no_pair():
+    with _rejects("area must be [width, height], got (1.0, 2.0, 3.0)"):
         validate_scenario(make_scenario([], area=(1.0, 2.0, 3.0)))
+
+
+# (ScenarioConfig field, value set from Python, the message that names it)
+PYTHON_MISUSE = {
+    "string-range": ("transmission_range", "20", "transmission_range must be a number, got '20'"),
+    "none-drop-probability": (
+        "non_coop_drop_prob", None, "non_coop_drop_prob must be a number, got None"
+    ),
+    "range-past-float-range": (
+        "transmission_range", 10**400, "transmission_range is an integer too large for a float"
+    ),
+    "string-flag": ("threshold_strict", "no", "threshold_strict must be true or false, got 'no'"),
+    "int-flag": ("threshold_strict", 1, "threshold_strict must be true or false, got 1"),
+    "fractional-seed": ("rng_seed", 1.5, "seed must be an integer, got 1.5"),
+    "bool-threshold": ("energy_threshold", True, "energy_threshold must be a number, got True"),
+    "unknown-distance-metric": (
+        "distance_metric",
+        "chebyshev",
+        "distance_metric must be one of 'manhattan', 'euclidean', got 'chebyshev'",
+    ),
+    # a metric is its enum member: a name would compare unequal to it where it is tested
+    "distance-metric-name": (
+        "distance_metric",
+        "euclidean",
+        "distance_metric must be one of 'manhattan', 'euclidean', got 'euclidean'",
+    ),
+    "unknown-mobility-metric": (
+        "mobility_metric",
+        "x",
+        "mobility_metric must be one of 'euclidean_rate', 'manhattan_rate', got 'x'",
+    ),
+    "area-of-three": (
+        "area", (100.0, 100.0, 5.0), "area must be [width, height], got (100.0, 100.0, 5.0)"
+    ),
+    "nodes-none": ("nodes", None, "nodes must be a tuple of NodeState, got None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PYTHON_MISUSE))
+def test_a_config_built_in_python_is_checked_as_a_file_is(paper_scenario, case):
+    field, value, message = PYTHON_MISUSE[case]
+    with _rejects(message):
+        validate_scenario(dataclasses.replace(paper_scenario, **{field: value}))
+
+
+def test_a_node_built_in_python_is_checked_as_a_file_is(paper_scenario):
+    node = paper_scenario.nodes[3]
+    for changed, message in (
+        (dataclasses.replace(node, energy="300"),
+         "node 3: positions and energy must be numbers, got (30, 10, 34, 10, '300')"),
+        (dataclasses.replace(node, energy=-(10**400)),
+         "node 3 energy is an integer too large for a float"),
+        (dataclasses.replace(
+            node, mobility_record=dataclasses.replace(node.mobility_record, elapsed=False)),
+         "node 3 elapsed time must be a number, got False"),
+    ):
+        nodes = tuple(changed if n is node else n for n in paper_scenario.nodes)
+        with _rejects(message):
+            validate_scenario(dataclasses.replace(paper_scenario, nodes=nodes))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(threshold_strict="no"), "threshold_strict must be true or false, got 'no'"),
+    ],
+)
+def test_a_type_message_reads_the_same_for_a_file(tmp_path, capsys, change, message):
+    doc = {**json.loads(PAPER_SCENARIO.read_text()), **change}
+    assert _validate(tmp_path, doc) == 2
+    assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
+
+
+def test_a_file_keeps_its_numbers_as_written(paper_scenario):
+    assert paper_scenario.transmission_range == 20
+    assert type(paper_scenario.transmission_range) is int
+    assert paper_scenario.non_coop_drop_prob == 1.0
+    assert type(paper_scenario.non_coop_drop_prob) is float
+    assert {type(n.energy) for n in paper_scenario.nodes} == {int}
 
 
 def test_non_object_document_is_format_error():
@@ -295,26 +375,28 @@ NAMED_KEYS = {
         lambda d: d.update(energy_threshold=-BIG),
         "energy_threshold is an integer too large for a float",
     ),
-    "area": (lambda d: d["area"].__setitem__(1, BIG), "area is an integer too large for a float"),
+    "area": (
+        lambda d: d["area"].__setitem__(1, BIG), "area height is an integer too large for a float"
+    ),
     "elapsed_time": (
         lambda d: d.update(elapsed_time=BIG),
-        "elapsed_time is an integer too large for a float",
+        "node 0 elapsed time is an integer too large for a float",
     ),
     "pos_t1": (
         lambda d: d["nodes"][3]["pos_t1"].__setitem__(1, BIG),
-        "node 3: pos_t1 is an integer too large for a float",
+        f"node 3 position (30, {BIG}) outside area 100x100",
     ),
     "pos_t2": (
         lambda d: d["nodes"][4]["pos_t2"].__setitem__(0, -BIG),
-        "node 4: pos_t2 is an integer too large for a float",
+        f"node 4 position ({-BIG}, 30) outside area 100x100",
     ),
     "non_coop_drop_prob": (
         lambda d: d.update(non_coop_drop_prob=BIG),
-        "non_coop_drop_prob is an integer too large for a float",
+        f"non_coop_drop_prob must be in [0, 1], got {BIG}",
     ),
     "energy": (
         lambda d: d["nodes"][3].update(energy=BIG),
-        "node 3: energy is an integer too large for a float",
+        "node 3 energy is an integer too large for a float",
     ),
 }
 
