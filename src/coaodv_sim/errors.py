@@ -3,6 +3,15 @@
 import math
 
 
+def quoted(value) -> str:
+    """`repr(value)` for a message; an int past the str() digit limit, which
+    repr refuses, is described instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "an integer with too many digits to print"
+
+
 class SimulatorError(Exception):
     """The base of the error types this package defines."""
 
@@ -14,7 +23,7 @@ class ScenarioValidationError(SimulatorError):
 
 class UnknownNode(SimulatorError):
     def __init__(self, node_id: int):
-        super().__init__(f"unknown node id {node_id}")
+        super().__init__(f"unknown node id {quoted(node_id)}")
         self.node_id = node_id
 
 

@@ -179,13 +179,13 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
 
     Types: a number is an `int` or a `float`, never a `bool`; the seed an
     `int`, `threshold_strict` a `bool`, each metric a member of its enum, the
-    area a pair, the nodes a tuple. Invariants: the area, range, threshold,
-    energies and elapsed times finite (an int past float range is named), the
-    area, threshold, energies, ids and seed nonnegative (random.Random(-s)
-    draws the stream of random.Random(s)), ids unique, both position epochs
-    inside the area, the range and elapsed times positive, the drop
-    probability in [0, 1]. A message that would quote an int past the str()
-    digit limit is replaced by one that says so.
+    area a pair, the nodes a tuple. Each number but an id or the seed passes
+    `_check_number` before its own bound: it is finite, and an int past float
+    range is named by its key, never printed. Bounds: the area, threshold,
+    energies, ids and seed nonnegative (random.Random(-s) draws the stream of
+    random.Random(s)), ids unique, both position epochs inside the area, the
+    range and elapsed times positive, the drop probability in [0, 1]. A
+    message that would quote an int past the str() digit limit says so instead.
     """
     try:
         _check_invariants(config)
@@ -214,8 +214,10 @@ def _check_invariants(config: ScenarioConfig) -> None:
     if type(area) is not tuple or len(area) != 2:
         raise ScenarioValidationError(f"area must be [width, height], got {area!r}")
     (width, height), reach, threshold = area, config.transmission_range, config.energy_threshold
+    drop = config.non_coop_drop_prob
     for name, value in (("area width", width), ("area height", height),
-                        ("transmission_range", reach), ("energy_threshold", threshold)):
+                        ("transmission_range", reach), ("energy_threshold", threshold),
+                        ("non_coop_drop_prob", drop)):
         _check_number(name, value)
     if min(area) < 0:
         raise ScenarioValidationError(f"area width and height must be >= 0, got {width}x{height}")
@@ -223,9 +225,6 @@ def _check_invariants(config: ScenarioConfig) -> None:
         raise ScenarioValidationError(f"transmission_range must be > 0, got {reach}")
     if threshold < 0:
         raise ScenarioValidationError(f"energy_threshold must be >= 0, got {threshold}")
-    drop = config.non_coop_drop_prob
-    if type(drop) not in _NUMBER_TYPES:
-        raise ScenarioValidationError(f"non_coop_drop_prob must be a number, got {drop!r}")
     if not 0.0 <= drop <= 1.0:
         raise ScenarioValidationError(f"non_coop_drop_prob must be in [0, 1], got {drop}")
     seed, strict = config.rng_seed, config.threshold_strict
@@ -256,9 +255,10 @@ def _check_invariants(config: ScenarioConfig) -> None:
             raise ScenarioValidationError(
                 f"node {node_id}: positions and energy must be numbers, got {values!r}"
             )
-        # a finite area also rejects infinite, NaN and too large coordinates here
         for pos in (p1, p2):
             if not (0.0 <= pos.x <= width and 0.0 <= pos.y <= height):
+                for value in (pos.x, pos.y):  # named by its key if not finite
+                    _check_number(f"node {node_id} pos_t{1 if pos is p1 else 2}", value)
                 raise ScenarioValidationError(
                     f"node {node_id} position {(pos.x, pos.y)} outside area {width}x{height}"
                 )
@@ -311,11 +311,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     mobility_metric ("euclidean_rate"), threshold_strict (true),
     non_coop_drop_prob (1.0), seed (0), elapsed_time (1.0, applied to every node).
 
-    Only the document's shape is checked: a ScenarioValidationError names an
-    object or array of the wrong shape, a missing, unknown or repeated key, an
-    `elapsed_time` that is no number (no field holds it if there are no nodes)
-    and an int too long to print. Values are kept as written, a metric name as
-    its member; validate_scenario checks their types and bounds.
+    Only the document's shape is checked, and `elapsed_time`, the one value no
+    field holds: a ScenarioValidationError names an object or array of the
+    wrong shape, a missing, unknown or repeated key, an int too long to print,
+    and an `elapsed_time` that fails `_check_number` or is not > 0. Values are
+    kept as written, a metric name as its member; validate_scenario checks them.
     """
     try:
         return _from_dict(doc)
@@ -333,8 +333,9 @@ def _from_dict(doc: dict) -> ScenarioConfig:
         raise ScenarioValidationError(f"missing required keys: {', '.join(missing)}")
     _check_keys(doc, _KEYS, "scenario")
     elapsed = doc.get("elapsed_time", 1.0)
-    if type(elapsed) not in _NUMBER_TYPES:
-        raise ScenarioValidationError(f"elapsed_time must be a number, got {elapsed!r}")
+    _check_number("elapsed_time", elapsed)
+    if elapsed <= 0:
+        raise ScenarioValidationError(f"elapsed_time must be > 0, got {elapsed}")
     try:
         entries = doc["nodes"]
         if type(entries) is not list:

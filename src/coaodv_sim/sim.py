@@ -19,7 +19,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from . import protocol
-from .errors import NoCooperativeRoute, NoRoute
+from .errors import NoCooperativeRoute, NoRoute, quoted
 from .model import FlowMetrics, Protocol, ScenarioConfig, SimMetrics
 
 log = logging.getLogger("coaodv_sim.sim")
@@ -47,7 +47,7 @@ class Flow(_FlowFields):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         # sys.maxsize is the most packets the repeat() in _delivered can count
         if not 1 <= packets <= sys.maxsize:
-            raise ValueError(f"packets must be from 1 to {sys.maxsize}, got {packets}")
+            raise ValueError(f"packets must be from 1 to {sys.maxsize}, got {quoted(packets)}")
         return super().__new__(cls, source, destination, packets)
 
     @classmethod
@@ -131,7 +131,7 @@ def run(
     discovering or logging again; a run that draws is computed every time.
     """
     if type(seed) is not int or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValueError(f"seed must be a non-negative integer, got {quoted(seed)}")
     if not flows:  # nothing to discover: no topology is built
         return _new(SimMetrics, (proto, ()))
     _, memo = protocol._topology(scenario)

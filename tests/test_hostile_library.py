@@ -5,7 +5,8 @@ Python with values of the wrong type or at the edge of a number.
 `coaodv_discover` get a bool, a float, a negative or huge int, a string or
 None in place of a node id, a seed or a packet count. Each call either equals
 the call with the int that the value equals, or raises `ValueError` or
-`UnknownNode`.
+`UnknownNode`, and a discovery raises `UnknownNode` exactly for an int that
+names no node. No message is the interpreter's digit-limit error.
 
 (b) `validate_scenario` gets the bundled scenario with one field, or one
 node's energy, coordinate or elapsed time, replaced by a bool, a string,
@@ -14,15 +15,18 @@ limit, or a number of the other type equal to the bundled one. Each call
 either raises `ScenarioValidationError`, or accepts a config whose values
 equal the bundled ones: a number as an int or a float, anything else of its
 own type. A seed may be any non-negative int and `threshold_strict` either
-bool, so there each valid value is accepted as itself.
+bool, so there each valid value is accepted as itself. An int past float
+range in a number's place is named by its key, and none of its digits are
+printed.
 
 No call raises any other exception.
 """
 
 import dataclasses
 import math
+import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coaodv_sim import sim
 from coaodv_sim.errors import ScenarioValidationError, UnknownNode
@@ -39,7 +43,7 @@ HUGE, UNPRINTABLE = 10**400, 10**5000  # past float range; past the str() digit 
 # in place of an int: one that equals it in another type, or no int at all
 ARGUMENTS = (
     True, False, 0.0, 1.0, 4.0, 9.0, 1.5, -1, -(2**64), 2**64, HUGE, -HUGE, UNPRINTABLE,
-    math.nan, math.inf, "4", "", None,
+    -UNPRINTABLE, math.nan, math.inf, "4", "", None,
 )
 
 # each entry point as (name, call of the replaced argument)
@@ -57,6 +61,8 @@ CALLS = {
     "coaodv source": lambda v: coaodv_discover(v, 9, CONFIG),
     "coaodv destination": lambda v: coaodv_discover(4, v, CONFIG),
 }
+DISCOVERIES = frozenset(name for name in CALLS if "aodv " in name)  # a node id the config holds
+NODES = frozenset(CONFIG.node_map())
 
 
 def _int_equal_to(value):
@@ -68,12 +74,19 @@ def _int_equal_to(value):
 
 @settings(max_examples=250, deadline=None)
 @given(st.sampled_from(sorted(CALLS)), st.sampled_from(ARGUMENTS))
+@example("aodv source", UNPRINTABLE)  # each message that once quoted an unprintable int
+@example("Flow packets", UNPRINTABLE)
+@example("run seed aodv", -UNPRINTABLE)
 def test_library_calls_return_the_int_call_or_a_named_error(name, value):
     call = CALLS[name]
+    unknown = name in DISCOVERIES and type(value) is int and value not in NODES
     try:
         result = call(value)
-    except (ValueError, UnknownNode):
+    except (ValueError, UnknownNode) as exc:
+        assert "Exceeds the limit" not in str(exc)
+        assert (type(exc) is UnknownNode) == unknown
         return
+    assert not unknown
     exact = _int_equal_to(value)
     if exact is not None:
         assert result == call(exact)
@@ -138,6 +151,18 @@ PLACES = {
 
 NUMBERS = (int, float)
 
+# the places of a number that must fit a float, as a message names them
+KEYS = {
+    **{name: name for name in (
+        "area width", "area height", "transmission_range", "energy_threshold",
+        "non_coop_drop_prob",
+    )},
+    "energy": f"node {NODE} energy",
+    "elapsed": f"node {NODE} elapsed time",
+    "x": f"node {NODE} pos_t1",
+    "y": f"node {NODE} pos_t1",
+}
+
 # the places whose valid values the replacements hold besides the bundled one
 VALID = {
     "rng_seed": lambda value: type(value) is int and value >= 0,
@@ -165,13 +190,18 @@ def replacements(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(replacements())
+@example(("x", HUGE))  # each number that was once quoted with every digit
+@example(("non_coop_drop_prob", -HUGE))
+@example(("non_coop_drop_prob", UNPRINTABLE))
 def test_validation_accepts_only_the_values_it_was_given(replacement):
     place, value = replacement
     put, read = PLACES[place]
     config = put(BUNDLED, value)
     try:
         validate_scenario(config)
-    except ScenarioValidationError:
+    except ScenarioValidationError as exc:
+        if place in KEYS and type(value) is int and abs(value) > sys.float_info.max:
+            assert str(exc) == f"{KEYS[place]} is an integer too large for a float"
         return
     if place in VALID:
         assert VALID[place](value)

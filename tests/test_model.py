@@ -65,7 +65,7 @@ def test_second_epoch_outside_area_rejected():
 
 
 def test_nan_coordinate_rejected():
-    with _rejects("node 0 position (nan, 10) outside area 100.0x100.0"):
+    with _rejects("node 0 pos_t1 must be finite, got nan"):
         validate_scenario(make_scenario([make_node(0, float("nan"), 10)]))
 
 
@@ -136,7 +136,7 @@ INVARIANTS = {
     ),
     "drop-prob-nan": (
         lambda d: d.update(non_coop_drop_prob=NAN),
-        "non_coop_drop_prob must be in [0, 1], got nan",
+        "non_coop_drop_prob must be finite, got nan",
     ),
     "negative-seed": (lambda d: d.update(seed=-2), "seed must be >= 0, got -2"),
     "negative-id": (_set_node(0, id=-1), "node id must be a nonnegative integer, got -1"),
@@ -151,13 +151,9 @@ INVARIANTS = {
     ),
     "energy-inf": (_set_node(3, energy=INF), "node 3 energy must be finite, got inf"),
     "negative-energy": (_set_node(3, energy=-3), "node 3 energy must be >= 0, got -3"),
-    "elapsed-nan": (
-        lambda d: d.update(elapsed_time=NAN), "node 0 elapsed time must be finite, got nan"
-    ),
-    "elapsed-zero": (
-        lambda d: d.update(elapsed_time=0),
-        "elapsed time between position records must be > 0 (node 0)",
-    ),
+    # the reader checks elapsed_time, which no field holds, under its own key
+    "elapsed-nan": (lambda d: d.update(elapsed_time=NAN), "elapsed_time must be finite, got nan"),
+    "elapsed-zero": (lambda d: d.update(elapsed_time=0), "elapsed_time must be > 0, got 0"),
 }
 
 
@@ -166,9 +162,8 @@ def test_each_invariant_is_rejected_with_its_exact_message(tmp_path, capsys, cas
     doc = json.loads(PAPER_SCENARIO.read_text())
     change, message = INVARIANTS[case]
     change(doc)
-    config = scenario_from_dict(doc)
     with pytest.raises(ScenarioValidationError) as excinfo:
-        validate_scenario(config)
+        validate_scenario(scenario_from_dict(doc))
     assert str(excinfo.value) == message
     assert _validate(tmp_path, doc) == 2
     assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
@@ -248,21 +243,32 @@ def test_an_int_too_long_to_print_is_named(case):
 
 
 # Configs built in Python whose invariant messages would quote an int past the
-# str() digit limit.
+# str() digit limit, and the message that names it: a number that must fit a
+# float is named by its key, an id or the seed as too long to print.
+DIGITS = "an integer has too many digits to print"
 UNPRINTABLE_CONFIGS = {
-    "duplicate-id": lambda: make_scenario([make_node(HUGE, 1, 1), make_node(HUGE, 2, 2)]),
-    "negative-id": lambda: make_scenario([make_node(-HUGE, 1, 1)]),
-    "id-of-a-node-outside-the-area": lambda: make_scenario([make_node(HUGE, 150, 1)]),
-    "position": lambda: make_scenario([make_node(0, HUGE, 1)]),
-    "drop-probability": lambda: make_scenario([make_node(0, 1, 1)], non_coop_drop_prob=HUGE),
-    "seed": lambda: make_scenario([make_node(0, 1, 1)], rng_seed=-HUGE),
+    "duplicate-id": (
+        lambda: make_scenario([make_node(HUGE, 1, 1), make_node(HUGE, 2, 2)]), DIGITS
+    ),
+    "negative-id": (lambda: make_scenario([make_node(-HUGE, 1, 1)]), DIGITS),
+    "id-of-a-node-outside-the-area": (lambda: make_scenario([make_node(HUGE, 150, 1)]), DIGITS),
+    "position": (
+        lambda: make_scenario([make_node(0, HUGE, 1)]),
+        "node 0 pos_t1 is an integer too large for a float",
+    ),
+    "drop-probability": (
+        lambda: make_scenario([make_node(0, 1, 1)], non_coop_drop_prob=HUGE),
+        "non_coop_drop_prob is an integer too large for a float",
+    ),
+    "seed": (lambda: make_scenario([make_node(0, 1, 1)], rng_seed=-HUGE), DIGITS),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNPRINTABLE_CONFIGS))
 def test_validation_names_an_int_too_long_to_print(case):
-    with _rejects("an integer has too many digits to print"):
-        validate_scenario(UNPRINTABLE_CONFIGS[case]())
+    build, message = UNPRINTABLE_CONFIGS[case]
+    with _rejects(message):
+        validate_scenario(build())
 
 
 def test_validation_names_an_area_that_is_no_pair():
@@ -334,11 +340,38 @@ def test_a_node_built_in_python_is_checked_as_a_file_is(paper_scenario):
     [
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
         (dict(threshold_strict="no"), "threshold_strict must be true or false, got 'no'"),
+        (dict(non_coop_drop_prob="0.5"), "non_coop_drop_prob must be a number, got '0.5'"),
+        (dict(elapsed_time="x"), "elapsed_time must be a number, got 'x'"),
     ],
 )
 def test_a_type_message_reads_the_same_for_a_file(tmp_path, capsys, change, message):
     doc = {**json.loads(PAPER_SCENARIO.read_text()), **change}
     assert _validate(tmp_path, doc) == 2
+    assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
+
+
+# elapsed_time in a document with no nodes, which no field holds: (the value
+# as JSON writes it, the message that names it)
+NO_NODE_ELAPSED = {
+    "nan": ("NaN", "elapsed_time must be finite, got nan"),
+    "negative": ("-1", "elapsed_time must be > 0, got -1"),
+    "zero": ("0", "elapsed_time must be > 0, got 0"),
+    "past-float-range": ("1" + "0" * 400, "elapsed_time is an integer too large for a float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_NODE_ELAPSED))
+def test_elapsed_time_is_checked_without_nodes(tmp_path, capsys, case):
+    value, message = NO_NODE_ELAPSED[case]
+    text = (
+        '{"nodes": [], "area": [1, 1], "transmission_range": 1, "energy_threshold": 0, '
+        f'"elapsed_time": {value}}}'
+    )
+    with _rejects(message):
+        scenario_from_json(text)
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
 
 
@@ -379,20 +412,19 @@ NAMED_KEYS = {
         lambda d: d["area"].__setitem__(1, BIG), "area height is an integer too large for a float"
     ),
     "elapsed_time": (
-        lambda d: d.update(elapsed_time=BIG),
-        "node 0 elapsed time is an integer too large for a float",
+        lambda d: d.update(elapsed_time=BIG), "elapsed_time is an integer too large for a float"
     ),
     "pos_t1": (
         lambda d: d["nodes"][3]["pos_t1"].__setitem__(1, BIG),
-        f"node 3 position (30, {BIG}) outside area 100x100",
+        "node 3 pos_t1 is an integer too large for a float",
     ),
     "pos_t2": (
         lambda d: d["nodes"][4]["pos_t2"].__setitem__(0, -BIG),
-        f"node 4 position ({-BIG}, 30) outside area 100x100",
+        "node 4 pos_t2 is an integer too large for a float",
     ),
     "non_coop_drop_prob": (
         lambda d: d.update(non_coop_drop_prob=BIG),
-        f"non_coop_drop_prob must be in [0, 1], got {BIG}",
+        "non_coop_drop_prob is an integer too large for a float",
     ),
     "energy": (
         lambda d: d["nodes"][3].update(energy=BIG),
