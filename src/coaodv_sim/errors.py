@@ -2,14 +2,21 @@
 
 import math
 
+_BOUND = 10**40  # an int this far from 0 is described, never printed
+
 
 def quoted(value) -> str:
-    """`repr(value)` for a message; an int past the str() digit limit, which
-    repr refuses, is described instead."""
+    """`value` as a message shows it, in at most 41 characters: an int of up to
+    40 digits is its repr, a longer one or a container whose repr meets str()'s
+    digit limit is described, and any other value is its repr cut at 36
+    characters and marked with "...", so that three values fit one short line."""
+    if isinstance(value, int):  # never cut: printed whole or described
+        return repr(value) if -_BOUND < value < _BOUND else "an integer of more than 40 digits"
     try:
-        return repr(value)
-    except ValueError:
-        return "an integer with too many digits to print"
+        text = repr(value)
+    except ValueError:  # the digit limit, met by an int inside a container
+        return f"a {type(value).__name__} holding an integer of more than 40 digits"
+    return text if len(text) <= 36 else text[:33] + "..."
 
 
 class SimulatorError(Exception):
@@ -29,7 +36,9 @@ class UnknownNode(SimulatorError):
 
 class NoRoute(SimulatorError):
     def __init__(self, source: int, destination: int):
-        super().__init__(f"no route from {source} to {destination}: graph disconnected")
+        super().__init__(
+            f"no route from {quoted(source)} to {quoted(destination)}: graph disconnected"
+        )
         self.source = source
         self.destination = destination
 
@@ -37,7 +46,7 @@ class NoRoute(SimulatorError):
 class NoCooperativeRoute(SimulatorError):
     def __init__(self, source: int, destination: int):
         super().__init__(
-            f"no cooperative route from {source} to {destination}: "
+            f"no cooperative route from {quoted(source)} to {quoted(destination)}: "
             "every candidate path contains a non-cooperative intermediate"
         )
         self.source = source
@@ -54,7 +63,8 @@ class WeightsNotNormalized(SimulatorError):
 class AmbiguousProfile(SimulatorError):
     def __init__(self, weights):
         super().__init__(
-            f"no strictly dominant weight in {weights}; network type is undefined for ties"
+            f"no strictly dominant weight in ({', '.join(map(quoted, weights))}); "
+            "network type is undefined for ties"
         )
         self.weights = weights
 

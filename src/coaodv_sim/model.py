@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ScenarioValidationError
+from .errors import ScenarioValidationError, quoted
 
 
 class DistanceMetric(str, Enum):
@@ -116,7 +116,8 @@ class Route:
         if self.hop_count != len(self.path) - 1:
             raise ValueError("hop_count must equal len(path) - 1")
         if len(self.route_stability) != len(self.path[1:-1]):
-            raise ValueError(f"route_stability needs one flag per intermediate of {self.path}")
+            path = quoted(self.path)
+            raise ValueError(f"route_stability needs one flag per intermediate of {path}")
 
     @property
     def fully_cooperative(self) -> bool:
@@ -171,6 +172,26 @@ class SimMetrics(NamedTuple):
         return sum(f.packets_sent for f in self.per_flow)
 
 
+# Exact types, so that a bool is never a number and nothing is coerced.
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
+
+
+def _invalid(what: str, value) -> ScenarioValidationError:
+    """The error `WHAT, got VALUE`, its value quoted as every message quotes one."""
+    return ScenarioValidationError(f"{what}, got {quoted(value)}")
+
+
+def _check_number(name: str, value) -> None:
+    """Raise unless `value` is an int or float in float range, compared, never converted."""
+    if type(value) not in _NUMBER_TYPES:
+        raise _invalid(f"{name} must be a number", value)
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        if type(value) is int:
+            raise ScenarioValidationError(f"{name} is an integer too large for a float")
+        raise _invalid(f"{name} must be finite", value)
+
+
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """Return `config` unchanged iff every field has its exact type and every
     invariant holds, else raise a ScenarioValidationError whose message names
@@ -184,35 +205,12 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     range is named by its key, never printed. Bounds: the area, threshold,
     energies, ids and seed nonnegative (random.Random(-s) draws the stream of
     random.Random(s)), ids unique, both position epochs inside the area, the
-    range and elapsed times positive, the drop probability in [0, 1]. A
-    message that would quote an int past the str() digit limit says so instead.
+    range and elapsed times positive, the drop probability in [0, 1]. Each
+    value a message shows goes through `errors.quoted`.
     """
-    try:
-        _check_invariants(config)
-    except ValueError:  # only from quoting an int past the str() digit limit in a message
-        raise ScenarioValidationError("an integer has too many digits to print") from None
-    return config
-
-
-# Exact types, so that a bool is never a number and nothing is coerced.
-_NUMBER_TYPES = frozenset((int, float))
-_FLOAT_MAX = sys.float_info.max
-
-
-def _check_number(name: str, value) -> None:
-    """Raise unless `value` is an int or float in float range, compared, never converted."""
-    if type(value) not in _NUMBER_TYPES:
-        raise ScenarioValidationError(f"{name} must be a number, got {value!r}")
-    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        if type(value) is int:
-            raise ScenarioValidationError(f"{name} is an integer too large for a float")
-        raise ScenarioValidationError(f"{name} must be finite, got {value}")
-
-
-def _check_invariants(config: ScenarioConfig) -> None:
     area = config.area
     if type(area) is not tuple or len(area) != 2:
-        raise ScenarioValidationError(f"area must be [width, height], got {area!r}")
+        raise _invalid("area must be [width, height]", area)
     (width, height), reach, threshold = area, config.transmission_range, config.energy_threshold
     drop = config.non_coop_drop_prob
     for name, value in (("area width", width), ("area height", height),
@@ -220,56 +218,59 @@ def _check_invariants(config: ScenarioConfig) -> None:
                         ("non_coop_drop_prob", drop)):
         _check_number(name, value)
     if min(area) < 0:
-        raise ScenarioValidationError(f"area width and height must be >= 0, got {width}x{height}")
+        raise ScenarioValidationError(
+            f"area width and height must be >= 0, got {quoted(width)}x{quoted(height)}"
+        )
     if reach <= 0:
-        raise ScenarioValidationError(f"transmission_range must be > 0, got {reach}")
+        raise _invalid("transmission_range must be > 0", reach)
     if threshold < 0:
-        raise ScenarioValidationError(f"energy_threshold must be >= 0, got {threshold}")
+        raise _invalid("energy_threshold must be >= 0", threshold)
     if not 0.0 <= drop <= 1.0:
-        raise ScenarioValidationError(f"non_coop_drop_prob must be in [0, 1], got {drop}")
+        raise _invalid("non_coop_drop_prob must be in [0, 1]", drop)
     seed, strict = config.rng_seed, config.threshold_strict
     if type(seed) is not int:
-        raise ScenarioValidationError(f"seed must be an integer, got {seed!r}")
+        raise _invalid("seed must be an integer", seed)
     if seed < 0:
-        raise ScenarioValidationError(f"seed must be >= 0, got {seed}")
+        raise _invalid("seed must be >= 0", seed)
     if type(strict) is not bool:
-        raise ScenarioValidationError(f"threshold_strict must be true or false, got {strict!r}")
+        raise _invalid("threshold_strict must be true or false", strict)
     for key, enum in (("distance_metric", DistanceMetric), ("mobility_metric", MobilityMetric)):
         if type(value := getattr(config, key)) is not enum:
             names = ", ".join(repr(m.value) for m in enum)
-            raise ScenarioValidationError(f"{key} must be one of {names}, got {value!r}")
+            raise _invalid(f"{key} must be one of {names}", value)
     if type(config.nodes) is not tuple:
-        raise ScenarioValidationError(f"nodes must be a tuple of NodeState, got {config.nodes!r}")
+        raise _invalid("nodes must be a tuple of NodeState", config.nodes)
 
     seen: set[int] = set()
     for node in config.nodes:
         node_id, rec, energy = node.id, node.mobility_record, node.energy
         if type(node_id) is not int or node_id < 0:
-            raise ScenarioValidationError(f"node id must be a nonnegative integer, got {node_id!r}")
+            raise _invalid("node id must be a nonnegative integer", node_id)
         if node_id in seen:
-            raise ScenarioValidationError(f"duplicate node id {node_id}")
+            raise ScenarioValidationError(f"duplicate node id {quoted(node_id)}")
         seen.add(node_id)
         p1, p2, elapsed = rec.pos_t1, rec.pos_t2, rec.elapsed
         values = (p1.x, p1.y, p2.x, p2.y, energy)
         if not _NUMBER_TYPES.issuperset(map(type, values)):
-            raise ScenarioValidationError(
-                f"node {node_id}: positions and energy must be numbers, got {values!r}"
-            )
+            raise _invalid(f"node {quoted(node_id)}: positions and energy must be numbers", values)
         for pos in (p1, p2):
             if not (0.0 <= pos.x <= width and 0.0 <= pos.y <= height):
+                where = f"node {quoted(node_id)}"
                 for value in (pos.x, pos.y):  # named by its key if not finite
-                    _check_number(f"node {node_id} pos_t{1 if pos is p1 else 2}", value)
+                    _check_number(f"{where} pos_t{1 if pos is p1 else 2}", value)
                 raise ScenarioValidationError(
-                    f"node {node_id} position {(pos.x, pos.y)} outside area {width}x{height}"
+                    f"{where} position {quoted((pos.x, pos.y))} "
+                    f"outside area {quoted(width)}x{quoted(height)}"
                 )
         if not 0 <= energy <= _FLOAT_MAX:
-            _check_number(f"node {node_id} energy", energy)
-            raise ScenarioValidationError(f"node {node_id} energy must be >= 0, got {energy}")
+            _check_number(f"node {quoted(node_id)} energy", energy)
+            raise _invalid(f"node {quoted(node_id)} energy must be >= 0", energy)
         if not (type(elapsed) in _NUMBER_TYPES and 0 < elapsed <= _FLOAT_MAX):
-            _check_number(f"node {node_id} elapsed time", elapsed)
+            _check_number(f"node {quoted(node_id)} elapsed time", elapsed)
             raise ScenarioValidationError(
-                f"elapsed time between position records must be > 0 (node {node_id})"
+                f"elapsed time between position records must be > 0 (node {quoted(node_id)})"
             )
+    return config
 
 
 # --- JSON scenario document ---------------------------------------------
@@ -292,14 +293,14 @@ def _member(enum: type[Enum], value):
 
 def _node_label(entry: dict, index: int) -> str:
     """A node as messages name it: by its id, or by its place if it has none."""
-    return f"node {entry['id']!r}" if "id" in entry else f"nodes[{index}]"
+    return f"node {quoted(entry['id'])}" if "id" in entry else f"nodes[{index}]"
 
 
 def _check_keys(obj: dict, known: frozenset, where: str) -> None:
-    """Reject the keys of `obj` that the schema does not name."""
-    unknown = [k for k in obj if k not in known]
-    if unknown:
-        raise ScenarioValidationError(f"{where}: unknown keys {', '.join(map(repr, unknown))}")
+    """Reject the keys of `obj` that the schema does not name, showing the first two."""
+    if unknown := [k for k in obj if k not in known]:
+        shown = ", ".join(map(quoted, unknown[:2])) + (", ..." if len(unknown) > 2 else "")
+        raise ScenarioValidationError(f"{where}: unknown keys {shown}")
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
@@ -313,17 +314,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
     Only the document's shape is checked, and `elapsed_time`, the one value no
     field holds: a ScenarioValidationError names an object or array of the
-    wrong shape, a missing, unknown or repeated key, an int too long to print,
-    and an `elapsed_time` that fails `_check_number` or is not > 0. Values are
-    kept as written, a metric name as its member; validate_scenario checks them.
+    wrong shape, a missing, unknown or repeated key, and an `elapsed_time` that
+    fails `_check_number` or is not > 0. Values are kept as written, a metric
+    name as its member; validate_scenario checks them.
     """
-    try:
-        return _from_dict(doc)
-    except ValueError:  # only from quoting an int past the str() digit limit in a message
-        raise ScenarioValidationError("an integer has too many digits to print") from None
-
-
-def _from_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ScenarioValidationError(
             f"scenario document must be an object, got {type(doc).__name__}"
@@ -335,19 +329,15 @@ def _from_dict(doc: dict) -> ScenarioConfig:
     elapsed = doc.get("elapsed_time", 1.0)
     _check_number("elapsed_time", elapsed)
     if elapsed <= 0:
-        raise ScenarioValidationError(f"elapsed_time must be > 0, got {elapsed}")
+        raise _invalid("elapsed_time must be > 0", elapsed)
     try:
         entries = doc["nodes"]
         if type(entries) is not list:
-            raise ScenarioValidationError(
-                f"nodes must be an array of node objects, got {entries!r}"
-            )
+            raise _invalid("nodes must be an array of node objects", entries)
         nodes = []
         for entry in entries:  # checked inline: a call per node slowed a 300-node parse 5%
             if type(entry) is not dict:
-                raise ScenarioValidationError(
-                    f"nodes[{len(nodes)}] must be an object, got {entry!r}"
-                )
+                raise _invalid(f"nodes[{len(nodes)}] must be an object", entry)
             # four keys that the reads below all find are exactly the schema's
             if len(entry) != 4:
                 _check_keys(entry, _NODE_KEYS, _node_label(entry, len(nodes)))
@@ -355,8 +345,8 @@ def _from_dict(doc: dict) -> ScenarioConfig:
                 (x1, y1), (x2, y2) = entry["pos_t1"], entry["pos_t2"]
             except (TypeError, ValueError):  # not a pair: too short, too long or not iterable
                 raise ScenarioValidationError(
-                    f"node {entry['id']!r}: pos_t1 and pos_t2 must each be [x, y], "
-                    f"got {entry['pos_t1']!r} and {entry['pos_t2']!r}"
+                    f"node {quoted(entry['id'])}: pos_t1 and pos_t2 must each be [x, y], "
+                    f"got {quoted(entry['pos_t1'])} and {quoted(entry['pos_t2'])}"
                 ) from None
             record = MobilityRecord(Position(x1, y1), Position(x2, y2), elapsed)
             nodes.append(NodeState(entry["id"], record, entry["energy"]))
@@ -364,7 +354,7 @@ def _from_dict(doc: dict) -> ScenarioConfig:
         try:
             width, height = area
         except (TypeError, ValueError):
-            raise ScenarioValidationError(f"area must be [width, height], got {area!r}") from None
+            raise _invalid("area must be [width, height]", area) from None
         return ScenarioConfig(
             nodes=tuple(nodes),
             area=(width, height),
@@ -390,7 +380,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
-                raise ScenarioValidationError(f"repeated key {key!r}")
+                raise ScenarioValidationError(f"repeated key {quoted(key)}")
             seen.add(key)
     return obj
 

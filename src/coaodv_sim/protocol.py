@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .coopmath import DISTANCES, is_cooperative, mobility_rates
-from .errors import InternalError, NoCooperativeRoute, NoRoute, UnknownNode
+from .errors import InternalError, NoCooperativeRoute, NoRoute, UnknownNode, quoted
 from .model import Route, ScenarioConfig
 
 log = logging.getLogger("coaodv_sim.protocol")
@@ -233,7 +233,7 @@ def _discover(source: int, dest: int, config: ScenarioConfig, cooperative: bool)
     be served, or stored as, the route of the int it equals."""
     if type(source) is not int or type(dest) is not int:
         name, value = ("source", source) if type(source) is not int else ("destination", dest)
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {quoted(value)}")
     tables, memo = _topology(config)
     key = (cooperative, source, dest)
     outcome = memo.get(key)

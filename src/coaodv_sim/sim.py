@@ -44,7 +44,7 @@ class Flow(_FlowFields):
         # phase), and 4.0 == 4 would let run's memo answer for another flow.
         for name, value in zip(cls._fields, (source, destination, packets)):
             if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {quoted(value)}")
         # sys.maxsize is the most packets the repeat() in _delivered can count
         if not 1 <= packets <= sys.maxsize:
             raise ValueError(f"packets must be from 1 to {sys.maxsize}, got {quoted(packets)}")

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from coaodv_sim import cli
 from coaodv_sim.model import (
     DistanceMetric,
     MobilityRecord,
@@ -21,6 +22,20 @@ PAPER_SCENARIO = REPO_ROOT / "scenarios" / "paper_table123.json"
 # failure stored by an earlier run, so Tier-1 passes or fails the same way.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+# The most bytes a raised message, or a CLI `error:` line less the argv text
+# it quotes, may take.
+MESSAGE_BYTES = 200
+
+
+def error_line_bytes(line: str, argv) -> int:
+    """The UTF-8 length of a CLI `error:` line less each argument of `argv` that
+    it quotes, as written, as its repr or as the CLI shows a path."""
+    for arg in sorted(argv, key=len, reverse=True):
+        for text in (arg, repr(arg), cli._one_line(cli._shown(arg))):
+            line = line.replace(text, "")
+    return len(line.encode("utf-8"))
 
 
 @pytest.fixture(scope="session")

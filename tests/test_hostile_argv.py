@@ -13,7 +13,8 @@ No example runs long: `--seeds` is at most 50 and a flow's packets at most
 
 Whatever the argv, `main` returns 0, 1 or 2 and raises nothing. An error
 exit prints nothing on stdout, and its stderr ends with exactly one line that
-starts with `error: `, after any log lines. No command changes the scenario's
+starts with `error: `, after any log lines; less the argv text it quotes, that
+line is at most 200 bytes. No command changes the scenario's
 bytes, and an error exit leaves the existing report's bytes as they were.
 """
 
@@ -27,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coaodv_sim.cli import REPORT_HEADER, main
 
-from .conftest import PAPER_SCENARIO
+from .conftest import MESSAGE_BYTES, PAPER_SCENARIO, error_line_bytes
 
 BUNDLED = PAPER_SCENARIO.read_bytes()
 EXISTING_REPORT = b"an existing report\n"
@@ -173,11 +174,13 @@ FLOWS = ["--flows", "0:9:100", "4:9:100"]
 @example((["compare", NOT_UTF8, *FLOWS, "--range", "nan", "--seeds", "2"], "trace"))
 @example((["validate", MISSING], "info"))  # a newline in the quoted path
 @example((["compare", SCENARIO, "--flows", "0:10:5", "--out", REPORT], None))  # before the report
+@example((["run", SCENARIO, "--protocol", "aodv", "--flows", f"{HUGE}:9:5"], None))  # its id
 def test_hostile_argv_exits_with_one_named_error(workdir, case):
     args, level = case
     report = workdir / REPORT
     report.write_bytes(EXISTING_REPORT)
-    code, out, err = _main(_in(workdir, args), level)
+    argv = _in(workdir, args)
+    code, out, err = _main(argv, level)
     assert code in (0, 1, 2)
     for name in SCENARIOS:
         assert (workdir / name).read_bytes() == BUNDLED
@@ -187,6 +190,8 @@ def test_hostile_argv_exits_with_one_named_error(workdir, case):
     assert err.endswith("\n")
     lines = err[:-1].split("\n")
     assert lines[-1].startswith("error: ")
+    assert "Exceeds the limit" not in lines[-1]
+    assert error_line_bytes(lines[-1], argv) <= MESSAGE_BYTES
     assert not any(line.startswith("error: ") for line in lines[:-1])
     assert report.read_bytes() == EXISTING_REPORT
 

@@ -2,12 +2,13 @@
 schema-aware edits, goes through `validate`, `run --out` and `compare --out`.
 
 The edits delete a key or an array element, replace a value with each JSON
-type or with a number at the edge of a float, add an unknown key, repeat a key
-in the raw text, or nest a value deeply. Whatever they do, each command
-returns 0, 1 or 2 and raises nothing. An error exit prints nothing on stdout
-and one `error: ` line on stderr, and leaves the existing report's bytes as
-they were. An invalid scenario (exit 2) is named by its key or its node, never
-by the `malformed scenario document` fallback of `scenario_from_dict`.
+type, a long one or a number at the edge of a float, add an unknown key,
+repeat a key in the raw text, or nest a value deeply. Whatever they do, each
+command returns 0, 1 or 2 and raises nothing. An error exit prints nothing on
+stdout and one `error: ` line on stderr, of at most 200 bytes less the argv
+text it quotes, and leaves the existing report's bytes as they were. An
+invalid scenario (exit 2) is named by its key or its node, never by the
+`malformed scenario document` fallback of `scenario_from_dict`.
 """
 
 import copy
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coaodv_sim.cli import REPORT_HEADER, main
 
-from .conftest import PAPER_SCENARIO
+from .conftest import MESSAGE_BYTES, PAPER_SCENARIO, error_line_bytes
 
 BUNDLED = json.loads(PAPER_SCENARIO.read_text())
 
@@ -33,6 +34,7 @@ EXISTING_REPORT = b"an existing report\n"
 VALUES = (
     -1, 0, 7, 0.5, 1e308, -1e308, 5e-324, 2**63, 10**400, -(10**400),
     None, True, False, "", "manhattan", [], [1], [1, 2], [1, 2, 3], {}, {"id": 0},
+    "x" * 10_000, list(range(5_000)), {"x": "x" * 20_000},
 )
 
 # a repeated key or deep nesting fails the parse, whatever the other edits
@@ -43,7 +45,7 @@ EDITS = ("replace", "replace", "replace", "delete", "add key", "nest", "repeat k
 values = st.sampled_from(VALUES).map(copy.deepcopy)
 
 # keys that no object of the schema names
-UNKNOWN_KEYS = ("unknown", "", "ID", "line\nbreak", "é")
+UNKNOWN_KEYS = ("unknown", "", "ID", "line\nbreak", "é", "k" * 10_000)
 
 
 class _Repeated(dict):
@@ -165,6 +167,8 @@ def test_hostile_scenarios_exit_with_one_named_error(workdir, text):
                 continue
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert "Exceeds the limit" not in err
+            assert error_line_bytes(err[:-1], argv) <= MESSAGE_BYTES
             assert report.read_bytes() == EXISTING_REPORT
             if code == 2:
                 assert "malformed scenario document" not in err

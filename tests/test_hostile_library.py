@@ -2,24 +2,25 @@
 Python with values of the wrong type or at the edge of a number.
 
 (a) `sim.Flow`, `sim.run`, `sim.compare`, `aodv_discover` and
-`coaodv_discover` get a bool, a float, a negative or huge int, a string or
-None in place of a node id, a seed or a packet count. Each call either equals
-the call with the int that the value equals, or raises `ValueError` or
-`UnknownNode`, and a discovery raises `UnknownNode` exactly for an int that
-names no node. No message is the interpreter's digit-limit error.
+`coaodv_discover` get a bool, a float, a negative or huge int, a string of
+up to a million characters or None in place of a node id, a seed or a packet
+count. Each call either equals the call with the int that the value equals,
+or raises `ValueError` or `UnknownNode`, and a discovery raises `UnknownNode`
+exactly for an int that names no node. No message is the interpreter's
+digit-limit error.
 
 (b) `validate_scenario` gets the bundled scenario with one field, or one
 node's energy, coordinate or elapsed time, replaced by a bool, a string,
 None, NaN, an infinity, an int past float range or past the str() digit
-limit, or a number of the other type equal to the bundled one. Each call
-either raises `ScenarioValidationError`, or accepts a config whose values
-equal the bundled ones: a number as an int or a float, anything else of its
-own type. A seed may be any non-negative int and `threshold_strict` either
-bool, so there each valid value is accepted as itself. An int past float
-range in a number's place is named by its key, and none of its digits are
-printed.
+limit, a long string, list or dict, or a number of the other type equal to
+the bundled one. Each call either raises `ScenarioValidationError`, or
+accepts a config whose values equal the bundled ones: a number as an int or
+a float, anything else of its own type. A seed may be any non-negative int
+and `threshold_strict` either bool, so there each valid value is accepted as
+itself. An int past float range in a number's place is named by its key, and
+none of its digits are printed.
 
-No call raises any other exception.
+No call raises any other exception, and no message is longer than 200 bytes.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from coaodv_sim.errors import ScenarioValidationError, UnknownNode
 from coaodv_sim.model import Protocol, load_scenario, validate_scenario
 from coaodv_sim.protocol import aodv_discover, coaodv_discover
 
-from .conftest import PAPER_SCENARIO
+from .conftest import MESSAGE_BYTES, PAPER_SCENARIO
 
 # one config for every call, at a drop probability at which aodv runs draw
 CONFIG = dataclasses.replace(load_scenario(PAPER_SCENARIO), non_coop_drop_prob=0.5)
@@ -43,7 +44,7 @@ HUGE, UNPRINTABLE = 10**400, 10**5000  # past float range; past the str() digit 
 # in place of an int: one that equals it in another type, or no int at all
 ARGUMENTS = (
     True, False, 0.0, 1.0, 4.0, 9.0, 1.5, -1, -(2**64), 2**64, HUGE, -HUGE, UNPRINTABLE,
-    -UNPRINTABLE, math.nan, math.inf, "4", "", None,
+    -UNPRINTABLE, math.nan, math.inf, "4", "", None, "x" * 10**6,
 )
 
 # each entry point as (name, call of the replaced argument)
@@ -77,6 +78,7 @@ def _int_equal_to(value):
 @example("aodv source", UNPRINTABLE)  # each message that once quoted an unprintable int
 @example("Flow packets", UNPRINTABLE)
 @example("run seed aodv", -UNPRINTABLE)
+@example("aodv source", "x" * 10**6)  # once quoted with every character
 def test_library_calls_return_the_int_call_or_a_named_error(name, value):
     call = CALLS[name]
     unknown = name in DISCOVERIES and type(value) is int and value not in NODES
@@ -84,6 +86,7 @@ def test_library_calls_return_the_int_call_or_a_named_error(name, value):
         result = call(value)
     except (ValueError, UnknownNode) as exc:
         assert "Exceeds the limit" not in str(exc)
+        assert len(str(exc).encode()) <= MESSAGE_BYTES
         assert (type(exc) is UnknownNode) == unknown
         return
     assert not unknown
@@ -98,6 +101,7 @@ NODE = 3  # the node whose own values are replaced
 HOSTILE = (
     True, False, "20", "", "manhattan", None, math.nan, math.inf, -math.inf,
     HUGE, -HUGE, UNPRINTABLE, -UNPRINTABLE,
+    "x" * 10_000, list(range(5_000)), {"id": "x" * 20_000},
 )
 
 
@@ -193,6 +197,8 @@ def replacements(draw):
 @example(("x", HUGE))  # each number that was once quoted with every digit
 @example(("non_coop_drop_prob", -HUGE))
 @example(("non_coop_drop_prob", UNPRINTABLE))
+@example(("distance_metric", "x" * 10_000))  # each value once quoted in full
+@example(("area width", list(range(5_000))))
 def test_validation_accepts_only_the_values_it_was_given(replacement):
     place, value = replacement
     put, read = PLACES[place]
@@ -200,6 +206,7 @@ def test_validation_accepts_only_the_values_it_was_given(replacement):
     try:
         validate_scenario(config)
     except ScenarioValidationError as exc:
+        assert len(str(exc).encode()) <= MESSAGE_BYTES
         if place in KEYS and type(value) is int and abs(value) > sys.float_info.max:
             assert str(exc) == f"{KEYS[place]} is an integer too large for a float"
         return

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from coaodv_sim.cli import main
-from coaodv_sim.errors import ScenarioValidationError
+from coaodv_sim.errors import ScenarioValidationError, quoted
 from coaodv_sim.model import (
     DistanceMetric,
     FlowMetrics,
@@ -215,7 +215,8 @@ def test_malformed_node_entry_is_format_error():
 
 # Each change to a small document that makes its message, from the reader or
 # from validation, quote an int past the str() digit limit, which only a dict
-# built in Python can hold.
+# built in Python can hold, and the message: the int, or the container that
+# holds it, is described and never printed.
 HUGE = 10**5000
 SMALL_DOC = {
     "nodes": [{"id": 0, "pos_t1": [1, 2], "pos_t2": [1, 2], "energy": 5}],
@@ -224,34 +225,57 @@ SMALL_DOC = {
     "energy_threshold": 0,
 }
 _POS = {"pos_t1": [1, 2], "pos_t2": [1, 2]}
+LONG = "an integer of more than 40 digits"
 UNPRINTABLE_INTS = {
-    "node-id": {"nodes": [{"id": HUGE, "pos_t1": [1], "pos_t2": [1, 2], "energy": 5}]},
-    "node-id-missing-a-key": {"nodes": [{"id": HUGE, **_POS}]},
-    "node-key": {"nodes": [{"id": 0, **_POS, "energy": 5, HUGE: 0}]},
-    "node-key-for-a-missing-one": {"nodes": [{"id": 0, **_POS, HUGE: 5}]},
-    "position": {"nodes": [{"id": 0, "pos_t1": [HUGE, "x"], "pos_t2": [1, 2], "energy": 5}]},
-    "area": {"area": [HUGE]},
-    "metric": {"distance_metric": HUGE},
-    "scenario-key": {HUGE: 0},
+    "node-id": (
+        {"nodes": [{"id": HUGE, "pos_t1": [1], "pos_t2": [1, 2], "energy": 5}]},
+        f"node {LONG}: pos_t1 and pos_t2 must each be [x, y], got [1] and [1, 2]",
+    ),
+    "node-id-missing-a-key": (
+        {"nodes": [{"id": HUGE, **_POS}]}, f"node {LONG}: missing key 'energy'"
+    ),
+    "node-key": (
+        {"nodes": [{"id": 0, **_POS, "energy": 5, HUGE: 0}]}, f"node 0: unknown keys {LONG}"
+    ),
+    "node-key-for-a-missing-one": (
+        {"nodes": [{"id": 0, **_POS, HUGE: 5}]}, f"node 0: unknown keys {LONG}"
+    ),
+    "position": (
+        {"nodes": [{"id": 0, "pos_t1": [HUGE, "x"], "pos_t2": [1, 2], "energy": 5}]},
+        f"node 0: positions and energy must be numbers, got a tuple holding {LONG}",
+    ),
+    "area": ({"area": [HUGE]}, f"area must be [width, height], got a list holding {LONG}"),
+    "metric": (
+        {"distance_metric": HUGE},
+        f"distance_metric must be one of 'manhattan', 'euclidean', got {LONG}",
+    ),
+    "scenario-key": ({HUGE: 0}, f"scenario: unknown keys {LONG}"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNPRINTABLE_INTS))
 def test_an_int_too_long_to_print_is_named(case):
-    with _rejects("an integer has too many digits to print"):
-        validate_scenario(scenario_from_dict({**SMALL_DOC, **UNPRINTABLE_INTS[case]}))
+    changes, message = UNPRINTABLE_INTS[case]
+    with _rejects(message):
+        validate_scenario(scenario_from_dict({**SMALL_DOC, **changes}))
 
 
 # Configs built in Python whose invariant messages would quote an int past the
 # str() digit limit, and the message that names it: a number that must fit a
-# float is named by its key, an id or the seed as too long to print.
-DIGITS = "an integer has too many digits to print"
+# float is named by its key, an id or the seed is described.
 UNPRINTABLE_CONFIGS = {
     "duplicate-id": (
-        lambda: make_scenario([make_node(HUGE, 1, 1), make_node(HUGE, 2, 2)]), DIGITS
+        lambda: make_scenario([make_node(HUGE, 1, 1), make_node(HUGE, 2, 2)]),
+        f"duplicate node id {LONG}",
     ),
-    "negative-id": (lambda: make_scenario([make_node(-HUGE, 1, 1)]), DIGITS),
-    "id-of-a-node-outside-the-area": (lambda: make_scenario([make_node(HUGE, 150, 1)]), DIGITS),
+    "negative-id": (
+        lambda: make_scenario([make_node(-HUGE, 1, 1)]),
+        f"node id must be a nonnegative integer, got {LONG}",
+    ),
+    "id-of-a-node-outside-the-area": (
+        lambda: make_scenario([make_node(HUGE, 150, 1)]),
+        f"node {LONG} position (150, 1) outside area 100.0x100.0",
+    ),
     "position": (
         lambda: make_scenario([make_node(0, HUGE, 1)]),
         "node 0 pos_t1 is an integer too large for a float",
@@ -260,7 +284,10 @@ UNPRINTABLE_CONFIGS = {
         lambda: make_scenario([make_node(0, 1, 1)], non_coop_drop_prob=HUGE),
         "non_coop_drop_prob is an integer too large for a float",
     ),
-    "seed": (lambda: make_scenario([make_node(0, 1, 1)], rng_seed=-HUGE), DIGITS),
+    "seed": (
+        lambda: make_scenario([make_node(0, 1, 1)], rng_seed=-HUGE),
+        f"seed must be >= 0, got {LONG}",
+    ),
 }
 
 
@@ -269,6 +296,29 @@ def test_validation_names_an_int_too_long_to_print(case):
     build, message = UNPRINTABLE_CONFIGS[case]
     with _rejects(message):
         validate_scenario(build())
+
+
+def test_quoted_shows_an_int_of_up_to_40_digits_and_describes_a_longer_one():
+    assert quoted(10**40 - 1) == "9" * 40
+    assert quoted(-(10**40 - 1)) == "-" + "9" * 40
+    assert quoted(10**40) == quoted(-(10**40)) == LONG
+    assert quoted(HUGE) == quoted(-HUGE) == LONG
+    assert quoted([HUGE]) == f"a list holding {LONG}"
+    assert quoted((1, HUGE)) == f"a tuple holding {LONG}"
+
+
+def test_quoted_cuts_a_long_repr_at_36_characters():
+    assert quoted("x" * 1000) == "'" + "x" * 32 + "..."
+    assert quoted([10**50]) == "[1" + "0" * 31 + "..."  # 32 of its 51 digits
+    assert quoted("x" * 34) == repr("x" * 34)  # 36 characters, kept whole
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, -0.0, 1e308, math.nan, math.inf, -math.inf, True, False, None,
+              Protocol.AODV, Protocol.COAODV],
+)
+def test_quoted_is_the_repr_of_a_short_value(value):
+    assert quoted(value) == repr(value)
 
 
 def test_validation_names_an_area_that_is_no_pair():
