@@ -84,6 +84,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on bad usage instead of argparse's 2
         raise UsageError(message)
 
+    def _print_message(self, message, file=None):  # argparse drops a failed write; main maps it
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _configure_logging(logger: logging.Logger) -> logging.Handler:
     """Send `logger`'s records to the current stderr at the COAODV_SIM_LOG
@@ -361,25 +365,59 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _error(text: str) -> None:
+    """Print one `error:` line; a stderr that cannot take it is settled by main."""
+    try:
+        print(f"error: {_one_line(text)}", file=sys.stderr)
+    except OSError:
+        pass
+
+
+def _to_devnull(stream) -> None:
+    """Point `stream`'s file descriptor at os.devnull, so that the bytes it
+    still holds, flushed at interpreter exit, cannot fail a second time."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, ValueError, OSError):  # a stream without a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     logger = logging.getLogger("coaodv_sim")
     found = logger.level  # COAODV_SIM_LOG and the handler hold for this invocation only
     handler = _configure_logging(logger)
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
-        return args.handler(args)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    except (UsageError, UnknownNode, WeightsNotNormalized, AmbiguousProfile) as exc:
-        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
+        try:
+            args = build_parser(argv).parse_args(argv)
+            code = args.handler(args)
+        except SystemExit as exc:  # --help
+            code = int(exc.code or 0)
+        except (UsageError, UnknownNode, WeightsNotNormalized, AmbiguousProfile) as exc:
+            _error(str(exc))
+            code = 1
+        except ScenarioValidationError as exc:
+            _error(f"invalid scenario: {exc}")
+            code = 2
+        sys.stdout.flush()  # a buffered write fails here, where it is mapped, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader is gone: exit 1 with no error line
+        _to_devnull(sys.stdout)
         return 1
-    except ScenarioValidationError as exc:
-        print(f"error: invalid scenario: {_one_line(str(exc))}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # every file a command opens maps its own errors: this is stdout
+        _to_devnull(sys.stdout)
+        _error(f"cannot write stdout: {exc.strerror or exc}")
+        return 1
     finally:
         logger.removeHandler(handler)
         logger.setLevel(found)
+        try:
+            sys.stderr.flush()
+        except OSError:  # the command keeps its own exit code, silently
+            _to_devnull(sys.stderr)
 
 
 if __name__ == "__main__":

@@ -30,15 +30,11 @@ def euclidean_distance(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-# Each metric's distance function, for callers that look it up once per build.
+# Each metric's distance function: the range graph and the range clause both read it here.
 DISTANCES = {
     DistanceMetric.MANHATTAN: manhattan_distance,
     DistanceMetric.EUCLIDEAN: euclidean_distance,
 }
-
-
-def distance(a: Position, b: Position, metric: DistanceMetric) -> float:
-    return DISTANCES[metric](a, b)
 
 
 def has_comm_capability(
@@ -48,7 +44,7 @@ def has_comm_capability(
     metric: DistanceMetric = DistanceMetric.MANHATTAN,
 ) -> int:
     """1 if the two positions are within range (boundary inclusive), else 0."""
-    return 1 if distance(a, b, metric) <= transmission_range else 0
+    return 1 if DISTANCES[metric](a, b) <= transmission_range else 0
 
 
 def mobility(rec: MobilityRecord, metric: MobilityMetric = MobilityMetric.EUCLIDEAN_RATE) -> float:

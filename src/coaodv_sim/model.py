@@ -255,12 +255,15 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
             raise _invalid(f"node {quoted(node_id)}: positions and energy must be numbers", values)
         for pos in (p1, p2):
             if not (0.0 <= pos.x <= width and 0.0 <= pos.y <= height):
-                where = f"node {quoted(node_id)}"
+                where = f"node {quoted(node_id)} pos_t{1 if pos is p1 else 2}"
                 for value in (pos.x, pos.y):  # named by its key if not finite
-                    _check_number(f"{where} pos_t{1 if pos is p1 else 2}", value)
+                    _check_number(where, value)
+                # one coordinate and its side: three values fit one short line
+                axis, value, side = (
+                    ("x", pos.x, width) if not 0.0 <= pos.x <= width else ("y", pos.y, height)
+                )
                 raise ScenarioValidationError(
-                    f"{where} position {quoted((pos.x, pos.y))} "
-                    f"outside area {quoted(width)}x{quoted(height)}"
+                    f"{where} {axis} {quoted(value)} outside area [0, {quoted(side)}]"
                 )
         if not 0 <= energy <= _FLOAT_MAX:
             _check_number(f"node {quoted(node_id)} energy", energy)

@@ -122,10 +122,13 @@ def run(
     the OS. A run draws from `rng` reseeded with `seed` when one is given,
     else from a new `random.Random(seed)`; both give the same stream. Either
     is seeded at the first droppable hop, so a run that never draws seeds
-    nothing.
+    nothing. At a drop probability of exactly 1.0, 0.0 or -0.0 every draw's
+    outcome is known, so a droppable hop draws nothing: a flow across one
+    delivers 0 packets at 1.0 and all of them at 0.0.
 
     A run that never draws (no flow reached a droppable hop, as in every
-    `coaodv` run) is the same for every seed, so its result is memoized with
+    `coaodv` run, or the drop probability is certain) is the same for every
+    seed, so its result is memoized with
     the scenario's topology, keyed by (proto, flows). A later run of the same
     protocol and flows on the same config object returns that object without
     discovering or logging again; a run that draws is computed every time.
@@ -141,6 +144,9 @@ def run(
     seeded = None  # the generator once seeded, at the first droppable hop
     discover = _DISCOVER[proto]
     drop_prob = scenario.non_coop_drop_prob
+    # random() is in [0, 1): at 1.0 each packet is lost at its first draw, at
+    # 0.0 (or -0.0) none is ever lost, so no draw is made; a NaN still draws
+    certain = drop_prob == 1.0 or drop_prob == 0.0
     debug = log.isEnabledFor(logging.DEBUG)  # once per run, not once per flow
 
     per_flow: list[FlowMetrics] = []
@@ -156,13 +162,16 @@ def run(
             continue
 
         drops = route.route_stability.count(False)
-        if drops and seeded is None:
-            if rng is None:
-                seeded = random.Random(seed)
-            else:
-                rng.seed(seed)  # the stream of random.Random(seed)
-                seeded = rng
-        delivered = _delivered(seeded, flow.packets, drops, drop_prob)
+        if drops and certain:
+            delivered = 0 if drop_prob else flow.packets
+        else:
+            if drops and seeded is None:
+                if rng is None:
+                    seeded = random.Random(seed)
+                else:
+                    rng.seed(seed)  # the stream of random.Random(seed)
+                    seeded = rng
+            delivered = _delivered(seeded, flow.packets, drops, drop_prob)
         per_flow.append(
             _new(
                 FlowMetrics,

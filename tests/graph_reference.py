@@ -19,7 +19,7 @@ from typing import Sequence
 
 import networkx as nx
 
-from coaodv_sim.coopmath import distance, mobility
+from coaodv_sim.coopmath import DISTANCES, mobility
 from coaodv_sim.model import NodeState, ScenarioConfig
 
 
@@ -46,7 +46,7 @@ def coop_verdict(
         energy_ok = candidate.energy > config.energy_threshold
     else:
         energy_ok = candidate.energy >= config.energy_threshold
-    gap = distance(prev.position, candidate.position, config.distance_metric)
+    gap = DISTANCES[config.distance_metric](prev.position, candidate.position)
     rate = mobility(candidate.mobility_record, config.mobility_metric)
     return CoopVerdict(
         energy_ok=energy_ok,
@@ -62,7 +62,7 @@ def brute_force_adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {i: [] for i in ids}
     for i, u in enumerate(ids):
         for v in ids[i + 1 :]:
-            d = distance(by_id[u].position, by_id[v].position, config.distance_metric)
+            d = DISTANCES[config.distance_metric](by_id[u].position, by_id[v].position)
             if d <= config.transmission_range:
                 adj[u].append(v)
                 adj[v].append(u)

@@ -561,8 +561,11 @@ def test_info_log_leaves_stdout_and_report_bytes_alone(tmp_path, monkeypatch, ca
     assert (outputs[None][2], outputs["info"][2]) == (0, 1)  # one line per HELLO round
 
 
-def test_trace_log_writes_a_memoized_run_once(tmp_path, monkeypatch, capsys):
-    args = ["compare", str(PAPER_SCENARIO), "--flows", "0:9:20", "4:9:20", "--seeds", "3"]
+def _compare_sim_log(tmp_path, monkeypatch, capsys, *options):
+    """The coaodv_sim.sim lines of a traced 3-seed compare on the bundled
+    scenario, after checking that stdout and the report match a quiet run's."""
+    args = ["compare", str(PAPER_SCENARIO), "--flows", "0:9:20", "4:9:20", "--seeds", "3",
+            *options]
     outputs = {}
     for mode in ("quiet", "trace"):
         monkeypatch.setenv("COAODV_SIM_LOG", mode)
@@ -571,19 +574,39 @@ def test_trace_log_writes_a_memoized_run_once(tmp_path, monkeypatch, capsys):
         out, err = capsys.readouterr()
         outputs[mode] = (out, report.read_bytes(), err)
     assert outputs["quiet"][:2] == outputs["trace"][:2]
-    sim_lines = [line for line in outputs["trace"][2].splitlines() if " coaodv_sim.sim: " in line]
-    # each aodv run draws, so its lines come once per seed; the coaodv run
-    # draws nothing, so the seeds after the first reuse it and log nothing
+    assert outputs["quiet"][2] == ""
+    return [line for line in outputs["trace"][2].splitlines() if " coaodv_sim.sim: " in line]
+
+
+COAODV_TRACE = [
+    "INFO coaodv_sim.sim: flow 0->9: no cooperative route",
+    "DEBUG coaodv_sim.sim: flow 4->9: path=(4, 8, 9) delivered=20/20",
+]
+
+
+def test_trace_log_writes_a_memoized_run_once(tmp_path, monkeypatch, capsys):
+    sim_lines = _compare_sim_log(tmp_path, monkeypatch, capsys)
+    # at the scenario's drop probability of 1.0 no run draws, so each
+    # protocol's later seeds reuse its first run and log nothing
     aodv = [
         "DEBUG coaodv_sim.sim: flow 0->9: path=(0, 2, 1, 5, 9) delivered=0/20",
         "DEBUG coaodv_sim.sim: flow 4->9: path=(4, 5, 9) delivered=0/20",
     ]
-    coaodv = [
-        "INFO coaodv_sim.sim: flow 0->9: no cooperative route",
-        "DEBUG coaodv_sim.sim: flow 4->9: path=(4, 8, 9) delivered=20/20",
+    assert sim_lines == aodv + COAODV_TRACE
+
+
+def test_trace_log_writes_a_drawing_run_once_per_seed(tmp_path, monkeypatch, capsys):
+    sim_lines = _compare_sim_log(tmp_path, monkeypatch, capsys, "--drop-prob", "0.5")
+    # each aodv run draws, so its lines come once per seed; the coaodv run
+    # draws nothing, so the seeds after the first reuse it and log nothing
+    aodv = [
+        [
+            f"DEBUG coaodv_sim.sim: flow 0->9: path=(0, 2, 1, 5, 9) delivered={far}/20",
+            f"DEBUG coaodv_sim.sim: flow 4->9: path=(4, 5, 9) delivered={near}/20",
+        ]
+        for far, near in ((4, 8), (6, 13), (6, 12))
     ]
-    assert sim_lines == aodv + coaodv + aodv + aodv
-    assert outputs["quiet"][2] == ""
+    assert sim_lines == aodv[0] + COAODV_TRACE + aodv[1] + aodv[2]
 
 
 @pytest.mark.parametrize("mode, calls", [(None, 0), ("trace", 41)])
@@ -1061,3 +1084,102 @@ def test_json_numerals_keep_their_meaning(capsys):
         assert main(_RUN + ["--flows", "4:9:5", "--range", text]) == 1
         assert main(_RUN + ["--flows", "4:9:5", "--seed", text]) == 1
     assert f"argument --seed: '{text}' is not an integer" in capsys.readouterr().err
+
+
+class _FailingStream(io.StringIO):
+    """A text stream whose `write` or `flush`, as `where` names, raises `error`."""
+
+    def __init__(self, where, error):
+        super().__init__()
+        self.where, self.error = where, error
+
+    def write(self, text):
+        if self.where == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.where == "flush":
+            raise self.error
+        super().flush()
+
+
+_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+STREAM_ERRORS = {"closed-pipe": BrokenPipeError(errno.EPIPE, "Broken pipe"), "full": _ENOSPC}
+STREAM_ARGVS = {
+    "validate": ["validate", str(PAPER_SCENARIO)],
+    "run": _argv("run", PAPER_SCENARIO),
+    "compare": _argv("compare", PAPER_SCENARIO),
+    "classify": ["classify", "--weights", "0.2,0.3,0.5"],
+    "help": ["compare", "--help"],
+}
+
+
+@pytest.mark.parametrize("where", ["write", "flush"])
+@pytest.mark.parametrize("error", sorted(STREAM_ERRORS))
+@pytest.mark.parametrize("command", sorted(STREAM_ARGVS))
+def test_a_failing_stdout_exits_1(monkeypatch, command, where, error):
+    monkeypatch.setattr(sys, "stdout", _FailingStream(where, STREAM_ERRORS[error]))
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert main(STREAM_ARGVS[command]) == 1
+    # a closed pipe is told by the exit code alone: its reader has gone
+    full = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert sys.stderr.getvalue() == ("" if error == "closed-pipe" else full)
+
+
+@pytest.mark.parametrize("error", sorted(STREAM_ERRORS))
+def test_a_report_is_complete_when_stdout_fails(tmp_path, monkeypatch, capsys, error):
+    argv = ["compare", str(PAPER_SCENARIO), "--flows", "0:9:20", "4:9:20", "--seeds", "5",
+            "--drop-prob", "0.5", "--out"]
+    assert main([*argv, str(tmp_path / "working.csv")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _FailingStream("write", STREAM_ERRORS[error]))
+    assert main([*argv, str(tmp_path / "failing.csv")]) == 1
+    assert (tmp_path / "failing.csv").read_bytes() == (tmp_path / "working.csv").read_bytes()
+
+
+@pytest.mark.parametrize("where", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "missing.json"], 1),
+        (_argv("run", PAPER_SCENARIO) + ["--range", "-5"], 2),
+        (STREAM_ARGVS["compare"], 0),  # its info lines are lost
+    ],
+    ids=["usage-error", "invalid-scenario", "success"],
+)
+def test_a_failing_stderr_keeps_the_exit_code(monkeypatch, capsys, where, argv, code):
+    monkeypatch.setenv("COAODV_SIM_LOG", "info")
+    monkeypatch.setattr(sys, "stderr", _FailingStream(where, _ENOSPC))
+    assert main(argv) == code
+    assert capsys.readouterr().out.startswith("protocol") == (code == 0)
+
+
+def _stream_failure_process(argv, stdout):
+    """Run the CLI in a fresh process with default buffering and `stdout` as
+    its stdout; returns (exit code, stderr)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "coaodv_sim.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stderr
+
+
+def test_a_closed_pipe_on_stdout_exits_1_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        code, err = _stream_failure_process(STREAM_ARGVS["compare"], write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_full_stdout_exits_1_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        code, err = _stream_failure_process(STREAM_ARGVS["validate"], full)
+    assert (code, err) == (1, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")

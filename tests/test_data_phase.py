@@ -12,7 +12,7 @@ from coaodv_sim import sim
 from coaodv_sim.errors import NoCooperativeRoute, NoRoute
 from coaodv_sim.model import FlowMetrics, Protocol, SimMetrics
 
-from .conftest import random_scenario
+from .conftest import make_node, make_scenario, random_scenario
 
 
 def walk_delivered(rng, packets, route_stability, drop_prob):
@@ -207,3 +207,35 @@ def test_generator_is_built_only_for_a_run_that_draws(monkeypatch, paper_scenari
     ((generator, _),) = built
     assert reseeded == [(generator, seed) for seed in seeds]
     assert results == list(zip(eager[Protocol.AODV], eager[Protocol.COAODV]))
+
+
+def _relay_line(drop_prob):
+    """Six stationary nodes 10 apart on a line at range 10, every one below
+    the energy threshold: aodv's route from 0 to k crosses k - 1 droppable
+    hops."""
+    nodes = [make_node(i, 10.0 * i, 0.0, energy=100.0) for i in range(6)]
+    return make_scenario(nodes, transmission_range=10.0, non_coop_drop_prob=drop_prob)
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, -0.0, 1.0])
+def test_a_certain_drop_probability_runs_as_the_walk_without_a_draw(monkeypatch, drop_prob):
+    config = _relay_line(drop_prob)
+    draws = _counting_random(monkeypatch)
+    routes = [(sim.Flow(0, k, 25),) for k in range(2, 6)]  # 1 to 4 droppable hops
+    for flows in [*routes, tuple(flow for (flow,) in routes)]:
+        for seed in range(20):
+            metrics = sim.run(config, Protocol.AODV, flows, seed)
+            assert [f.hop_count for f in metrics.per_flow] == [f.destination for f in flows]
+            delivered = [f.packets_delivered for f in metrics.per_flow]
+            assert delivered == _walk_run(config, Protocol.AODV, flows, seed)
+            assert set(delivered) == {0 if drop_prob else 25}
+    assert draws[0] == 0
+
+
+def test_a_nan_drop_probability_still_draws(monkeypatch):
+    config = _relay_line(math.nan)  # unvalidated: validate_scenario rejects it
+    draws = _counting_random(monkeypatch)
+    flows = (sim.Flow(0, 3, 25),)
+    (flow,) = sim.run(config, Protocol.AODV, flows, 7).per_flow
+    assert [flow.packets_delivered] == _walk_run(config, Protocol.AODV, flows, 7) == [25]
+    assert draws[0] == 25 * 2  # no draw is below NaN, so each packet draws at both hops

@@ -20,7 +20,12 @@ and `threshold_strict` either bool, so there each valid value is accepted as
 itself. An int past float range in a number's place is named by its key, and
 none of its digits are printed.
 
-No call raises any other exception, and no message is longer than 200 bytes.
+(c) `validate_scenario` gets the bundled scenario with one node's id, the
+area's sides and that node's coordinate drawn as ints of 40 digits, the
+longest that a message shows as written, all at once.
+
+No call raises any other exception, and no message is longer than 200 bytes;
+under (c) neither is the `error:` line that the CLI would print.
 """
 
 import dataclasses
@@ -214,3 +219,31 @@ def test_validation_accepts_only_the_values_it_was_given(replacement):
         assert VALID[place](value)
     else:
         assert _same(read(config), read(BUNDLED))
+
+
+FORTY_DIGITS = 10**39, 10**40 - 1  # the least and the greatest int of 40 digits
+FORTY = st.integers(*FORTY_DIGITS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FORTY, FORTY, FORTY, st.sampled_from(["pos_t1", "pos_t2"]), st.sampled_from("xy"),
+       FORTY | FORTY.map(int.__neg__))
+@example(FORTY_DIGITS[1], FORTY_DIGITS[0], FORTY_DIGITS[0], "pos_t2", "y", -FORTY_DIGITS[1])
+def test_forty_digit_ids_area_sides_and_coordinates_fit_a_line(
+    node_id, width, height, epoch, axis, coordinate
+):
+    node = BUNDLED.node_map()[NODE]
+    rec = node.mobility_record
+    pos = dataclasses.replace(getattr(rec, epoch), **{axis: coordinate})
+    moved = dataclasses.replace(
+        node, id=node_id, mobility_record=dataclasses.replace(rec, **{epoch: pos})
+    )
+    nodes = tuple(moved if n.id == NODE else n for n in BUNDLED.nodes)
+    config = dataclasses.replace(BUNDLED, area=(width, height), nodes=nodes)
+    try:
+        validate_scenario(config)
+    except ScenarioValidationError as exc:
+        assert len(f"error: invalid scenario: {exc}".encode()) <= MESSAGE_BYTES
+        assert "outside area" in str(exc)
+        return
+    assert 0 <= coordinate <= (width if axis == "x" else height)

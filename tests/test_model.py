@@ -55,12 +55,12 @@ def test_negative_id_rejected():
 
 
 def test_node_outside_area_rejected():
-    with _rejects("node 0 position (150, 10) outside area 100.0x100.0"):
+    with _rejects("node 0 pos_t1 x 150 outside area [0, 100.0]"):
         validate_scenario(make_scenario([make_node(0, 150, 10)]))
 
 
 def test_second_epoch_outside_area_rejected():
-    with _rejects("node 0 position (10, 101) outside area 100.0x100.0"):
+    with _rejects("node 0 pos_t2 y 101 outside area [0, 100.0]"):
         validate_scenario(make_scenario([make_node(0, 10, 10, 10, 101)]))
 
 
@@ -144,10 +144,10 @@ INVARIANTS = {
     "float-id": (_set_node(0, id=1.0), "node id must be a nonnegative integer, got 1.0"),
     "duplicate-id": (_set_node(1, id=0), "duplicate node id 0"),
     "outside-at-pos-t1": (
-        _set_node(3, pos_t1=[150, 10]), "node 3 position (150, 10) outside area 100x100"
+        _set_node(3, pos_t1=[150, 10]), "node 3 pos_t1 x 150 outside area [0, 100]"
     ),
     "outside-at-pos-t2": (
-        _set_node(3, pos_t2=[10, 101]), "node 3 position (10, 101) outside area 100x100"
+        _set_node(3, pos_t2=[10, 101]), "node 3 pos_t2 y 101 outside area [0, 100]"
     ),
     "energy-inf": (_set_node(3, energy=INF), "node 3 energy must be finite, got inf"),
     "negative-energy": (_set_node(3, energy=-3), "node 3 energy must be >= 0, got -3"),
@@ -274,7 +274,7 @@ UNPRINTABLE_CONFIGS = {
     ),
     "id-of-a-node-outside-the-area": (
         lambda: make_scenario([make_node(HUGE, 150, 1)]),
-        f"node {LONG} position (150, 1) outside area 100.0x100.0",
+        f"node {LONG} pos_t1 x 150 outside area [0, 100.0]",
     ),
     "position": (
         lambda: make_scenario([make_node(0, HUGE, 1)]),

@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 from coaodv_sim import protocol
-from coaodv_sim.coopmath import distance
+from coaodv_sim.coopmath import DISTANCES
 from coaodv_sim.errors import InternalError, NoCooperativeRoute, NoRoute, UnknownNode
 from coaodv_sim.model import Route, load_scenario
 from coaodv_sim.protocol import aodv_discover, coaodv_discover, completed_request, exchange_hello
@@ -165,7 +165,7 @@ def test_discovery_is_deterministic(paper_scenario):
 def _route_is_valid(route, config):
     by_id = config.node_map()
     for u, v in zip(route.path, route.path[1:]):
-        d = distance(by_id[u].position, by_id[v].position, config.distance_metric)
+        d = DISTANCES[config.distance_metric](by_id[u].position, by_id[v].position)
         assert d <= config.transmission_range
     assert len(set(route.path)) == len(route.path)
 

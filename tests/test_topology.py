@@ -174,8 +174,8 @@ def test_forward_layout_measures_each_pair_larger_id_first(monkeypatch, metric):
     directions = []
     for small in range(0, 8, 2):
         large = small + 1
-        assert coopmath.distance(
-            by_id[large].position, by_id[small].position, metric
+        assert coopmath.DISTANCES[metric](
+            by_id[large].position, by_id[small].position
         ) == config.transmission_range
         directions.append(tuple(q - p for p, q in zip(cell[large], cell[small])))
     assert directions == [(1, 0), (0, 1), (1, 1), (1, -1)]
