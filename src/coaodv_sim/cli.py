@@ -193,11 +193,8 @@ def _parse_flows(specs: list[str]) -> tuple[sim.Flow, ...]:
 def _load_effective_scenario(args) -> ScenarioConfig:
     """The scenario at args.path with the command's overrides applied; a file
     that cannot be read or is not JSON is a usage error."""
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(ScenarioConfig)
-        if getattr(args, f.name, None) is not None
-    }
+    fields = dataclasses.fields(ScenarioConfig)
+    overrides = {f.name: v for f in fields if (v := getattr(args, f.name, None)) is not None}
     try:
         return load_scenario(args.path, **overrides)
     except FileNotFoundError:
@@ -245,13 +242,14 @@ def _report_name(args) -> str:
 
 
 def _write_report(path: str, chunks: Iterable[str]) -> None:
-    """Write the header, then each chunk of lines as it comes."""
+    """Write the header, then each chunk of lines as it comes; log the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             csv.writer(handle, lineterminator="\n").writerow(REPORT_HEADER)
             handle.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    log.info("report written to %s", _one_line(_shown(path)))
 
 
 def _metric_rows(name_field: str, seed: int, metrics: SimMetrics, tails: dict) -> str:
@@ -303,7 +301,6 @@ def cmd_run(args) -> int:
     metrics = sim.run(config, args.protocol, flows, config.rng_seed)
     if args.out:  # before the summary, so a report that cannot be written prints nothing
         _write_report(args.out, [_metric_rows(name, config.rng_seed, metrics, {})])
-        log.info("report written to %s", args.out)
     _flow_summary(metrics)
     return 0
 
@@ -332,7 +329,6 @@ def cmd_compare(args) -> int:
 
     if args.out:
         _write_report(args.out, steps())
-        log.info("report written to %s", args.out)
     else:
         for _ in steps():  # yields nothing: without a report no line is built
             pass

@@ -1,8 +1,8 @@
 """Domain types, scenario validation, and the JSON scenario file format.
 
-All types are immutable value objects; `validate_scenario` checks every
-invariant and never normalizes silently. The scenario document is a single
-JSON object, see `scenario_from_dict` for the schema.
+All types are immutable value objects; a ScenarioConfig is checked by
+`validate_scenario` as it is built, never normalized silently. The scenario
+document is a single JSON object, see `scenario_from_dict` for the schema.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -91,12 +91,13 @@ class ScenarioConfig:
     non_coop_drop_prob: float = 1.0
     rng_seed: int = 0
 
+    def __post_init__(self):
+        validate_scenario(self)  # the module global, so a wrapper set there sees each check
+
     def node_map(self) -> dict[int, NodeState]:
         return {n.id: n for n in self.nodes}
 
-    def __reduce__(self):
-        # pickle and copy rebuild a config from its fields alone, never with
-        # what a caller has set on the object outside them
+    def __reduce__(self):  # copy and pickle rebuild, so check, a config from its fields alone
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
@@ -192,21 +193,32 @@ def _check_number(name: str, value) -> None:
         raise _invalid(f"{name} must be finite", value)
 
 
+def _wrong_part(node, index: int) -> ScenarioValidationError:
+    """The error naming the outermost part of the node at `index` not of its record type."""
+    if not isinstance(node, NodeState):
+        return _invalid(f"nodes[{index}] must be a NodeState", node)
+    where, rec = f"node {quoted(node.id)}", node.mobility_record
+    if not isinstance(rec, MobilityRecord):
+        return _invalid(f"{where} mobility_record must be a MobilityRecord", rec)
+    part = "pos_t2" if isinstance(rec.pos_t1, Position) else "pos_t1"
+    return _invalid(f"{where} {part} must be a Position", getattr(rec, part))
+
+
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """Return `config` unchanged iff every field has its exact type and every
     invariant holds, else raise a ScenarioValidationError whose message names
-    the field or the node: the one check of a scenario's values, for a file
-    and a config built in Python alike. Nothing is converted.
+    the field or the node: the one check of a scenario's values, which each
+    ScenarioConfig makes as it is built, however built. Nothing is converted.
 
-    Types: a number is an `int` or a `float`, never a `bool`; the seed an
-    `int`, `threshold_strict` a `bool`, each metric a member of its enum, the
-    area a pair, the nodes a tuple. Each number but an id or the seed passes
-    `_check_number` before its own bound: it is finite, and an int past float
-    range is named by its key, never printed. Bounds: the area, threshold,
-    energies, ids and seed nonnegative (random.Random(-s) draws the stream of
-    random.Random(s)), ids unique, both position epochs inside the area, the
-    range and elapsed times positive, the drop probability in [0, 1]. Each
-    value a message shows goes through `errors.quoted`.
+    Types: a number is an `int` or a `float`, never a `bool`; the seed an `int`,
+    `threshold_strict` a `bool`, each metric a member of its enum, the area a
+    pair, the nodes a tuple of NodeState records, a part of another type named.
+    Each number but an id or the seed passes `_check_number` before its own
+    bound: it is finite, and an int past float range is named by its key, never
+    printed. Bounds: the area, threshold, energies, ids and seed nonnegative
+    (random.Random(-s) draws the stream of random.Random(s)), ids unique, both
+    position epochs inside the area, the range and elapsed times positive, the
+    drop probability in [0, 1]. Each value a message shows goes through `errors.quoted`.
     """
     area = config.area
     if type(area) is not tuple or len(area) != 2:
@@ -243,14 +255,17 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
 
     seen: set[int] = set()
     for node in config.nodes:
-        node_id, rec, energy = node.id, node.mobility_record, node.energy
+        try:  # free in CPython 3.11+ unless it raises
+            node_id, rec, energy = node.id, node.mobility_record, node.energy
+            p1, p2, elapsed = rec.pos_t1, rec.pos_t2, rec.elapsed
+            values = (p1.x, p1.y, p2.x, p2.y, energy)
+        except AttributeError:  # every node before this one was added to `seen`
+            raise _wrong_part(node, len(seen)) from None
         if type(node_id) is not int or node_id < 0:
             raise _invalid("node id must be a nonnegative integer", node_id)
         if node_id in seen:
             raise ScenarioValidationError(f"duplicate node id {quoted(node_id)}")
         seen.add(node_id)
-        p1, p2, elapsed = rec.pos_t1, rec.pos_t2, rec.elapsed
-        values = (p1.x, p1.y, p2.x, p2.y, energy)
         if not _NUMBER_TYPES.issuperset(map(type, values)):
             raise _invalid(f"node {quoted(node_id)}: positions and energy must be numbers", values)
         for pos in (p1, p2):
@@ -306,7 +321,7 @@ def _check_keys(obj: dict, known: frozenset, where: str) -> None:
         raise ScenarioValidationError(f"{where}: unknown keys {shown}")
 
 
-def scenario_from_dict(doc: dict) -> ScenarioConfig:
+def scenario_from_dict(doc: dict, **overrides) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed scenario document.
 
     Required keys: nodes (list of {id, pos_t1: [x, y], pos_t2: [x, y], energy}),
@@ -315,11 +330,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     mobility_metric ("euclidean_rate"), threshold_strict (true),
     non_coop_drop_prob (1.0), seed (0), elapsed_time (1.0, applied to every node).
 
-    Only the document's shape is checked, and `elapsed_time`, the one value no
-    field holds: a ScenarioValidationError names an object or array of the
-    wrong shape, a missing, unknown or repeated key, and an `elapsed_time` that
-    fails `_check_number` or is not > 0. Values are kept as written, a metric
-    name as its member; validate_scenario checks them.
+    Here only the document's shape and `elapsed_time`, the one value no field
+    holds, are checked: a ScenarioValidationError names an object or array of
+    the wrong shape, a missing, unknown or repeated key, and an `elapsed_time`
+    that fails `_check_number` or is not > 0. The config, built from the values
+    as written (a metric name as its member) or from `overrides`, checks them.
     """
     if not isinstance(doc, dict):
         raise ScenarioValidationError(
@@ -358,7 +373,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             width, height = area
         except (TypeError, ValueError):
             raise _invalid("area must be [width, height]", area) from None
-        return ScenarioConfig(
+        values = dict(
             nodes=tuple(nodes),
             area=(width, height),
             transmission_range=doc["transmission_range"],
@@ -374,6 +389,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         where = _node_label(entry, len(nodes))
         _check_keys(entry, _NODE_KEYS, where)
         raise ScenarioValidationError(f"{where}: missing key {exc}") from None
+    return ScenarioConfig(**(values | overrides))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -388,12 +404,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def scenario_from_json(text: str) -> ScenarioConfig:
-    return scenario_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
+def scenario_from_json(text: str, **overrides) -> ScenarioConfig:
+    return scenario_from_dict(json.loads(text, object_pairs_hook=_unique_keys), **overrides)
 
 
 def load_scenario(path: str | Path, **overrides) -> ScenarioConfig:
-    """Read and parse a scenario file, replace the ScenarioConfig fields named
-    in `overrides`, then validate; the one place a scenario file is read."""
-    config = scenario_from_json(Path(path).read_text(encoding="utf-8"))
-    return validate_scenario(replace(config, **overrides) if overrides else config)
+    """Read and parse a scenario file, the one place one is read; a field in
+    `overrides` takes its value there, checked in place of the file's one."""
+    return scenario_from_json(Path(path).read_text(encoding="utf-8"), **overrides)

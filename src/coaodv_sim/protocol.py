@@ -62,16 +62,11 @@ def _adjacency(config: ScenarioConfig) -> dict[int, list[int]]:
     pos = {n.id: n.position for n in config.nodes}
     ids = sorted(pos)
     dist, reach = DISTANCES[config.distance_metric], config.transmission_range
-    coords = [c for p in pos.values() for c in (p.x, p.y)]
-    extent = max(map(abs, coords), default=0.0)
-    width = max(reach, extent / _MAX_CELLS, sys.float_info.min) * _CELL_MARGIN
-    if width < math.inf and all(map(math.isfinite, coords)):
-        home = {u: (math.floor(pos[u].x / width), math.floor(pos[u].y / width)) for u in ids}
-    else:  # a non-finite value: one cell for all nodes, i.e. the all-pairs scan
-        home = dict.fromkeys(ids, (0, 0))
+    # coordinates lie in [0, side]; an inf width (a range near float max) is one cell
+    width = max(reach, max(config.area) / _MAX_CELLS, sys.float_info.min) * _CELL_MARGIN
     cells: dict[tuple[int, int], list[int]] = {}
     for u in ids:
-        cells.setdefault(home[u], []).append(u)
+        cells.setdefault((math.floor(pos[u].x / width), math.floor(pos[u].y / width)), []).append(u)
 
     adj: dict[int, list[int]] = {u: [] for u in ids}
     for (cx, cy), members in cells.items():
@@ -97,11 +92,9 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
     mobile neighbor sets the mobility bar, so it stands in for all the peers.
     Every flag starts False, and the predicate is asked only for a neighbor
     that meets the bar: for any other, its mobility clause fails by the same
-    comparison, `rate <= bar`, so the flag stays False. A NaN rate, which only
-    a config that skipped validation can hold (a node at infinity), fails that
-    comparison both ways: its own edges never meet a bar, and an owner with
-    such a neighbor gets a bar of -inf, which no rate meets. Each table lists
-    its neighbors in adjacency order.
+    comparison, `rate <= bar`, so the flag stays False. A config is checked
+    when it is built, so no rate is NaN. Each table lists its neighbors in
+    adjacency order.
 
     At the bar a verdict depends on the candidate alone, so it is asked once
     per candidate per round, at its first edge that meets a bar, and reused
@@ -114,16 +107,13 @@ def exchange_hello(config: ScenarioConfig) -> dict[int, NeighborTable]:
     adj = _adjacency(config)
     by_id = config.node_map()
     rates = mobility_rates((by_id[u] for u, nbrs in adj.items() if nbrs), config.mobility_metric)
-    bars = rates  # each rate as a bar: a NaN one as -inf, so that it sets the bar
-    if any(map(math.isnan, rates.values())):
-        bars = {u: -math.inf if math.isnan(r) else r for u, r in rates.items()}
     tables: dict[int, NeighborTable] = {}
     at_bar: dict[int, NeighborEntry] = {}  # this round's entry of each candidate at a bar
     for owner, neighbor_ids in adj.items():
         entries = dict.fromkeys(neighbor_ids, _ENTRY[False])
         if neighbor_ids:
-            bar = min(neighbor_ids, key=bars.__getitem__)
-            low, prev, peers = bars[bar], by_id[owner], [by_id[bar]]
+            bar = min(neighbor_ids, key=rates.__getitem__)
+            low, prev, peers = rates[bar], by_id[owner], [by_id[bar]]
             for v in neighbor_ids:
                 if rates[v] <= low:
                     entry = at_bar.get(v)

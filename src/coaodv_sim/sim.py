@@ -117,21 +117,21 @@ def run(
 ) -> SimMetrics:
     """Execute one seeded run of `proto` over `flows`.
 
-    `seed` must be exactly a non-negative `int`: `random.Random` would draw
-    the stream of 1 for -1, True and 1.0, hash a string and seed None from
-    the OS. A run draws from `rng` reseeded with `seed` when one is given,
-    else from a new `random.Random(seed)`; both give the same stream. Either
-    is seeded at the first droppable hop, so a run that never draws seeds
-    nothing. At a drop probability of exactly 1.0, 0.0 or -0.0 every draw's
-    outcome is known, so a droppable hop draws nothing: a flow across one
-    delivers 0 packets at 1.0 and all of them at 0.0.
+    `seed` must be exactly a non-negative `int`: `random.Random` would draw the
+    stream of 1 for -1, True and 1.0, hash a string and seed None from the OS.
+    A run draws from `rng` reseeded with `seed` when one is given, else from a
+    new `random.Random(seed)`; both give the same stream. Either is seeded at
+    the first droppable hop, so a run that never draws seeds nothing. The drop
+    probability is in [0, 1], checked when `scenario` was built; at exactly
+    1.0, 0.0 or -0.0 every draw's outcome is known, so a droppable hop draws
+    nothing: a flow across one delivers 0 packets at 1.0, all at 0.0.
 
     A run that never draws (no flow reached a droppable hop, as in every
     `coaodv` run, or the drop probability is certain) is the same for every
-    seed, so its result is memoized with
-    the scenario's topology, keyed by (proto, flows). A later run of the same
-    protocol and flows on the same config object returns that object without
-    discovering or logging again; a run that draws is computed every time.
+    seed, so its result is memoized with the scenario's topology, keyed by
+    (proto, flows). A later run of the same protocol and flows on the same
+    config object returns that object without discovering or logging again;
+    a run that draws is computed every time.
     """
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {quoted(seed)}")
@@ -144,8 +144,7 @@ def run(
     seeded = None  # the generator once seeded, at the first droppable hop
     discover = _DISCOVER[proto]
     drop_prob = scenario.non_coop_drop_prob
-    # random() is in [0, 1): at 1.0 each packet is lost at its first draw, at
-    # 0.0 (or -0.0) none is ever lost, so no draw is made; a NaN still draws
+    # random() is in [0, 1): at 1.0 every draw loses a packet, at 0.0 or -0.0 none does
     certain = drop_prob == 1.0 or drop_prob == 0.0
     debug = log.isEnabledFor(logging.DEBUG)  # once per run, not once per flow
 

@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import random
 from pathlib import Path
 
@@ -36,6 +39,31 @@ def error_line_bytes(line: str, argv) -> int:
         for text in (arg, repr(arg), cli._one_line(cli._shown(arg))):
             line = line.replace(text, "")
     return len(line.encode("utf-8"))
+
+
+class FailingStream(io.StringIO):
+    """A text stream whose `write` or `flush`, as `where` names, raises `error`."""
+
+    def __init__(self, where, error):
+        super().__init__()
+        self.where, self.error = where, error
+
+    def write(self, text):
+        if self.where == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.where == "flush":
+            raise self.error
+        super().flush()
+
+
+# what a stdout or stderr write may raise: its reader gone, or its device full
+STREAM_ERRORS = {
+    "closed-pipe": BrokenPipeError(errno.EPIPE, "Broken pipe"),
+    "full": OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+}
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from coaodv_sim import cli, protocol, sim
+from coaodv_sim import cli, model, protocol, sim
 from coaodv_sim.cli import REPORT_HEADER, main
 from coaodv_sim.errors import ScenarioValidationError
 from coaodv_sim.model import (
@@ -28,7 +28,15 @@ from coaodv_sim.model import (
     validate_scenario,
 )
 
-from .conftest import PAPER_SCENARIO, make_node, make_scenario, scenario_to_json, seeded_scenario
+from .conftest import (
+    PAPER_SCENARIO,
+    STREAM_ERRORS,
+    FailingStream,
+    make_node,
+    make_scenario,
+    scenario_to_json,
+    seeded_scenario,
+)
 
 GOLDEN_RUN_CSV = (
     "scenario,protocol,seed,flow_src,flow_dst,hop_count,packets_sent,"
@@ -183,6 +191,20 @@ def test_override_can_repair_the_file(tmp_path, capsys):
     argv = ["run", str(tmp_path / "scenario.json"), "--protocol", "aodv", "--flows", "4:9:1"]
     assert main(argv + ["--range", "20"]) == 0
     assert "flow 4->9 [aodv]: hops=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, override",  # validate takes no override
+    [("validate", []), ("run", []), ("run", ["--range", "40"]), ("compare", []),
+     ("compare", ["--range", "40"])],
+)
+def test_a_command_checks_its_scenario_once(monkeypatch, capsys, command, override):
+    checked = []
+    check = model.validate_scenario
+    monkeypatch.setattr(model, "validate_scenario", lambda c: checked.append(c) or check(c))
+    assert main(_argv(command, PAPER_SCENARIO) + override) == 0
+    assert len(checked) == 1
+    assert checked[0].transmission_range == (40 if override else 20)  # the file holds 20
 
 
 def test_compare_csv_structure(tmp_path):
@@ -559,6 +581,20 @@ def test_info_log_leaves_stdout_and_report_bytes_alone(tmp_path, monkeypatch, ca
         outputs[mode] = (out, report.read_bytes(), err.count("INFO coaodv_sim.protocol: HELLO"))
     assert outputs[None][:2] == outputs["info"][:2]
     assert (outputs[None][2], outputs["info"][2]) == (0, 1)  # one line per HELLO round
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_report_path_with_a_newline_is_logged_on_one_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("COAODV_SIM_LOG", "info")
+    report = str(tmp_path / "new\nline.csv")
+    args = [command, str(PAPER_SCENARIO), "--flows", "0:9:20", "4:9:20", "--out", report]
+    args += ["--protocol", "aodv"] if command == "run" else []
+    assert main(args) == 0
+    lines = capsys.readouterr().err.splitlines()
+    # one record per line: each line starts with its record's level and logger
+    assert len(lines) > 1 and all(re.match(r"INFO coaodv_sim\.\w+: ", line) for line in lines)
+    assert lines[-1] == f"INFO coaodv_sim.cli: report written to {cli._one_line(report)}"
+    assert "\\n" in lines[-1]
 
 
 def _compare_sim_log(tmp_path, monkeypatch, capsys, *options):
@@ -1086,26 +1122,6 @@ def test_json_numerals_keep_their_meaning(capsys):
     assert f"argument --seed: '{text}' is not an integer" in capsys.readouterr().err
 
 
-class _FailingStream(io.StringIO):
-    """A text stream whose `write` or `flush`, as `where` names, raises `error`."""
-
-    def __init__(self, where, error):
-        super().__init__()
-        self.where, self.error = where, error
-
-    def write(self, text):
-        if self.where == "write":
-            raise self.error
-        return super().write(text)
-
-    def flush(self):
-        if self.where == "flush":
-            raise self.error
-        super().flush()
-
-
-_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-STREAM_ERRORS = {"closed-pipe": BrokenPipeError(errno.EPIPE, "Broken pipe"), "full": _ENOSPC}
 STREAM_ARGVS = {
     "validate": ["validate", str(PAPER_SCENARIO)],
     "run": _argv("run", PAPER_SCENARIO),
@@ -1119,7 +1135,7 @@ STREAM_ARGVS = {
 @pytest.mark.parametrize("error", sorted(STREAM_ERRORS))
 @pytest.mark.parametrize("command", sorted(STREAM_ARGVS))
 def test_a_failing_stdout_exits_1(monkeypatch, command, where, error):
-    monkeypatch.setattr(sys, "stdout", _FailingStream(where, STREAM_ERRORS[error]))
+    monkeypatch.setattr(sys, "stdout", FailingStream(where, STREAM_ERRORS[error]))
     monkeypatch.setattr(sys, "stderr", io.StringIO())
     assert main(STREAM_ARGVS[command]) == 1
     # a closed pipe is told by the exit code alone: its reader has gone
@@ -1133,7 +1149,7 @@ def test_a_report_is_complete_when_stdout_fails(tmp_path, monkeypatch, capsys, e
             "--drop-prob", "0.5", "--out"]
     assert main([*argv, str(tmp_path / "working.csv")]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(sys, "stdout", _FailingStream("write", STREAM_ERRORS[error]))
+    monkeypatch.setattr(sys, "stdout", FailingStream("write", STREAM_ERRORS[error]))
     assert main([*argv, str(tmp_path / "failing.csv")]) == 1
     assert (tmp_path / "failing.csv").read_bytes() == (tmp_path / "working.csv").read_bytes()
 
@@ -1150,7 +1166,7 @@ def test_a_report_is_complete_when_stdout_fails(tmp_path, monkeypatch, capsys, e
 )
 def test_a_failing_stderr_keeps_the_exit_code(monkeypatch, capsys, where, argv, code):
     monkeypatch.setenv("COAODV_SIM_LOG", "info")
-    monkeypatch.setattr(sys, "stderr", _FailingStream(where, _ENOSPC))
+    monkeypatch.setattr(sys, "stderr", FailingStream(where, STREAM_ERRORS["full"]))
     assert main(argv) == code
     assert capsys.readouterr().out.startswith("protocol") == (code == 0)
 

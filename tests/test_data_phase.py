@@ -230,12 +230,3 @@ def test_a_certain_drop_probability_runs_as_the_walk_without_a_draw(monkeypatch,
             assert delivered == _walk_run(config, Protocol.AODV, flows, seed)
             assert set(delivered) == {0 if drop_prob else 25}
     assert draws[0] == 0
-
-
-def test_a_nan_drop_probability_still_draws(monkeypatch):
-    config = _relay_line(math.nan)  # unvalidated: validate_scenario rejects it
-    draws = _counting_random(monkeypatch)
-    flows = (sim.Flow(0, 3, 25),)
-    (flow,) = sim.run(config, Protocol.AODV, flows, 7).per_flow
-    assert [flow.packets_delivered] == _walk_run(config, Protocol.AODV, flows, 7) == [25]
-    assert draws[0] == 25 * 2  # no draw is below NaN, so each packet draws at both hops

@@ -8,16 +8,22 @@ characters long) and up to five options in any order: each option of every
 command, with a value, without one or repeated, and `--out` to the existing
 report, a directory, /dev/full, the scenario or a name the disk refuses.
 `COAODV_SIM_LOG` is unset or `quiet`, `info`, `trace` or an unknown value.
-No example runs long: `--seeds` is at most 50 and a flow's packets at most
-1,000 unless the value is invalid.
+Stdout works, or its `write` or `flush` raises `BrokenPipeError` (its reader
+has gone) or `OSError(ENOSPC)` (its device is full). No example runs long:
+`--seeds` is at most 50 and a flow's packets at most 1,000 unless the value
+is invalid.
 
 Whatever the argv, `main` returns 0, 1 or 2 and raises nothing. An error
 exit prints nothing on stdout, and its stderr ends with exactly one line that
 starts with `error: `, after any log lines; less the argv text it quotes, that
 line is at most 200 bytes. No command changes the scenario's
 bytes, and an error exit leaves the existing report's bytes as they were.
+A command that writes stdout exits 1 when stdout fails: a closed pipe adds no
+`error: ` line, a full device exactly one, `error: cannot write stdout: `,
+and a report that the command writes is as complete as with a working stdout.
 """
 
+import errno
 import io
 import os
 from contextlib import redirect_stderr, redirect_stdout
@@ -28,7 +34,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from coaodv_sim.cli import REPORT_HEADER, main
 
-from .conftest import MESSAGE_BYTES, PAPER_SCENARIO, error_line_bytes
+from .conftest import (
+    MESSAGE_BYTES,
+    PAPER_SCENARIO,
+    STREAM_ERRORS,
+    FailingStream,
+    error_line_bytes,
+)
 
 BUNDLED = PAPER_SCENARIO.read_bytes()
 EXISTING_REPORT = b"an existing report\n"
@@ -63,6 +75,7 @@ MOBILITIES = (("euclidean_rate", "manhattan_rate"), ("x", ""))
 WEIGHTS = (("0.2,0.3,0.5", "1,0,0"), ("0.5,0.5,0", "0.3,0.3,0.3", "nan,0,1", "a,b,c", "1,2", ""))
 FLAGS = (("--strict", "--no-strict"), ("--bogus", "--", "-h", "--seed=3"))
 LOG_LEVELS = ((None, "quiet", "info", "trace"), ("loud",))
+STDOUTS = ((None,), tuple((call, error) for call in ("write", "flush") for error in STREAM_ERRORS))
 
 
 def _hostile(draw, odds) -> bool:
@@ -132,7 +145,7 @@ def argvs(draw):
         chunks.append([_pick(draw, PATHS, odds)])
     for chunk in draw(st.permutations(chunks)):
         args += chunk
-    return args, _pick(draw, LOG_LEVELS, odds)
+    return args, _pick(draw, LOG_LEVELS, odds), _pick(draw, STDOUTS, odds)
 
 
 @pytest.fixture(scope="module")
@@ -151,11 +164,11 @@ def _in(work, args):
     return [str(work / arg) if arg in names else arg for arg in args]
 
 
-def _main(argv, level):
+def _main(argv, level, out=None):
     env = {k: v for k, v in os.environ.items() if k != "COAODV_SIM_LOG"}
     if level is not None:
         env["COAODV_SIM_LOG"] = level
-    out, err = io.StringIO(), io.StringIO()
+    out, err = out or io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, env, clear=True), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
@@ -166,17 +179,19 @@ FLOWS = ["--flows", "0:9:100", "4:9:100"]
 
 @settings(max_examples=150, deadline=None)
 @given(argvs())
-@example((["run", SCENARIO, "--protocol", "aodv", *FLOWS, "--out", REPORT], "info"))
-@example((["compare", LINK, *FLOWS, "--seeds", "50", "--out", REPORT], "trace"))
-@example((["compare", SCENARIO, *FLOWS, "--out", LINK], None))  # the scenario, by another name
-@example((["run", NEWLINE, "--protocol", "aodv", *FLOWS, "--drop-prob", "1.5"], "loud"))
-@example((["run", NEWLINE, "--protocol", "aodv", "--flows", "0:10:5", "--out", REPORT], "info"))
-@example((["compare", NOT_UTF8, *FLOWS, "--range", "nan", "--seeds", "2"], "trace"))
-@example((["validate", MISSING], "info"))  # a newline in the quoted path
-@example((["compare", SCENARIO, "--flows", "0:10:5", "--out", REPORT], None))  # before the report
-@example((["run", SCENARIO, "--protocol", "aodv", "--flows", f"{HUGE}:9:5"], None))  # its id
+@example((["run", SCENARIO, "--protocol", "aodv", *FLOWS, "--out", REPORT], "info", None))
+@example((["compare", LINK, *FLOWS, "--seeds", "50", "--out", REPORT], "trace", None))
+@example((["compare", SCENARIO, *FLOWS, "--out", LINK], None, None))  # the scenario, renamed
+@example((["run", NEWLINE, "--protocol", "aodv", *FLOWS, "--drop-prob", "1.5"], "loud", None))
+@example((["run", NEWLINE, "--protocol", "aodv", "--flows", "0:10:5", "--out", REPORT], "info", None))
+@example((["compare", NOT_UTF8, *FLOWS, "--range", "nan", "--seeds", "2"], "trace", None))
+@example((["validate", MISSING], "info", None))  # a newline in the quoted path
+@example((["compare", SCENARIO, "--flows", "0:10:5", "--out", REPORT], None, None))  # before it
+@example((["run", SCENARIO, "--protocol", "aodv", "--flows", f"{HUGE}:9:5"], None, None))  # its id
+@example((["compare", SCENARIO, *FLOWS, "--out", REPORT], "info", ("write", "closed-pipe")))
+@example((["run", SCENARIO, "--protocol", "aodv", *FLOWS, "--out", REPORT], None, ("flush", "full")))
 def test_hostile_argv_exits_with_one_named_error(workdir, case):
-    args, level = case
+    args, level, failing = case
     report = workdir / REPORT
     report.write_bytes(EXISTING_REPORT)
     argv = _in(workdir, args)
@@ -185,6 +200,8 @@ def test_hostile_argv_exits_with_one_named_error(workdir, case):
     for name in SCENARIOS:
         assert (workdir / name).read_bytes() == BUNDLED
     if code == 0:
+        if failing is not None:
+            _check_failing_stdout(argv, level, failing, report)
         return
     assert out == ""
     assert err.endswith("\n")
@@ -194,6 +211,22 @@ def test_hostile_argv_exits_with_one_named_error(workdir, case):
     assert error_line_bytes(lines[-1], argv) <= MESSAGE_BYTES
     assert not any(line.startswith("error: ") for line in lines[:-1])
     assert report.read_bytes() == EXISTING_REPORT
+
+
+def _check_failing_stdout(argv, level, failing, report):
+    """Run `argv`, which exited 0 writing stdout, again with a stdout that
+    fails as `failing` says: (the call that raises, the STREAM_ERRORS key)."""
+    written = report.read_bytes()
+    report.write_bytes(EXISTING_REPORT)
+    call, error = failing
+    code, _, err = _main(argv, level, FailingStream(call, STREAM_ERRORS[error]))
+    assert code == 1
+    lines = err.splitlines()
+    if error == "full":
+        assert lines.pop() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"
+    # a closed pipe is told by the exit code alone: its reader has gone
+    assert not any(line.startswith("error: ") for line in lines)
+    assert report.read_bytes() == written
 
 
 # the property says nothing if its argvs never reach a command's end: each

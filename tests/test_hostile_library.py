@@ -9,20 +9,21 @@ or raises `ValueError` or `UnknownNode`, and a discovery raises `UnknownNode`
 exactly for an int that names no node. No message is the interpreter's
 digit-limit error.
 
-(b) `validate_scenario` gets the bundled scenario with one field, or one
-node's energy, coordinate or elapsed time, replaced by a bool, a string,
-None, NaN, an infinity, an int past float range or past the str() digit
-limit, a long string, list or dict, or a number of the other type equal to
-the bundled one. Each call either raises `ScenarioValidationError`, or
-accepts a config whose values equal the bundled ones: a number as an int or
-a float, anything else of its own type. A seed may be any non-negative int
-and `threshold_strict` either bool, so there each valid value is accepted as
+(b) The bundled scenario is rebuilt, as `dataclasses.replace` does, with one
+field, or one node, its mobility record, its pos_t1, or its energy,
+coordinate or elapsed time, replaced by a bool, a string, None, NaN, an
+infinity, an int past float range or past the str() digit limit, a long
+string, list or dict, or a number of the other type equal to the bundled
+one. Each build either raises `ScenarioValidationError`, or gives a config
+whose values equal the bundled ones: a number as an int or a float, anything
+else of its own type. A seed may be any non-negative int and
+`threshold_strict` either bool, so there each valid value is accepted as
 itself. An int past float range in a number's place is named by its key, and
 none of its digits are printed.
 
-(c) `validate_scenario` gets the bundled scenario with one node's id, the
-area's sides and that node's coordinate drawn as ints of 40 digits, the
-longest that a message shows as written, all at once.
+(c) The bundled scenario is rebuilt with one node's id, the area's sides and
+that node's coordinate drawn as ints of 40 digits, the longest that a message
+shows as written, all at once.
 
 No call raises any other exception, and no message is longer than 200 bytes;
 under (c) neither is the `error:` line that the CLI would print.
@@ -32,11 +33,12 @@ import dataclasses
 import math
 import sys
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coaodv_sim import sim
 from coaodv_sim.errors import ScenarioValidationError, UnknownNode
-from coaodv_sim.model import Protocol, load_scenario, validate_scenario
+from coaodv_sim.model import Protocol, load_scenario
 from coaodv_sim.protocol import aodv_discover, coaodv_discover
 
 from .conftest import MESSAGE_BYTES, PAPER_SCENARIO
@@ -111,12 +113,15 @@ HOSTILE = (
 
 
 def _replace_node(config, **changes):
-    """`config` with node NODE's energy, elapsed time or a coordinate replaced."""
+    """`config` with node NODE, its mobility record, its pos_t1, or its
+    energy, elapsed time or a coordinate replaced."""
     def changed(node):
         rec = node.mobility_record
-        if "energy" in changes:
-            return dataclasses.replace(node, energy=changes["energy"])
-        if "elapsed" in changes:
+        if "node" in changes:
+            return changes["node"]
+        if "energy" in changes or "mobility_record" in changes:
+            return dataclasses.replace(node, **changes)
+        if "elapsed" in changes or "pos_t1" in changes:
             return dataclasses.replace(node, mobility_record=dataclasses.replace(rec, **changes))
         pos_t1 = dataclasses.replace(rec.pos_t1, **changes)
         return dataclasses.replace(node, mobility_record=dataclasses.replace(rec, pos_t1=pos_t1))
@@ -150,6 +155,9 @@ PLACES = {
             read,
         )
         for key, read in (
+            ("node", lambda c: c.node_map()[NODE]),
+            ("mobility_record", lambda c: c.node_map()[NODE].mobility_record),
+            ("pos_t1", lambda c: c.node_map()[NODE].mobility_record.pos_t1),
             ("energy", lambda c: c.node_map()[NODE].energy),
             ("elapsed", lambda c: c.node_map()[NODE].mobility_record.elapsed),
             ("x", lambda c: c.node_map()[NODE].mobility_record.pos_t1.x),
@@ -170,6 +178,13 @@ KEYS = {
     "elapsed": f"node {NODE} elapsed time",
     "x": f"node {NODE} pos_t1",
     "y": f"node {NODE} pos_t1",
+}
+
+# the places of a record, and what a message says a value there must be
+RECORDS = {
+    "node": f"nodes[{BUNDLED.nodes.index(BUNDLED.node_map()[NODE])}] must be a NodeState",
+    "mobility_record": f"node {NODE} mobility_record must be a MobilityRecord",
+    "pos_t1": f"node {NODE} pos_t1 must be a Position",
 }
 
 # the places whose valid values the replacements hold besides the bundled one
@@ -205,15 +220,25 @@ def replacements(draw):
 @example(("distance_metric", "x" * 10_000))  # each value once quoted in full
 @example(("area width", list(range(5_000))))
 def test_validation_accepts_only_the_values_it_was_given(replacement):
-    place, value = replacement
+    _check_replacement(*replacement)
+
+
+@pytest.mark.parametrize("place", sorted(RECORDS))
+def test_each_hostile_value_in_place_of_a_record_is_named(place):
+    for value in HOSTILE:
+        _check_replacement(place, value)
+
+
+def _check_replacement(place, value):
     put, read = PLACES[place]
-    config = put(BUNDLED, value)
     try:
-        validate_scenario(config)
+        config = put(BUNDLED, value)
     except ScenarioValidationError as exc:
         assert len(str(exc).encode()) <= MESSAGE_BYTES
         if place in KEYS and type(value) is int and abs(value) > sys.float_info.max:
             assert str(exc) == f"{KEYS[place]} is an integer too large for a float"
+        if place in RECORDS:
+            assert str(exc).startswith(f"{RECORDS[place]}, got ")
         return
     if place in VALID:
         assert VALID[place](value)
@@ -239,9 +264,8 @@ def test_forty_digit_ids_area_sides_and_coordinates_fit_a_line(
         node, id=node_id, mobility_record=dataclasses.replace(rec, **{epoch: pos})
     )
     nodes = tuple(moved if n.id == NODE else n for n in BUNDLED.nodes)
-    config = dataclasses.replace(BUNDLED, area=(width, height), nodes=nodes)
     try:
-        validate_scenario(config)
+        dataclasses.replace(BUNDLED, area=(width, height), nodes=nodes)
     except ScenarioValidationError as exc:
         assert len(f"error: invalid scenario: {exc}".encode()) <= MESSAGE_BYTES
         assert "outside area" in str(exc)

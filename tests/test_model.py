@@ -1,18 +1,24 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 
 import pytest
 
+from coaodv_sim import model
 from coaodv_sim.cli import main
 from coaodv_sim.errors import ScenarioValidationError, quoted
 from coaodv_sim.model import (
     DistanceMetric,
     FlowMetrics,
     MobilityMetric,
+    MobilityRecord,
+    Position,
     Protocol,
     Route,
+    ScenarioConfig,
     SimMetrics,
     WeightProfile,
     scenario_from_dict,
@@ -44,9 +50,8 @@ def _rejects(message):
 
 
 def test_duplicate_id_names_the_offender():
-    config = make_scenario([make_node(3, 10, 10), make_node(3, 20, 20)])
     with _rejects("duplicate node id 3"):
-        validate_scenario(config)
+        make_scenario([make_node(3, 10, 10), make_node(3, 20, 20)])
 
 
 def test_negative_id_rejected():
@@ -167,6 +172,30 @@ def test_each_invariant_is_rejected_with_its_exact_message(tmp_path, capsys, cas
     assert str(excinfo.value) == message
     assert _validate(tmp_path, doc) == 2
     assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
+
+
+# the cases that the reader rejects before any config is built
+READER_ONLY = {"elapsed-nan", "elapsed-zero"}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANTS.keys() - READER_ONLY))
+def test_each_invariant_is_rejected_however_a_config_is_built(monkeypatch, paper_scenario, case):
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    change, message = INVARIANTS[case]
+    change(doc)
+    with monkeypatch.context() as patch:  # a config that skipped its check, to copy
+        patch.setattr(model, "validate_scenario", lambda config: config)
+        unchecked = scenario_from_dict(doc)
+    values = {f.name: getattr(unchecked, f.name) for f in dataclasses.fields(unchecked)}
+    for build in (
+        lambda: ScenarioConfig(**values),
+        lambda: dataclasses.replace(paper_scenario, **values),
+        lambda: copy.copy(unchecked),
+        lambda: copy.deepcopy(unchecked),
+        lambda: pickle.loads(pickle.dumps(unchecked)),
+    ):
+        with _rejects(message):
+            build()
 
 
 def test_json_round_trip(paper_scenario):
@@ -359,6 +388,7 @@ PYTHON_MISUSE = {
         "area", (100.0, 100.0, 5.0), "area must be [width, height], got (100.0, 100.0, 5.0)"
     ),
     "nodes-none": ("nodes", None, "nodes must be a tuple of NodeState, got None"),
+    "node-of-an-int": ("nodes", (1,), "nodes[0] must be a NodeState, got 1"),
 }
 
 
@@ -379,6 +409,12 @@ def test_a_node_built_in_python_is_checked_as_a_file_is(paper_scenario):
         (dataclasses.replace(
             node, mobility_record=dataclasses.replace(node.mobility_record, elapsed=False)),
          "node 3 elapsed time must be a number, got False"),
+        (dataclasses.replace(node, mobility_record=None),
+         "node 3 mobility_record must be a MobilityRecord, got None"),
+        (dataclasses.replace(node, mobility_record=MobilityRecord((1, 2), (1, 2))),
+         "node 3 pos_t1 must be a Position, got (1, 2)"),
+        (dataclasses.replace(node, mobility_record=MobilityRecord(Position(1, 2), [1, 2])),
+         "node 3 pos_t2 must be a Position, got [1, 2]"),
     ):
         nodes = tuple(changed if n is node else n for n in paper_scenario.nodes)
         with _rejects(message):

@@ -7,13 +7,15 @@ import logging
 import math
 import pickle
 import random
+import re
+import sys
 import traceback
 import weakref
 
 import pytest
 
 from coaodv_sim import coopmath, protocol, sim
-from coaodv_sim.errors import NoCooperativeRoute, NoRoute, UnknownNode
+from coaodv_sim.errors import NoCooperativeRoute, NoRoute, ScenarioValidationError, UnknownNode
 from coaodv_sim.model import DistanceMetric, MobilityMetric, load_scenario
 
 from .conftest import PAPER_SCENARIO, make_node, make_scenario, seeded_scenario
@@ -83,6 +85,8 @@ def _forward_pairs(metric):
     return points
 
 
+MAX = sys.float_info.max
+
 ADVERSARIAL = {
     "exact-range-grid": lambda m: _layout(_axis_and_diagonal_pairs(20.0), 20.0, m),
     "pythagorean-diagonals": lambda m: _layout(
@@ -111,13 +115,13 @@ ADVERSARIAL = {
     "tiny-range": lambda m: _layout(
         [(1.0, 1.0), (1.0, 1.0), (0.0, 0.0), (0.0, 5e-324), (2.0, 2.0)], 1e-310, m
     ),
-    # configs that skip validation: the build must still agree with the scan
-    "zero-range-all-at-origin": lambda m: _layout([(0.0, 0.0)] * 4, 0.0, m),
-    "non-finite-positions": lambda m: _layout(
-        [(0.0, 0.0), (math.inf, 0.0), (math.nan, 5.0), (10.0, 0.0), (math.inf, math.inf)], 20.0, m
-    ),
-    "infinite-range": lambda m: _layout(
-        [(0.0, 0.0), (math.inf, 0.0), (50.0, 50.0), (99.0, 1.0)], math.inf, m
+    # the largest range: the cell width overflows to inf and every node shares
+    # cell (0, 0); some pairs are exactly the range apart, some overflow to inf
+    "float-max-range": lambda m: _layout(
+        [(0.0, 0.0), (MAX, 0.0), (MAX / 2, MAX / 2), (0.0, MAX), (MAX, MAX), (1.0, 1.0)],
+        MAX,
+        m,
+        area=(MAX, MAX),
     ),
     "exact-range-forward": lambda m: _layout(_forward_pairs(m), 20.0, m, area=(300.0, 100.0)),
     # 2 - (1 - 2**-53) rounds to exactly 1.0, so the pair is in range, yet
@@ -126,10 +130,47 @@ ADVERSARIAL = {
 }
 
 
+# layouts that no config can hold, and the message that building one raises
+UNCHECKED = {
+    "zero-range-all-at-origin": (
+        lambda m: _layout([(0.0, 0.0)] * 4, 0.0, m), "transmission_range must be > 0, got 0.0"
+    ),
+    "non-finite-positions": (
+        lambda m: _layout(
+            [(0.0, 0.0), (math.inf, 0.0), (math.nan, 5.0), (10.0, 0.0), (math.inf, math.inf)],
+            20.0,
+            m,
+        ),
+        "node 1 pos_t1 must be finite, got inf",
+    ),
+    "infinite-range": (
+        lambda m: _layout([(0.0, 0.0), (math.inf, 0.0), (50.0, 50.0), (99.0, 1.0)], math.inf, m),
+        "transmission_range must be finite, got inf",
+    ),
+}
+
+
+LAYOUTS = sorted(ADVERSARIAL.keys() | UNCHECKED.keys())
+
+
+def _built(layout, metric):
+    """The layout's config, or None for an UNCHECKED layout, once building it
+    has raised its message: such a layout never reaches the range graph or
+    HELLO."""
+    if layout in ADVERSARIAL:
+        return ADVERSARIAL[layout](metric)
+    build, message = UNCHECKED[layout]
+    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$"):
+        build(metric)
+    return None
+
+
 @pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("layout", sorted(ADVERSARIAL))
+@pytest.mark.parametrize("layout", LAYOUTS)
 def test_cell_list_matches_all_pairs_on_adversarial_layouts(layout, metric):
-    _assert_same_edges(ADVERSARIAL[layout](metric))
+    config = _built(layout, metric)
+    if config is not None:
+        _assert_same_edges(config)
 
 
 def test_adversarial_layouts_contain_boundary_edges():
@@ -140,6 +181,10 @@ def test_adversarial_layouts_contain_boundary_edges():
     assert tiny == {0: [1], 1: [0], 2: [3], 3: [2], 4: []}
     for metric in METRICS:  # an edge that only _CELL_MARGIN keeps
         assert protocol._adjacency(ADVERSARIAL["cell-edge-rounding"](metric)) == {0: [1], 1: [0]}
+        widest = ADVERSARIAL["float-max-range"](metric)
+        assert set(_cells(widest).values()) == {(0, 0)}  # the cell width is inf
+        adj = protocol._adjacency(widest)
+        assert adj[0] == [1, 2, 3, 5] and adj[4] == [1, 2, 3]
 
 
 def _cells(config):
@@ -539,16 +584,14 @@ def test_hello_neighborhoods_hold_their_ties():
 
 
 @pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("layout", sorted(ADVERSARIAL))
+@pytest.mark.parametrize("layout", LAYOUTS)
 def test_hello_reuses_each_verdict_across_owners(monkeypatch, layout, metric):
-    # the layouts are stationary, so every edge with finite rates meets its
-    # owner's bar: each candidate is asked at its first such edge and its
-    # verdict reused by every other owner, many of them exactly one range
-    # away; odd ids fail energy. "infinite-range" puts node 1 at infinity, so
-    # its rate is NaN (inf - inf): as in the reference's `rate <= peer`, it
-    # fails the mobility clause of its own edges and of every edge of an owner
-    # it neighbors, and only the candidates of the other edges are asked
-    config = ADVERSARIAL[layout](metric)
+    # the layouts are stationary, so every edge meets its owner's bar: each
+    # candidate is asked at its first edge and its verdict reused by every
+    # other owner, many of them exactly one range away; odd ids fail energy
+    config = _built(layout, metric)
+    if config is None:
+        return
     nodes = [dataclasses.replace(n, energy=100.0) if n.id % 2 else n for n in config.nodes]
     config = dataclasses.replace(config, nodes=tuple(nodes))
     verdicts = _reference_verdicts(config)
