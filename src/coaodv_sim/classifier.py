@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AmbiguousProfile, WeightsNotNormalized
+from .errors import AmbiguousProfile
 from .model import NetworkType, WeightProfile
 
 _TYPE_BY_CRITERION = {
@@ -23,8 +23,6 @@ class ClassificationResult:
 
 def classify_network(w: WeightProfile) -> ClassificationResult:
     """Label the network by the strictly largest weight; ties are an error."""
-    if not w.is_normalized():
-        raise WeightsNotNormalized(w.as_tuple())
     weights = dict(zip(("distance", "mobility", "energy"), w.as_tuple()))
     top = max(weights.values())
     dominant = [name for name, value in weights.items() if value == top]

@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import io
 import logging
-import math
 import os
 import re
 import shutil
@@ -59,7 +58,7 @@ class UsageError(Exception):
 # Numerals as JSON writes them, in ASCII. int() and float() alone also take
 # '1_000', non-ASCII digits such as '٣' and surrounding spaces. A number may
 # also be non-finite, spelled as Python or JSON prints it, so that the
-# scenario's own checks name it.
+# scenario's or the weight profile's own checks name it.
 _DIGITS = r"-?(?:0|[1-9][0-9]*)"
 _INTEGER = re.compile(_DIGITS)
 _NUMBER = re.compile(rf"{_DIGITS}(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-?inf|-?Infinity|nan|NaN")
@@ -351,7 +350,7 @@ def cmd_classify(args) -> int:
         weights = [_number(p) for p in args.weights.split(",")]
     except argparse.ArgumentTypeError:
         weights = []
-    if len(weights) != 3 or not all(map(math.isfinite, weights)):
+    if len(weights) != 3:  # the profile checks each weight and their sum
         raise UsageError("--weights must be three finite numbers W1,W2,W3")
     result = classify_network(WeightProfile(*weights))
     print(

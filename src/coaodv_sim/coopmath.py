@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ScenarioValidationError, WeightsNotNormalized
+from .errors import ScenarioValidationError
 from .model import (
     DistanceMetric,
     MobilityMetric,
@@ -106,9 +106,7 @@ def is_cooperative(
 def composite_score(d_norm: float, m_norm: float, e_norm: float, w: WeightProfile) -> float:
     """Weighted sum of the three normalized criteria.
 
-    Inputs are expected in [0, 1]; the result stays in [0, 1] whenever the
-    weights sum to exactly 1.0 (and within 1e-9 of it otherwise). No clamping.
+    Inputs are expected in [0, 1]. A WeightProfile's weights are >= 0 and sum
+    to within 1e-9 of 1, so the result then lies in [0, 1 + 1e-9]. No clamping.
     """
-    if not w.is_normalized():
-        raise WeightsNotNormalized(w.as_tuple())
     return math.fsum((d_norm * w.w_distance, m_norm * w.w_mobility, e_norm * w.w_energy))

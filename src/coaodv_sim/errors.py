@@ -1,7 +1,5 @@
 """Exception hierarchy shared across the package."""
 
-import math
-
 _BOUND = 10**40  # an int this far from 0 is described, never printed
 
 
@@ -54,10 +52,8 @@ class NoCooperativeRoute(SimulatorError):
 
 
 class WeightsNotNormalized(SimulatorError):
-    def __init__(self, weights: tuple[float, float, float]):
-        # the exact sum, as WeightProfile.is_normalized tests it
-        self.total = math.fsum(weights)
-        super().__init__(f"weights must sum to 1 (within 1e-9), got sum {self.total}")
+    """A WeightProfile is invalid as built: a weight, named, is not a finite
+    number >= 0, or the weights' exact sum, given, is not within 1e-9 of 1."""
 
 
 class AmbiguousProfile(SimulatorError):

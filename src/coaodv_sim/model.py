@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ScenarioValidationError, quoted
+from .errors import ScenarioValidationError, WeightsNotNormalized, quoted
 
 
 class DistanceMetric(str, Enum):
@@ -125,22 +125,36 @@ class Route:
         return all(self.route_stability)
 
 
+# Exact types, so that a bool is never a number and nothing is coerced.
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
 WEIGHT_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Criterion weights over (distance, mobility, energy)."""
+    """Criterion weights over (distance, mobility, energy), checked as built,
+    however built: each an int or a float in [0, float max], compared, never
+    converted, their exact sum within 1e-9 of 1; else WeightsNotNormalized."""
 
     w_distance: float
     w_mobility: float
     w_energy: float
 
+    def __post_init__(self):
+        for f, value in zip(fields(self), self.as_tuple()):
+            if not (type(value) in _NUMBER_TYPES and 0 <= value <= _FLOAT_MAX):
+                what = f"{f.name} must be a finite number >= 0"
+                raise WeightsNotNormalized(f"{what}, got {quoted(value)}")
+        try:
+            total = math.fsum(self.as_tuple())
+        except OverflowError:  # three weights in float range, their sum past it
+            total = math.inf
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOLERANCE:
+            raise WeightsNotNormalized(f"weights must sum to 1 (within 1e-9), got sum {total}")
+
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.w_distance, self.w_mobility, self.w_energy)
-
-    def is_normalized(self) -> bool:
-        return abs(math.fsum(self.as_tuple()) - 1.0) <= WEIGHT_SUM_TOLERANCE
 
 
 class FlowMetrics(NamedTuple):
@@ -171,11 +185,6 @@ class SimMetrics(NamedTuple):
     @property
     def packets_sent(self) -> int:  # bench/tracer.py reads it off each result of sim.run
         return sum(f.packets_sent for f in self.per_flow)
-
-
-# Exact types, so that a bool is never a number and nothing is coerced.
-_NUMBER_TYPES = frozenset((int, float))
-_FLOAT_MAX = sys.float_info.max
 
 
 def _invalid(what: str, value) -> ScenarioValidationError:

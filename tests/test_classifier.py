@@ -1,10 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from coaodv_sim.classifier import classify_network
 from coaodv_sim.cli import main
-from coaodv_sim.coopmath import composite_score
 from coaodv_sim.errors import AmbiguousProfile, WeightsNotNormalized
 from coaodv_sim.model import NetworkType, WeightProfile
 
@@ -45,15 +45,27 @@ def test_unnormalized_weights_rejected():
 
 def test_unnormalized_weights_report_their_exact_sum(capsys):
     # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, 0.6 exactly summed
-    w = WeightProfile(0.1, 0.2, 0.3)
     messages = []
-    for reject in (lambda: classify_network(w), lambda: composite_score(0.5, 0.5, 0.5, w)):
+    for build in (lambda: WeightProfile(0.1, 0.2, 0.3),
+                  lambda: dataclasses.replace(WeightProfile(0.1, 0.2, 0.7), w_energy=0.3)):
         with pytest.raises(WeightsNotNormalized) as info:
-            reject()
+            build()
         messages.append(str(info.value))
     assert main(["classify", "--weights", "0.1,0.2,0.3"]) == 1
     messages.append(capsys.readouterr().err.strip())
     assert all(m.endswith("got sum 0.6") for m in messages), messages
+
+
+@pytest.mark.parametrize("weights, message", [
+    ("1e308,1e308,0", "weights must sum to 1 (within 1e-9), got sum inf"),
+    ("1.5,-0.25,-0.25", "w_mobility must be a finite number >= 0, got -0.25"),
+    ("inf,-inf,1", "w_distance must be a finite number >= 0, got inf"),
+    ("nan,0,1", "w_distance must be a finite number >= 0, got nan"),
+])
+def test_the_profile_names_a_bad_weight_or_sum_on_the_command_line(capsys, weights, message):
+    assert main(["classify", "--weights", weights]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_classification_invariant_under_rescaling():

@@ -300,6 +300,25 @@ def test_composite_score_rejects_unnormalized_weights():
         composite_score(0.5, 0.5, 0.5, WeightProfile(0.5, 0.5, 0.5))
 
 
+def _normalized(raw):
+    total = math.fsum(raw)
+    return tuple(v / total for v in raw)
+
+
+# three non-negative weights, not all zero, scaled to sum to 1 up to rounding
+weight_tuples = st.tuples(*[st.floats(0, 1e6)] * 3).filter(any).map(_normalized)
+unit = st.floats(0, 1)
+
+
+@given(weight_tuples, unit, unit, unit)
+@example((0.5, 0.5, 9.9e-10), 1.0, 1.0, 1.0)  # a sum just within the tolerance
+@example((1.0, 0.0, 0.0), 1.0, 0.0, 0.0)
+def test_composite_score_lies_in_its_documented_bound(weights, d_norm, m_norm, e_norm):
+    # the bound that a profile with a negative weight, (1.5, -0.25, -0.25), once broke
+    score = composite_score(d_norm, m_norm, e_norm, WeightProfile(*weights))
+    assert 0.0 <= score <= 1.0 + 1e-9
+
+
 # -- properties ------------------------------------------------------------
 
 

@@ -72,7 +72,11 @@ PACKETS = (("1", "5", "1000"), ("0", "-1", "1.5", "9" * 30, UNPRINTABLE, ""))
 PROTOCOLS = (("aodv", "coaodv"), ("dsr", ""))
 DISTANCES = (("manhattan", "euclidean"), ("chebyshev", ""))
 MOBILITIES = (("euclidean_rate", "manhattan_rate"), ("x", ""))
-WEIGHTS = (("0.2,0.3,0.5", "1,0,0"), ("0.5,0.5,0", "0.3,0.3,0.3", "nan,0,1", "a,b,c", "1,2", ""))
+WEIGHTS = (
+    ("0.2,0.3,0.5", "1,0,0"),
+    ("0.5,0.5,0", "0.3,0.3,0.3", "nan,0,1", "1e308,1e308,0", "1.5,-0.25,-0.25", "a,b,c", "1,2",
+     ""),
+)
 FLAGS = (("--strict", "--no-strict"), ("--bogus", "--", "-h", "--seed=3"))
 LOG_LEVELS = ((None, "quiet", "info", "trace"), ("loud",))
 STDOUTS = ((None,), tuple((call, error) for call in ("write", "flush") for error in STREAM_ERRORS))
@@ -190,6 +194,7 @@ FLOWS = ["--flows", "0:9:100", "4:9:100"]
 @example((["run", SCENARIO, "--protocol", "aodv", "--flows", f"{HUGE}:9:5"], None, None))  # its id
 @example((["compare", SCENARIO, *FLOWS, "--out", REPORT], "info", ("write", "closed-pipe")))
 @example((["run", SCENARIO, "--protocol", "aodv", *FLOWS, "--out", REPORT], None, ("flush", "full")))
+@example((["classify", "--weights", "1e308,1e308,0"], None, None))  # once an OverflowError
 def test_hostile_argv_exits_with_one_named_error(workdir, case):
     args, level, failing = case
     report = workdir / REPORT

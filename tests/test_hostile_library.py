@@ -25,6 +25,11 @@ none of its digits are printed.
 that node's coordinate drawn as ints of 40 digits, the longest that a message
 shows as written, all at once.
 
+(d) Each of those hostile values stands in place of each weight of
+`WeightProfile(0.5, 0.25, 0.25)`, built by the constructor and by
+`dataclasses.replace`. Each build raises `WeightsNotNormalized`, whose
+message names the weight.
+
 No call raises any other exception, and no message is longer than 200 bytes;
 under (c) neither is the `error:` line that the CLI would print.
 """
@@ -37,8 +42,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coaodv_sim import sim
-from coaodv_sim.errors import ScenarioValidationError, UnknownNode
-from coaodv_sim.model import Protocol, load_scenario
+from coaodv_sim.errors import ScenarioValidationError, UnknownNode, WeightsNotNormalized
+from coaodv_sim.model import Protocol, WeightProfile, load_scenario
 from coaodv_sim.protocol import aodv_discover, coaodv_discover
 
 from .conftest import MESSAGE_BYTES, PAPER_SCENARIO
@@ -271,3 +276,20 @@ def test_forty_digit_ids_area_sides_and_coordinates_fit_a_line(
         assert "outside area" in str(exc)
         return
     assert 0 <= coordinate <= (width if axis == "x" else height)
+
+
+WEIGHTS = WeightProfile(0.5, 0.25, 0.25)
+BUILDS = {
+    "constructor": lambda name, value: WeightProfile(**{**vars(WEIGHTS), name: value}),
+    "replace": lambda name, value: dataclasses.replace(WEIGHTS, **{name: value}),
+}
+
+
+@pytest.mark.parametrize("build", sorted(BUILDS))
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(WeightProfile)])
+def test_each_hostile_value_in_place_of_a_weight_is_named(build, name):
+    for value in HOSTILE:
+        with pytest.raises(WeightsNotNormalized) as info:
+            BUILDS[build](name, value)
+        assert len(str(info.value).encode()) <= MESSAGE_BYTES
+        assert str(info.value).startswith(f"{name} must be a finite number >= 0, got ")

@@ -9,7 +9,7 @@ import pytest
 
 from coaodv_sim import model
 from coaodv_sim.cli import main
-from coaodv_sim.errors import ScenarioValidationError, quoted
+from coaodv_sim.errors import ScenarioValidationError, WeightsNotNormalized, quoted
 from coaodv_sim.model import (
     DistanceMetric,
     FlowMetrics,
@@ -551,9 +551,35 @@ def test_route_invariants_enforced():
 
 
 def test_weight_profile_helpers():
-    canonical = WeightProfile(0.5, 0.25, 0.25)
-    assert canonical.is_normalized()
-    assert not WeightProfile(0.5, 0.5, 0.25).is_normalized()
+    assert WeightProfile(0.5, 0.25, 0.25).as_tuple() == (0.5, 0.25, 0.25)
+    with pytest.raises(WeightsNotNormalized, match=r"got sum 1\.25$"):  # rejected when built
+        WeightProfile(0.5, 0.5, 0.25)
+    with pytest.raises(WeightsNotNormalized, match="^w_energy must be a finite number >= 0, got -1$"):
+        dataclasses.replace(WeightProfile(0.5, 0.25, 0.25), w_energy=-1)
+    # kept as written: an int stays an int, -0.0 passes as 0 does, a sum within the tolerance
+    assert type(WeightProfile(1, 0, 0).w_distance) is int
+    assert WeightProfile(-0.0, 1.0, 0).as_tuple() == (0, 1, 0)
+    assert WeightProfile(0.5, 0.5, 5e-10).w_energy == 5e-10
+
+
+# a profile built in Python, and its message
+WEIGHT_CASES = [
+    ((True, False, False), "w_distance must be a finite number >= 0, got True"),
+    (("0.5", 0.25, 0.25), "w_distance must be a finite number >= 0, got '0.5'"),
+    ((10**400, 0, 0),
+     "w_distance must be a finite number >= 0, got an integer of more than 40 digits"),
+    ((1e308, 1e308, 0), "weights must sum to 1 (within 1e-9), got sum inf"),
+    ((1.5, -0.25, -0.25), "w_mobility must be a finite number >= 0, got -0.25"),
+    ((0.5, 0.5, math.nan), "w_energy must be a finite number >= 0, got nan"),
+    ((math.inf, 0, 0), "w_distance must be a finite number >= 0, got inf"),
+    ((0.1, 0.2, 0.3), "weights must sum to 1 (within 1e-9), got sum 0.6"),
+]
+
+
+@pytest.mark.parametrize("weights, message", WEIGHT_CASES)
+def test_a_weight_profile_is_checked_when_built(weights, message):
+    with pytest.raises(WeightsNotNormalized, match=f"^{re.escape(message)}$"):
+        WeightProfile(*weights)
 
 
 def test_metrics_pdr_definition():
