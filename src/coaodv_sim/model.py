@@ -52,13 +52,20 @@ _NETWORK_EXAMPLES = {
 }
 
 
-@dataclass(frozen=True)
+# The node records are slotted, and each __init__ sets its fields through their
+# slots' descriptors (bound below), not object.__setattr__ as a generated frozen one
+# does: a third less per record, and a file of n nodes builds 4n. The rest is generated.
+@dataclass(frozen=True, slots=True)
 class Position:
     x: float
     y: float
 
+    def __init__(self, x: float, y: float) -> None:
+        _SET_X(self, x)
+        _SET_Y(self, y)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class MobilityRecord:
     """Two recorded positions of a node and the time elapsed between them."""
 
@@ -66,17 +73,33 @@ class MobilityRecord:
     pos_t2: Position
     elapsed: float = 1.0
 
+    def __init__(self, pos_t1: Position, pos_t2: Position, elapsed: float = 1.0) -> None:
+        _SET_POS_T1(self, pos_t1)
+        _SET_POS_T2(self, pos_t2)
+        _SET_ELAPSED(self, elapsed)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class NodeState:
     id: int
     mobility_record: MobilityRecord
     energy: float
 
+    def __init__(self, id: int, mobility_record: MobilityRecord, energy: float) -> None:
+        _SET_ID(self, id)
+        _SET_RECORD(self, mobility_record)
+        _SET_ENERGY(self, energy)
+
     @property
     def position(self) -> Position:
         """Current position; topology distances are taken at the first epoch."""
         return self.mobility_record.pos_t1
+
+
+_SET_X, _SET_Y, _SET_POS_T1, _SET_POS_T2, _SET_ELAPSED, _SET_ID, _SET_RECORD, _SET_ENERGY = (
+    getattr(record, f.name).__set__
+    for record in (Position, MobilityRecord, NodeState) for f in fields(record)
+)
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,6 @@ def test_tied_maximum_is_ambiguous():
         classify_network(WeightProfile(0.4, 0.4, 0.2))
 
 
-def test_unnormalized_weights_rejected():
-    with pytest.raises(WeightsNotNormalized):
-        classify_network(WeightProfile(0.6, 0.3, 0.2))
-
-
 def test_unnormalized_weights_report_their_exact_sum(capsys):
     # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, 0.6 exactly summed
     messages = []

@@ -18,7 +18,7 @@ from coaodv_sim.coopmath import (
     mobility,
     mobility_rates,
 )
-from coaodv_sim.errors import ScenarioValidationError, WeightsNotNormalized
+from coaodv_sim.errors import ScenarioValidationError
 from coaodv_sim.model import (
     DistanceMetric,
     MobilityMetric,
@@ -293,11 +293,6 @@ def test_composite_score_examples():
     assert composite_score(0, 0, 0, w) == 0.0
     assert composite_score(1, 1, 1, w) == 1.0
     assert composite_score(1, 1, 1, WeightProfile(0.25, 0.5, 0.25)) == 1.0
-
-
-def test_composite_score_rejects_unnormalized_weights():
-    with pytest.raises(WeightsNotNormalized):
-        composite_score(0.5, 0.5, 0.5, WeightProfile(0.5, 0.5, 0.5))
 
 
 def _normalized(raw):

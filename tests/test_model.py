@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -15,6 +16,7 @@ from coaodv_sim.model import (
     FlowMetrics,
     MobilityMetric,
     MobilityRecord,
+    NodeState,
     Position,
     Protocol,
     Route,
@@ -624,3 +626,45 @@ def test_equal_result_records_hash_equal():
     metrics, again = SimMetrics(Protocol.AODV, (flow,)), SimMetrics(Protocol.AODV, (same,))
     assert metrics == again and hash(metrics) == hash(again)
     assert len({metrics, again, SimMetrics(Protocol.COAODV, (flow,))}) == 2
+
+
+# each node record: its field values, its repr and its signature, as the
+# generated dataclass methods give them
+_RECORD = MobilityRecord(Position(1, 2), Position(3, 4.5), 2.0)
+NODE_RECORDS = {
+    "Position": (Position, (1.5, 2.5), "Position(x=1.5, y=2.5)", "(x: float, y: float) -> None"),
+    "MobilityRecord": (
+        MobilityRecord, (Position(1, 2), Position(3, 4.5), 2.0),
+        "MobilityRecord(pos_t1=Position(x=1, y=2), pos_t2=Position(x=3, y=4.5), elapsed=2.0)",
+        "(pos_t1: coaodv_sim.model.Position, pos_t2: coaodv_sim.model.Position, "
+        "elapsed: float = 1.0) -> None",
+    ),
+    "NodeState": (
+        NodeState, (7, _RECORD, 900.0), f"NodeState(id=7, mobility_record={_RECORD!r}, energy=900.0)",
+        "(id: int, mobility_record: coaodv_sim.model.MobilityRecord, energy: float) -> None",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NODE_RECORDS))
+def test_the_node_records_keep_their_dataclass_contract(name):
+    cls, values, text, signature = NODE_RECORDS[name]
+    names = [f.name for f in dataclasses.fields(cls)]
+    record, twin = cls(*values), cls(**dict(zip(names, values)))
+    assert names == list(inspect.signature(cls).parameters)
+    assert str(inspect.signature(cls, eval_str=True)) == signature
+    assert repr(record) == text and [getattr(record, n) for n in names] == list(values)
+    assert not hasattr(record, "__dict__")  # slotted: no instance dict
+    for field, value in zip(names, values):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, field)
+    assert twin == record and twin is not record and hash(twin) == hash(record)
+    changed = dataclasses.replace(record, **{names[-1]: 3.0})
+    assert changed != record and getattr(changed, names[-1]) == 3.0
+    assert dataclasses.replace(changed, **{names[-1]: values[-1]}) == record
+    copies = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in (*copies, copy.copy(record), copy.deepcopy(record)):
+        assert type(other) is cls and other == record and repr(other) == text
+    assert MobilityRecord(Position(0, 0), Position(0, 0)).elapsed == 1.0
