@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,16 @@ class FailingStream(io.StringIO):
         if self.where == "flush":
             raise self.error
         super().flush()
+
+
+def dev_process(args, stdout=subprocess.PIPE, text=True, **env) -> subprocess.CompletedProcess:
+    """A fresh `python -X dev -W error ARGS…` (development mode, warnings as errors), its
+    stderr captured, with default buffering, the package on its path and `env` added."""
+    src = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, **env, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=text, env=env, timeout=120)
 
 
 # what a stdout or stderr write may raise: its reader gone, or its device full

@@ -32,6 +32,7 @@ from .conftest import (
     PAPER_SCENARIO,
     STREAM_ERRORS,
     FailingStream,
+    dev_process,
     make_node,
     make_scenario,
     scenario_to_json,
@@ -1172,15 +1173,8 @@ def test_a_failing_stderr_keeps_the_exit_code(monkeypatch, capsys, where, argv, 
 
 
 def _stream_failure_process(argv, stdout):
-    """Run the CLI in a fresh process with default buffering and `stdout` as
-    its stdout; returns (exit code, stderr)."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-m", "coaodv_sim.cli", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-    )
+    """Run the CLI in a dev_process with `stdout` as its stdout; returns (exit code, stderr)."""
+    done = dev_process(["-m", "coaodv_sim.cli", *argv], stdout)
     return done.returncode, done.stderr
 
 

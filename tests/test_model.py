@@ -363,6 +363,7 @@ PYTHON_MISUSE = {
     "none-drop-probability": (
         "non_coop_drop_prob", None, "non_coop_drop_prob must be a number, got None"
     ),
+    "drop-prob-two": ("non_coop_drop_prob", 2.0, "non_coop_drop_prob must be in [0, 1], got 2.0"),
     "range-past-float-range": (
         "transmission_range", 10**400, "transmission_range is an integer too large for a float"
     ),

@@ -2,17 +2,30 @@
 
     python3 tools/pairs.py PARENT CHANGE --workload W [--workload W2] [--seed S ...]
                            [--seconds T] [--pairs N] [--aa] --out BENCH_N.json
+    python3 tools/pairs.py PARENT CHANGE --argv ARGS... [--fresh] [--pairs N] [--aa]
+                           --out BENCH_N.json
 
 PARENT and CHANGE are any revisions `git archive` takes (a commit, or the tree
 `git write-tree` gives for staged work). Each is extracted into one of sibling
 temporary directories whose paths have equal length, since the length of the
-paths on a command line alone moves `peak_mem_mb` by about 1%. Every run is a
-fresh process of that tree's own `bench/run.py --workload W --seed S --seconds
-T --trace 0`, with no bytecode cached on either side (PYTHONDONTWRITEBYTECODE=1
-in fresh archives). Pair i runs the sides forward when i is even and reversed
-when it is odd: ABBA. With --aa a second copy of PARENT runs in every pair too,
-and its median's distance from PARENT's is the A/A difference: what the host's
-noise alone shows.
+paths on a command line alone moves `peak_mem_mb` by about 1%. Pair i runs the
+sides forward when i is even and reversed when it is odd: ABBA. With --aa a
+second copy of PARENT runs in every pair too, and its median's distance from
+PARENT's is the A/A difference: what the host's noise alone shows.
+
+With --workload every run is a fresh process of that tree's own `bench/run.py
+--workload W --seed S --seconds T --trace 0`, with no bytecode cached on either
+side (PYTHONDONTWRITEBYTECODE=1 in fresh archives).
+
+With --argv every run times the `coaodv-sim` command line ARGS 21 times in the
+tree's directory, and its `wall_s` is their median in host seconds. ARGS are the
+tokens after --argv up to this tool's next own option, so they cannot hold one
+of its option names. The timings call that tree's `coaodv_sim.cli.main` in one
+process, or with --fresh each is a fresh `python3 -S -m coaodv_sim.cli ARGS`
+process. Each tree's `src` is compiled once with compileall before the first
+run, and the timed processes run with PYTHONPATH at it and with
+PYTHONDONTWRITEBYTECODE and PYTHONUNBUFFERED unset. Every timing of a run must
+exit with one code, which the run records.
 
 Verdict, per end-to-end metric of each workload and seed: a "gain" when CHANGE
 is better in at least 9 of 10 pairs (ties count for neither side) and its median
@@ -25,6 +38,7 @@ only, and never writes into the checkout: only --out.
 from __future__ import annotations
 
 import argparse
+import compileall
 import io
 import json
 import os
@@ -34,6 +48,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +56,24 @@ MIN_PAIRS = 10
 WIN_SHARE = 0.9
 SIDES = ("parent", "change")
 AA = "aa"  # the second copy of PARENT
+TIMINGS = 21  # per --argv run; the run's wall_s is their median
+OWN_OPTIONS = ("--workload", "--seed", "--seconds", "--fresh", "--pairs", "--aa", "--out")
+BYTECODE = {
+    "workload": "none cached: PYTHONDONTWRITEBYTECODE=1 for every run, in fresh archives",
+    "argv": "each tree's src compiled once with compileall before the first run; "
+            "PYTHONDONTWRITEBYTECODE and PYTHONUNBUFFERED unset for the timed processes",
+}
+# times TIMINGS calls of cli.main(ARGS) in one process, the command's streams to os.devnull
+_IN_PROCESS = """import contextlib, json, os, sys, time
+from coaodv_sim.cli import main
+times, codes = [], set()
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \\
+        contextlib.redirect_stderr(sink):
+    for _ in range(int(sys.argv[1])):
+        start = time.perf_counter()
+        codes.add(main(sys.argv[2:]))
+        times.append(time.perf_counter() - start)
+print(json.dumps({"times": times, "codes": sorted(codes)}))"""
 
 
 def run_order(pairs: int, sides: tuple[str, ...]) -> list[tuple[int, str]]:
@@ -51,6 +84,43 @@ def run_order(pairs: int, sides: tuple[str, ...]) -> list[tuple[int, str]]:
 def tree_dirs(root: Path, sides: tuple[str, ...]) -> dict[str, Path]:
     """One sibling directory per side under `root`, their paths all of one length."""
     return {side: root / f"tree{i}" for i, side in enumerate(sides)}
+
+
+def split_argv(argv: list[str]) -> tuple[list[str], list[str] | None]:
+    """This tool's own arguments, and the command line after --argv (None without
+    one): its tokens up to this tool's next own option."""
+    if "--argv" not in argv:
+        return argv, None
+    start = argv.index("--argv") + 1
+    end = next((i for i in range(start, len(argv)) if argv[i].split("=")[0] in OWN_OPTIONS),
+               len(argv))
+    return argv[:start - 1] + argv[end:], argv[start:end]
+
+
+def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
+    """One --workload run: a fresh process of the tree's own benchmark driver."""
+    return [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", "0"]
+
+
+def cli_command(argv: list[str], fresh: bool) -> list[str]:
+    """With `fresh` one timing of ARGS as a process of its own, else the process that
+    times all of a run's calls of cli.main(ARGS) and prints them as JSON."""
+    if fresh:
+        return [sys.executable, "-S", "-m", "coaodv_sim.cli", *argv]
+    return [sys.executable, "-c", _IN_PROCESS, str(TIMINGS), *argv]
+
+
+def run_env(mode: str, tree: Path, environ: dict[str, str]) -> dict[str, str]:
+    """The environment of a run in `tree` under `mode`'s rule in BYTECODE."""
+    env = dict(environ)
+    if mode == "workload":
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        return env
+    for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    env["PYTHONPATH"] = str(tree / "src")
+    return env
 
 
 def _spread(values: list[float]) -> dict[str, float]:
@@ -97,73 +167,120 @@ def _extract(rev: str, dest: Path) -> None:
 
 
 def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One fresh `bench/run.py` process in `tree`: its last stdout line, parsed."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
-                          timeout=seconds + 600, check=False)
+    """One fresh `bench/run.py` process in `tree`: its correctness and metrics."""
+    argv = bench_command(workload, seed, seconds)
+    done = subprocess.run(argv, cwd=tree, env=run_env("workload", tree, os.environ),
+                          capture_output=True, text=True, timeout=seconds + 600, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         sys.exit(f"error: {' '.join(argv[1:])} in {tree} exited {done.returncode}: "
                  f"{done.stderr.strip()[-400:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    return {"correct": result["correct"], "failed": result["failed"],
+            "attempted": result["attempted"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def measure(trees: dict[str, Path], workload: str, seed: int, seconds: float, pairs: int,
+def _time_cli(tree: Path, argv: list[str], fresh: bool) -> dict:
+    """One --argv run in `tree`: TIMINGS timings of ARGS, their median and exit code."""
+    command, env = cli_command(argv, fresh), run_env("argv", tree, os.environ)
+    if fresh:
+        times, codes = [], set()
+        for _ in range(TIMINGS):  # no timeout: with one, run() polls for the exit in sleeps
+            start = time.perf_counter()  # of up to 50 ms, and every time lands on that grid
+            codes.add(subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                                     stderr=subprocess.DEVNULL).returncode)
+            times.append(time.perf_counter() - start)
+    else:
+        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=600, check=False)
+        if done.returncode != 0:
+            sys.exit(f"error: timing {' '.join(argv)} in {tree} exited {done.returncode}: "
+                     f"{done.stderr.strip()[-400:]}")
+        timed = json.loads(done.stdout)
+        times, codes = timed["times"], set(timed["codes"])
+    if len(codes) != 1:
+        sys.exit(f"error: {' '.join(argv)} in {tree} exited with each of {sorted(codes)}")
+    return {"exit_code": codes.pop(), "metrics": {"wall_s": statistics.median(times)}}
+
+
+def measure(trees: dict[str, Path], label: str, run_one, pairs: int,
             end_to_end: list[dict]) -> dict:
-    """Run one workload and seed in every tree in ABBA order; its runs and verdicts."""
+    """`run_one(tree)` in every tree in ABBA order; the runs and each metric's verdict."""
     runs = []
     for pair, side in run_order(pairs, tuple(trees)):
-        result = _bench(trees[side], workload, seed, seconds)
-        values = {name: m["value"] for name, m in result["metrics"].items()}
-        runs.append({"pair": pair, "side": side, "correct": result["correct"],
-                     "failed": result["failed"], "attempted": result["attempted"],
-                     "metrics": values})
-        shown = " ".join(f"{k}={v:.6g}" for k, v in values.items())
-        print(f"{workload} seed {seed} pair {pair} {side}: {shown}", file=sys.stderr)
+        runs.append({"pair": pair, "side": side, **run_one(trees[side])})
+        shown = " ".join(f"{k}={v:.6g}" for k, v in runs[-1]["metrics"].items())
+        print(f"{label} pair {pair} {side}: {shown}", file=sys.stderr)
     metrics = {}
     for m in end_to_end:
         by_side = {s: [r["metrics"][m["name"]] for r in runs if r["side"] == s] for s in trees}
         metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
                               **verdict(by_side["parent"], by_side["change"],
                                         by_side.get(AA), m["better"])}
-    return {"workload": workload, "seed": seed, "runs": runs, "metrics": metrics}
+    return {"label": label, "runs": runs, "metrics": metrics}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append")
     parser.add_argument("--seed", type=int, action="append")
     parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
+    parser.add_argument("--fresh", action="store_true", help="time --argv in fresh processes")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--aa", action="store_true", help="also run a second copy of PARENT")
     parser.add_argument("--out", required=True, type=Path)
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    own, cli_argv = split_argv(argv)
+    args = parser.parse_args(own)
+    if (cli_argv is None) == (args.workload is None):
+        parser.error("give either --workload or --argv")
+    if cli_argv == []:
+        parser.error("--argv needs a command line")
+    if cli_argv is not None and (args.seed or args.seconds is not None):
+        parser.error("--seed and --seconds go with --workload")
+    if args.fresh and cli_argv is None:
+        parser.error("--fresh goes with --argv")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    seeds = args.seed or [1]
+    mode = "workload" if cli_argv is None else "argv"
     revs = {side: _git("rev-parse", "--verify", rev).decode().strip()
             for side, rev in zip(SIDES, (args.parent, args.change))}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = tree_dirs(Path(tmp), SIDES + ((AA,) if args.aa else ()))
         for side, tree in trees.items():
             _extract(revs["parent" if side == AA else side], tree)
-        benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
-        sets = [measure(trees, w, s, seconds, args.pairs, benchmark["end_to_end"])
-                for w in args.workload for s in seeds]
+        if mode == "argv":
+            for tree in trees.values():
+                compileall.compile_dir(tree / "src", quiet=1)
+            label = " ".join(cli_argv) + (" (fresh)" if args.fresh else "")
+            run = (f"coaodv-sim {' '.join(cli_argv)}, {TIMINGS} timings per run: "
+                   + ("fresh `python3 -S -m coaodv_sim.cli` processes" if args.fresh else
+                      "calls of cli.main in one process per run"))
+            sets = [{"argv": cli_argv, "fresh": args.fresh,
+                     **measure(trees, label, lambda tree: _time_cli(tree, cli_argv, args.fresh),
+                               args.pairs, [{"name": "wall_s", "unit": "s", "better": "lower"}])}]
+        else:
+            benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+            seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
+            run = (f"bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
+                   "one fresh process per run")
+            sets = [{"workload": w, "seed": s,
+                     **measure(trees, f"{w} seed {s}",
+                               lambda tree: _bench(tree, w, s, seconds),
+                               args.pairs, benchmark["end_to_end"])}
+                    for w in args.workload for s in args.seed or [1]]
     report = {
-        "schema": "tools/pairs.py 1",
+        "schema": "tools/pairs.py 2",
         "parent": {"rev": args.parent, "object": revs["parent"]},
         "change": {"rev": args.change, "object": revs["change"]},
         "machine": f"nproc={os.cpu_count()} platform={platform.platform()} "
                    f"python={platform.python_version()}",
-        "command": " ".join(["python3", "tools/pairs.py", *(argv or sys.argv[1:])]),
-        "run": f"bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
-               "one fresh process per run, PYTHONDONTWRITEBYTECODE=1 in fresh archives",
+        "command": " ".join(["python3", "tools/pairs.py", *argv]),
+        "run": run,
+        "bytecode": BYTECODE[mode],
         "order": "ABBA: pair i runs " + ", ".join(trees) + " when i is even, reversed when odd",
         "verdict_rule": f"gain: change better in >= {WIN_SHARE:.0%} of >= {MIN_PAIRS} pairs and "
                         "its median better by more than the parent's IQR and the A/A "
@@ -173,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for s in sets:
         for name, m in s["metrics"].items():
-            print(f"{s['workload']} seed {s['seed']} {name}: parent {m['parent']['median']:.6g} "
+            print(f"{s['label']} {name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g} wins {m['change_wins']}/{m['pairs']} "
                   f"{m['verdict']}")
     return 0
