@@ -1172,24 +1172,19 @@ def test_a_failing_stderr_keeps_the_exit_code(monkeypatch, capsys, where, argv, 
     assert capsys.readouterr().out.startswith("protocol") == (code == 0)
 
 
-def _stream_failure_process(argv, stdout):
-    """Run the CLI in a dev_process with `stdout` as its stdout; returns (exit code, stderr)."""
-    done = dev_process(["-m", "coaodv_sim.cli", *argv], stdout)
-    return done.returncode, done.stderr
-
-
 def test_a_closed_pipe_on_stdout_exits_1_without_a_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
     try:
-        code, err = _stream_failure_process(STREAM_ARGVS["compare"], write_end)
+        done = dev_process(["-m", "coaodv_sim.cli", *STREAM_ARGVS["compare"]], write_end)
     finally:
         os.close(write_end)
-    assert (code, err) == (1, "")
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
 def test_a_full_stdout_exits_1_without_a_traceback():
     with open("/dev/full", "w") as full:
-        code, err = _stream_failure_process(STREAM_ARGVS["validate"], full)
-    assert (code, err) == (1, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+        done = dev_process(["-m", "coaodv_sim.cli", *STREAM_ARGVS["validate"]], full)
+    assert (done.returncode, done.stderr) == (
+        1, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")

@@ -1,18 +1,14 @@
-"""The pure parts of tools/pairs.py: run order, tree paths, the verdict rule, the
-command line each mode builds and its bytecode rule, and the in-process timer.
-Its git path and its runs of two trees run in CI, not here."""
+"""The pure parts of tools/pairs.py: run order, tree paths, the verdict rule, how
+the command line after --argv is parsed, and the command line and bytecode rule
+of each mode. Its git and subprocess path runs in CI, not here."""
 
 import importlib.util
-import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-_PATH = REPO_ROOT / "tools" / "pairs.py"
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
 _SPEC = importlib.util.spec_from_file_location("pairs", _PATH)
 pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(pairs)
@@ -78,38 +74,19 @@ def test_verdict_reports_each_sides_median_and_quartiles():
     assert out["aa"] is None and out["aa_median_diff"] is None
 
 
-@pytest.mark.parametrize("argv, own, cli_argv", [
-    (["A", "B", "--workload", "w"], ["A", "B", "--workload", "w"], None),
-    (["A", "B", "--argv", "validate", "s.json", "--fresh", "--pairs", "10"],
-     ["A", "B", "--fresh", "--pairs", "10"], ["validate", "s.json"]),
-    (["A", "B", "--pairs", "2", "--argv", "compare", "s.json", "--flows", "0:9:1", "--seeds", "1"],
-     ["A", "B", "--pairs", "2"], ["compare", "s.json", "--flows", "0:9:1", "--seeds", "1"]),
-    (["A", "B", "--argv", "validate", "s.json", "--out=x.json"], ["A", "B", "--out=x.json"],
-     ["validate", "s.json"]),
-])
-def test_the_command_line_after_argv_is_split_off(argv, own, cli_argv):
-    assert pairs.split_argv(argv) == (own, cli_argv)
+def test_every_token_after_argv_is_the_command_line_to_time():
+    args = pairs.parse_args(["A", "B", "--pairs", "2", "--out", "x.json", "--argv", "run", "s.json",
+                             "--flows", "0:9:1", "--seed", "3", "--out", "r.csv"])
+    assert args.argv == ["run", "s.json", "--flows", "0:9:1", "--seed", "3", "--out", "r.csv"]
+    assert (args.out, args.pairs, args.seed, args.workload) == (Path("x.json"), 2, None, None)
 
 
 def test_each_mode_builds_its_command_line():
     assert pairs.bench_command("sparse-300", 7, 1.0) == [
         sys.executable, "bench/run.py", "--workload", "sparse-300", "--seed", "7",
         "--seconds", "1", "--trace", "0"]
-    assert pairs.cli_command(["validate", "s.json"], fresh=True) == [
+    assert pairs.cli_command(["validate", "s.json"]) == [
         sys.executable, "-S", "-m", "coaodv_sim.cli", "validate", "s.json"]
-    in_process = pairs.cli_command(["validate", "s.json"], fresh=False)
-    assert in_process[:2] == [sys.executable, "-c"]
-    assert in_process[3:] == [str(pairs.TIMINGS), "validate", "s.json"]
-
-
-def test_the_in_process_timer_reports_each_call_and_its_exit_codes():
-    # the --argv run's own process, at the repository root with no bytecode written
-    env = {**pairs.run_env("argv", REPO_ROOT, os.environ), "PYTHONDONTWRITEBYTECODE": "1"}
-    command = pairs.cli_command(["validate", "scenarios/paper_table123.json"], fresh=False)
-    done = subprocess.run(command, cwd=REPO_ROOT, env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    timed = json.loads(done.stdout)
-    assert len(timed["times"]) == pairs.TIMINGS and timed["codes"] == [0]
 
 
 def test_each_mode_has_its_bytecode_rule(tmp_path):

@@ -2,8 +2,8 @@
 
     python3 tools/pairs.py PARENT CHANGE --workload W [--workload W2] [--seed S ...]
                            [--seconds T] [--pairs N] [--aa] --out BENCH_N.json
-    python3 tools/pairs.py PARENT CHANGE --argv ARGS... [--fresh] [--pairs N] [--aa]
-                           --out BENCH_N.json
+    python3 tools/pairs.py PARENT CHANGE [--pairs N] [--aa] --out BENCH_N.json
+                           --argv ARGS...
 
 PARENT and CHANGE are any revisions `git archive` takes (a commit, or the tree
 `git write-tree` gives for staged work). Each is extracted into one of sibling
@@ -18,14 +18,12 @@ With --workload every run is a fresh process of that tree's own `bench/run.py
 side (PYTHONDONTWRITEBYTECODE=1 in fresh archives).
 
 With --argv every run times the `coaodv-sim` command line ARGS 21 times in the
-tree's directory, and its `wall_s` is their median in host seconds. ARGS are the
-tokens after --argv up to this tool's next own option, so they cannot hold one
-of its option names. The timings call that tree's `coaodv_sim.cli.main` in one
-process, or with --fresh each is a fresh `python3 -S -m coaodv_sim.cli ARGS`
-process. Each tree's `src` is compiled once with compileall before the first
-run, and the timed processes run with PYTHONPATH at it and with
-PYTHONDONTWRITEBYTECODE and PYTHONUNBUFFERED unset. Every timing of a run must
-exit with one code, which the run records.
+tree's directory, each as a fresh `python3 -S -m coaodv_sim.cli ARGS` process,
+and its `wall_s` is their median in host seconds. --argv comes last: every
+token after it is ARGS, passed on unchanged. Each tree's `src` is compiled once
+with compileall before the first run, and the timed processes run with
+PYTHONPATH at it and with PYTHONDONTWRITEBYTECODE and PYTHONUNBUFFERED unset.
+Every timing of a run must exit with one code, which the run records.
 
 Verdict, per end-to-end metric of each workload and seed: a "gain" when CHANGE
 is better in at least 9 of 10 pairs (ties count for neither side) and its median
@@ -57,25 +55,11 @@ WIN_SHARE = 0.9
 SIDES = ("parent", "change")
 AA = "aa"  # the second copy of PARENT
 TIMINGS = 21  # per --argv run; the run's wall_s is their median
-OWN_OPTIONS = ("--workload", "--seed", "--seconds", "--fresh", "--pairs", "--aa", "--out")
 BYTECODE = {
     "workload": "none cached: PYTHONDONTWRITEBYTECODE=1 for every run, in fresh archives",
     "argv": "each tree's src compiled once with compileall before the first run; "
             "PYTHONDONTWRITEBYTECODE and PYTHONUNBUFFERED unset for the timed processes",
 }
-# times TIMINGS calls of cli.main(ARGS) in one process, the command's streams to os.devnull
-_IN_PROCESS = """import contextlib, json, os, sys, time
-from coaodv_sim.cli import main
-times, codes = [], set()
-with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \\
-        contextlib.redirect_stderr(sink):
-    for _ in range(int(sys.argv[1])):
-        start = time.perf_counter()
-        codes.add(main(sys.argv[2:]))
-        times.append(time.perf_counter() - start)
-print(json.dumps({"times": times, "codes": sorted(codes)}))"""
-
-
 def run_order(pairs: int, sides: tuple[str, ...]) -> list[tuple[int, str]]:
     """Every (pair, side) run in order: forward in even pairs, reversed in odd ones."""
     return [(i, side) for i in range(pairs) for side in (sides[::-1] if i % 2 else sides)]
@@ -86,29 +70,15 @@ def tree_dirs(root: Path, sides: tuple[str, ...]) -> dict[str, Path]:
     return {side: root / f"tree{i}" for i, side in enumerate(sides)}
 
 
-def split_argv(argv: list[str]) -> tuple[list[str], list[str] | None]:
-    """This tool's own arguments, and the command line after --argv (None without
-    one): its tokens up to this tool's next own option."""
-    if "--argv" not in argv:
-        return argv, None
-    start = argv.index("--argv") + 1
-    end = next((i for i in range(start, len(argv)) if argv[i].split("=")[0] in OWN_OPTIONS),
-               len(argv))
-    return argv[:start - 1] + argv[end:], argv[start:end]
-
-
 def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
     """One --workload run: a fresh process of the tree's own benchmark driver."""
     return [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", "0"]
 
 
-def cli_command(argv: list[str], fresh: bool) -> list[str]:
-    """With `fresh` one timing of ARGS as a process of its own, else the process that
-    times all of a run's calls of cli.main(ARGS) and prints them as JSON."""
-    if fresh:
-        return [sys.executable, "-S", "-m", "coaodv_sim.cli", *argv]
-    return [sys.executable, "-c", _IN_PROCESS, str(TIMINGS), *argv]
+def cli_command(argv: list[str]) -> list[str]:
+    """One timing of an --argv run: a fresh process of the tree's `coaodv-sim` ARGS."""
+    return [sys.executable, "-S", "-m", "coaodv_sim.cli", *argv]
 
 
 def run_env(mode: str, tree: Path, environ: dict[str, str]) -> dict[str, str]:
@@ -181,24 +151,15 @@ def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def _time_cli(tree: Path, argv: list[str], fresh: bool) -> dict:
+def _time_cli(tree: Path, argv: list[str]) -> dict:
     """One --argv run in `tree`: TIMINGS timings of ARGS, their median and exit code."""
-    command, env = cli_command(argv, fresh), run_env("argv", tree, os.environ)
-    if fresh:
-        times, codes = [], set()
-        for _ in range(TIMINGS):  # no timeout: with one, run() polls for the exit in sleeps
-            start = time.perf_counter()  # of up to 50 ms, and every time lands on that grid
-            codes.add(subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                                     stderr=subprocess.DEVNULL).returncode)
-            times.append(time.perf_counter() - start)
-    else:
-        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
-                              timeout=600, check=False)
-        if done.returncode != 0:
-            sys.exit(f"error: timing {' '.join(argv)} in {tree} exited {done.returncode}: "
-                     f"{done.stderr.strip()[-400:]}")
-        timed = json.loads(done.stdout)
-        times, codes = timed["times"], set(timed["codes"])
+    command, env = cli_command(argv), run_env("argv", tree, os.environ)
+    times, codes = [], set()
+    for _ in range(TIMINGS):  # no timeout: with one, run() polls for the exit in sleeps
+        start = time.perf_counter()  # of up to 50 ms, and every time lands on that grid
+        codes.add(subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.DEVNULL).returncode)
+        times.append(time.perf_counter() - start)
     if len(codes) != 1:
         sys.exit(f"error: {' '.join(argv)} in {tree} exited with each of {sorted(codes)}")
     return {"exit_code": codes.pop(), "metrics": {"wall_s": statistics.median(times)}}
@@ -221,30 +182,35 @@ def measure(trees: dict[str, Path], label: str, run_one, pairs: int,
     return {"label": label, "runs": runs, "metrics": metrics}
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """This tool's options; their `argv` is None without --argv, else the command line to time."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", action="append")
     parser.add_argument("--seed", type=int, action="append")
     parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
-    parser.add_argument("--fresh", action="store_true", help="time --argv in fresh processes")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--aa", action="store_true", help="also run a second copy of PARENT")
     parser.add_argument("--out", required=True, type=Path)
-    argv = sys.argv[1:] if argv is None else argv
-    own, cli_argv = split_argv(argv)
-    args = parser.parse_args(own)
-    if (cli_argv is None) == (args.workload is None):
+    parser.add_argument("--argv", nargs=argparse.REMAINDER,
+                        help="last: the coaodv-sim command line to time")
+    args = parser.parse_args(argv)
+    if (args.argv is None) == (args.workload is None):
         parser.error("give either --workload or --argv")
-    if cli_argv == []:
+    if args.argv == []:
         parser.error("--argv needs a command line")
-    if cli_argv is not None and (args.seed or args.seconds is not None):
+    if args.argv is not None and (args.seed or args.seconds is not None):
         parser.error("--seed and --seconds go with --workload")
-    if args.fresh and cli_argv is None:
-        parser.error("--fresh goes with --argv")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_args(argv)
+    cli_argv = args.argv
     mode = "workload" if cli_argv is None else "argv"
     revs = {side: _git("rev-parse", "--verify", rev).decode().strip()
             for side, rev in zip(SIDES, (args.parent, args.change))}
@@ -255,12 +221,10 @@ def main(argv: list[str] | None = None) -> int:
         if mode == "argv":
             for tree in trees.values():
                 compileall.compile_dir(tree / "src", quiet=1)
-            label = " ".join(cli_argv) + (" (fresh)" if args.fresh else "")
             run = (f"coaodv-sim {' '.join(cli_argv)}, {TIMINGS} timings per run: "
-                   + ("fresh `python3 -S -m coaodv_sim.cli` processes" if args.fresh else
-                      "calls of cli.main in one process per run"))
-            sets = [{"argv": cli_argv, "fresh": args.fresh,
-                     **measure(trees, label, lambda tree: _time_cli(tree, cli_argv, args.fresh),
+                   "fresh `python3 -S -m coaodv_sim.cli` processes")
+            sets = [{"argv": cli_argv,
+                     **measure(trees, " ".join(cli_argv), lambda tree: _time_cli(tree, cli_argv),
                                args.pairs, [{"name": "wall_s", "unit": "s", "better": "lower"}])}]
         else:
             benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
