@@ -19,9 +19,7 @@ import shutil
 import sys
 from collections.abc import Iterable
 from itertools import chain
-from pathlib import Path
 
-from . import sim
 from .errors import AmbiguousProfile, ScenarioValidationError, UnknownNode, WeightsNotNormalized
 from .model import (
     DistanceMetric,
@@ -176,6 +174,8 @@ def build_parser(argv: list[str]) -> _Parser:
 
 
 def _parse_flows(specs: list[str]) -> tuple[sim.Flow, ...]:
+    from . import sim  # run or compare, the only callers, has loaded it
+
     flows = []
     for spec in specs:
         try:
@@ -228,8 +228,12 @@ def _same_file(out: str, path: str) -> bool:
 
 def _report_name(args) -> str:
     """The report's scenario column, the file stem as the report's csv writer
-    quotes it; a report needs it in UTF-8, and must not overwrite the scenario."""
-    name = Path(args.path).stem
+    quotes it; a report needs it in UTF-8, and must not overwrite the scenario.
+    The stem is pathlib's `Path(path).stem`, by its own rule: the last part
+    that is neither empty nor `.`, cut at its last dot if that is inside it."""
+    name = next((part for part in reversed(args.path.split("/")) if part not in ("", ".")), "")
+    if 0 < (dot := name.rfind(".")) < len(name) - 1:
+        name = name[:dot]
     if args.out and _same_file(args.out, args.path):
         raise UsageError(f"cannot write {args.out}: it is the scenario file")
     if args.out and _shown(name) != name:
@@ -276,6 +280,8 @@ def _metric_rows(name_field: str, seed: int, metrics: SimMetrics, tails: dict) -
 
 
 def _flow_summary(metrics: SimMetrics) -> None:
+    from . import sim  # run or compare, the only callers, has loaded it
+
     for f in metrics.per_flow:
         tag = f"flow {f.source}->{f.destination} [{metrics.protocol.value}]"
         if f.failure:
@@ -294,6 +300,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import sim  # only run and compare import the simulator
+
     config = _load_effective_scenario(args)
     flows = _parse_flows(args.flows)
     name = _report_name(args)
@@ -307,6 +315,8 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
+    from . import sim
+
     config = _load_effective_scenario(args)
     flows = _parse_flows(args.flows)
     name = _report_name(args)

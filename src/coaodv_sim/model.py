@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ScenarioValidationError, WeightsNotNormalized, quoted
@@ -436,11 +436,19 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# One decoder for every load; json.loads would build a decoder and its scanner per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def scenario_from_json(text: str, **overrides) -> ScenarioConfig:
-    return scenario_from_dict(json.loads(text, object_pairs_hook=_unique_keys), **overrides)
+    if text.startswith("\ufeff"):  # the check json.loads makes before decoding a str
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return scenario_from_dict(_DECODER.decode(text), **overrides)
 
 
-def load_scenario(path: str | Path, **overrides) -> ScenarioConfig:
+def load_scenario(path: str | os.PathLike[str], **overrides) -> ScenarioConfig:
     """Read and parse a scenario file, the one place one is read; a field in
     `overrides` takes its value there, checked in place of the file's one."""
-    return scenario_from_json(Path(path).read_text(encoding="utf-8"), **overrides)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    return scenario_from_json(text, **overrides)

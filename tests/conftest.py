@@ -61,14 +61,22 @@ class FailingStream(io.StringIO):
         super().flush()
 
 
+def package_process(args, env=None, **kw) -> subprocess.CompletedProcess:
+    """A fresh `python ARGS…` with the package first on its path and `env` over the
+    environment (a None value unsets its variable); `kw` goes to subprocess.run,
+    which by default captures both streams as text and times out after 120 s."""
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
+    kw = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, "timeout": 120, **kw}
+    return subprocess.run([sys.executable, *args],
+                          env={k: v for k, v in env.items() if v is not None}, **kw)
+
+
 def dev_process(args, stdout=subprocess.PIPE, text=True, **env) -> subprocess.CompletedProcess:
     """A fresh `python -X dev -W error ARGS…` (development mode, warnings as errors), its
     stderr captured, with default buffering, the package on its path and `env` added."""
-    src = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, **env, "PYTHONPATH": src}
-    env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args], stdout=stdout,
-                          stderr=subprocess.PIPE, text=text, env=env, timeout=120)
+    return package_process(["-X", "dev", "-W", "error", *args], {**env, "PYTHONUNBUFFERED": None},
+                           stdout=stdout, text=text)
 
 
 # what a stdout or stderr write may raise: its reader gone, or its device full

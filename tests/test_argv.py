@@ -10,7 +10,6 @@ its metavars on one line), so the usage paragraph of a help text is compared
 with its line breaks taken out; every other byte is compared as it is."""
 
 import argparse
-import os
 import shutil
 import subprocess
 import sys
@@ -20,7 +19,7 @@ import pytest
 from coaodv_sim import cli
 from coaodv_sim.cli import main
 
-from .conftest import REPO_ROOT
+from .conftest import REPO_ROOT, package_process
 
 SCENARIO = "scenarios/paper_table123.json"  # relative: validate prints the path as given
 
@@ -291,11 +290,7 @@ def test_validate_prints_one_line_for_a_name_with_a_newline(capsys, tmp_path):
 
 def _python(*args) -> subprocess.CompletedProcess:
     """A fresh interpreter run at the repository root, with the package on its path."""
-    src = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, cwd=REPO_ROOT, timeout=60,
-    )
+    return package_process(args, cwd=REPO_ROOT, timeout=60)
 
 
 @pytest.mark.parametrize(
@@ -356,3 +351,33 @@ def test_only_classify_imports_the_classifier(at_root):
     )
     child = _python("-c", script)
     assert child.stdout.splitlines()[1::2] == ["False", "True"], child.stderr
+
+
+# The modules that only a simulation needs, and pathlib, which no command imports.
+SIMULATION_MODULES = (
+    "coaodv_sim.sim", "coaodv_sim.protocol", "coaodv_sim.coopmath", "random", "pathlib",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["validate", SCENARIO], []),
+        (["classify", "--weights", "0.5,0.25,0.25"], []),
+        (["compare", SCENARIO, "--flows", "4:9:1"],
+         ["coaodv_sim.sim", "coaodv_sim.protocol", "coaodv_sim.coopmath", "random"]),
+    ],
+    ids=["validate", "classify", "compare"],
+)
+def test_a_command_imports_only_what_it_runs(argv, loaded):
+    # -S: no site module, so nothing but the interpreter and the command loads modules
+    script = (
+        "import sys\n"
+        "from coaodv_sim.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print([m for m in {SIMULATION_MODULES!r} if m in sys.modules])\n"
+        "sys.exit(code)\n"
+    )
+    child = package_process(["-S", "-c", script, *argv], cwd=REPO_ROOT, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == repr(loaded)

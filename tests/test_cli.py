@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import dataclasses
@@ -9,7 +10,6 @@ import math
 import os
 import random
 import re
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -35,6 +35,7 @@ from .conftest import (
     dev_process,
     make_node,
     make_scenario,
+    package_process,
     scenario_to_json,
     seeded_scenario,
 )
@@ -897,13 +898,49 @@ def test_directory_path_is_a_read_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["validate", "run", "compare"])
 def test_permission_denied_is_a_read_error(monkeypatch, capsys, command):
     # chmod cannot deny a root user, so raise what an unreadable file raises
-    def denied(self, *args, **kwargs):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+    def denied(file, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
 
-    monkeypatch.setattr(Path, "read_text", denied)
+    monkeypatch.setattr(model, "open", denied, raising=False)  # the open load_scenario reaches
     assert main(_argv(command, PAPER_SCENARIO)) == 1
     err = capsys.readouterr().err
     assert f"error: cannot read {PAPER_SCENARIO}: {os.strerror(errno.EACCES)}" in err
+
+
+# Paths at the edge of the load path: each reads exactly the file it names, or fails.
+LOAD_PATH_EDGES = {
+    "trailing-slash": (lambda tmp_path: f"{PAPER_SCENARIO}/",
+                       f"error: cannot read {PAPER_SCENARIO}/: {os.strerror(errno.ENOTDIR)}\n"),
+    "empty": (lambda tmp_path: "", "error: file not found: \n"),
+    "utf8-bom": (
+        lambda tmp_path: _scenario_file(tmp_path, b"\xef\xbb\xbf" + PAPER_SCENARIO.read_bytes()),
+        "error: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+@pytest.mark.parametrize("case", sorted(LOAD_PATH_EDGES))
+def test_a_path_at_the_edge_reads_what_it_names(tmp_path, capsys, case, command):
+    path, err = LOAD_PATH_EDGES[case]
+    assert main(_argv(command, path(tmp_path))) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+# The report's scenario column: Path(path).stem on CPython 3.10-3.13, pinned
+# as literals so that no later pathlib rule moves the CSV's bytes. The empty
+# stem is a lone empty field, which csv writes quoted.
+REPORT_NAMES = {
+    "x.": "x.", "..json": ".", "a/..json": ".", "a/.": "a", "x.json": "x",
+    ".hidden": ".hidden", "a..b": "a.", "...": "...", "/": '""',
+}
+
+
+@pytest.mark.parametrize("path", REPORT_NAMES)
+def test_report_name_is_the_stem_of_the_path(path):
+    args = argparse.Namespace(path=path, out=None)
+    assert cli._report_name(args) == REPORT_NAMES[path]
 
 
 def test_report_to_a_directory_is_a_write_error(tmp_path, capsys):
@@ -957,11 +994,7 @@ def test_runtime_needs_no_networkx():
         "from coaodv_sim.cli import main\n"
         f"sys.exit(main(['compare', {str(PAPER_SCENARIO)!r}, '--flows', '0:9:10', '4:9:10']))\n"
     )
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    out = package_process(["-c", script], timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("protocol")
 
@@ -1011,7 +1044,7 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, command):
     def broken(*args, **kwargs):  # compare passes its generator as rng=
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli.sim, "run", broken)
+    monkeypatch.setattr(sim, "run", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(_argv(command, PAPER_SCENARIO))
 

@@ -1,9 +1,5 @@
-import os
 import random
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -20,6 +16,7 @@ from .conftest import (
     dense_random_scenario,
     make_node,
     make_scenario,
+    package_process,
     random_scenario,
     seeded_scenario,
 )
@@ -332,10 +329,6 @@ def test_cooperative_self_check_survives_optimized_mode():
         "except InternalError:\n"
         "    print('raised')\n"
     )
-    src = Path(protocol.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    out = package_process(["-O", "-c", script], timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
