@@ -321,26 +321,24 @@ def cmd_compare(args) -> int:
     flows = _parse_flows(args.flows)
     name = _report_name(args)
     seeds = range(config.rng_seed, config.rng_seed + args.seeds)
-    # The first seed runs before --out is opened: a run discovers every flow,
-    # so an unknown node exits without creating or truncating the report.
-    runs = zip(seeds, sim.pairs(config, flows, seeds))
-    runs = chain([next(runs)], runs)
     summaries = aodv_summary, coaodv_summary = sim.Summary(), sim.Summary()
     tails = {}  # each flow outcome's text after the seed column, for this command
 
     def steps():  # one per seed: fold its two runs, then render them for a report
-        for seed, (aodv, coaodv) in runs:  # no seed's runs or lines are kept
-            aodv_summary.add(aodv)
+        for seed, (aodv, coaodv) in zip(seeds, sim.pairs(config, flows, seeds)):
+            aodv_summary.add(aodv)  # no seed's runs or lines are kept
             coaodv_summary.add(coaodv)
             if args.out:
                 yield (_metric_rows(name, seed, aodv, tails)
                        + _metric_rows(name, seed, coaodv, tails))
 
+    # The first seed runs before --out is opened: a run discovers every flow,
+    # so an unknown node exits without creating or truncating the report.
+    # Without --out no step yields, so this one call runs every seed.
+    rows = steps()
+    first = next(rows, None)
     if args.out:
-        _write_report(args.out, steps())
-    else:
-        for _ in steps():  # yields nothing: without a report no line is built
-            pass
+        _write_report(args.out, chain([first], rows))
 
     print(f"{'protocol':<8} {'routed_flows':>12} {'mean_hops':>10} {'mean_pdr':>9}")
     for label, summary in zip(("aodv", "coaodv"), summaries):

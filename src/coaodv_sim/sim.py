@@ -208,12 +208,13 @@ def pairs(
 
 
 def compare(
-    scenario: ScenarioConfig, flows: tuple[Flow, ...], seeds: list[int]
+    scenario: ScenarioConfig, flows: tuple[Flow, ...], seeds: Iterable[int]
 ) -> list[tuple[SimMetrics, SimMetrics]]:
-    """Every pair of `pairs`, as a list."""
-    if not seeds:
+    """Every pair of `pairs`, as a list; at least one seed must run."""
+    results = list(pairs(scenario, flows, seeds))
+    if not results:
         raise ValueError("compare requires at least one seed")
-    return list(pairs(scenario, flows, seeds))
+    return results
 
 
 class Summary:

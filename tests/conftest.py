@@ -117,6 +117,14 @@ def scenario_to_json(config: ScenarioConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def run_document(tmp_path, doc, command, *options) -> int:
+    """`main([command, PATH, *options])`, PATH a file in `tmp_path` holding `doc` as
+    JSON, in which an infinite or NaN float is written as Infinity or NaN."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return cli.main([command, str(path), *options])
+
+
 def make_node(node_id, x1, y1, x2=None, y2=None, energy=1000.0, elapsed=1.0) -> NodeState:
     x2 = x1 if x2 is None else x2
     y2 = y1 if y2 is None else y2

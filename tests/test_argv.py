@@ -153,6 +153,7 @@ options:
 """
 
 MISSING_COMMAND = "error: the following arguments are required: command\n"
+RUN = ["run", SCENARIO, "--protocol", "aodv", "--flows", "4:9:1"]
 
 # Each command line: (argv, exit code, stdout, stderr).
 ARGV = {
@@ -230,6 +231,63 @@ ARGV = {
     "unrecognized-newline-option": (
         ["validate", SCENARIO, "--bo\r\ngus\x1b"], 1, "",
         "error: unrecognized arguments: --bo\\r\\ngus\\x1b\n",
+    ),
+    "validate-missing-file": (
+        ["validate", "/nonexistent/nowhere.json"], 1, "",
+        "error: file not found: /nonexistent/nowhere.json\n",
+    ),
+    "malformed-flow": (
+        ["run", SCENARIO, "--protocol", "aodv", "--flows", "0-9-100"], 1, "",
+        "error: flow '0-9-100' must be SRC:DST:COUNT, three integers\n",
+    ),
+    "self-flow": (
+        ["run", SCENARIO, "--protocol", "aodv", "--flows", "0:0:1"], 0,
+        "flow 0->0 [aodv]: hops=0 sent=1 delivered=1 pdr=1.0\n", "",
+    ),
+    "zero-seeds": (
+        ["compare", SCENARIO, "--flows", "0:9:1", "--seeds", "0"], 1, "",
+        "error: --seeds must be >= 1\n",
+    ),
+    # an override is checked as the file's value is: exit 2, named by its field
+    "negative-range-override": (
+        [*RUN, "--range", "-5"], 2, "",
+        "error: invalid scenario: transmission_range must be > 0, got -5.0\n",
+    ),
+    "infinite-range-override": (
+        ["compare", SCENARIO, "--flows", "0:9:5", "--range", "inf"], 2, "",
+        "error: invalid scenario: transmission_range must be finite, got inf\n",
+    ),
+    "unknown-distance-metric": (
+        [*RUN, "--distance-metric", "chebyshev"], 1, "",
+        "error: argument --distance-metric: invalid choice: 'chebyshev' "
+        "(choose from 'manhattan', 'euclidean')\n",
+    ),
+    "unknown-mobility-metric": (
+        [*RUN, "--mobility-metric", "chebyshev"], 1, "",
+        "error: argument --mobility-metric: invalid choice: 'chebyshev' "
+        "(choose from 'euclidean_rate', 'manhattan_rate')\n",
+    ),
+    "abbreviated-threshold": (
+        [*RUN, "--thr", "100"], 1, "", "error: unrecognized arguments: --thr 100\n"
+    ),
+    "abbreviated-drop-prob": (
+        [*RUN, "--drop", "0"], 1, "", "error: unrecognized arguments: --drop 0\n"
+    ),
+    "weights-above-one": (
+        ["classify", "--weights", "0.9,0.4,0.2"], 1, "",
+        "error: weights must sum to 1 (within 1e-9), got sum 1.5\n",
+    ),
+    "distance-sensitive": (
+        ["classify", "--weights", "0.5,0.25,0.25"], 0,
+        "Distance Sensitive Network (e.g. wireless networks); dominant criterion: distance\n", "",
+    ),
+    "mobility-sensitive": (
+        ["classify", "--weights", "0.25,0.5,0.25"], 0,
+        "Mobility Sensitive Network (e.g. MANETs, VANETs); dominant criterion: mobility\n", "",
+    ),
+    "energy-sensitive": (
+        ["classify", "--weights", "0.25,0.25,0.5"], 0,
+        "Energy Sensitive Network (e.g. sensor networks); dominant criterion: energy\n", "",
     ),
 }
 

@@ -28,7 +28,8 @@ from coaodv_sim.model import (
     validate_scenario,
 )
 
-from .conftest import PAPER_SCENARIO, make_node, make_scenario, scenario_to_json
+from .conftest import PAPER_SCENARIO, make_node, make_scenario, run_document, scenario_to_json
+from .test_argv import ARGV
 
 
 def test_paper_scenario_validates(paper_scenario):
@@ -51,6 +52,7 @@ def _rejects(message):
     return pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$")
 
 
+# a config built in Python, not read from a document, is checked by the same rules
 def test_duplicate_id_names_the_offender():
     with _rejects("duplicate node id 3"):
         make_scenario([make_node(3, 10, 10), make_node(3, 20, 20)])
@@ -69,11 +71,6 @@ def test_node_outside_area_rejected():
 def test_second_epoch_outside_area_rejected():
     with _rejects("node 0 pos_t2 y 101 outside area [0, 100.0]"):
         validate_scenario(make_scenario([make_node(0, 10, 10, 10, 101)]))
-
-
-def test_nan_coordinate_rejected():
-    with _rejects("node 0 pos_t1 must be finite, got nan"):
-        validate_scenario(make_scenario([make_node(0, float("nan"), 10)]))
 
 
 def test_nonpositive_range_rejected():
@@ -102,92 +99,211 @@ def test_zero_elapsed_rejected():
 
 
 INF, NAN = float("inf"), float("nan")
+BIG = int("1" + "0" * 400)  # a JSON integer that no float can hold
+
+
+def _set(**fields):
+    return lambda d: d.update(fields)
 
 
 def _set_node(index, **fields):
     return lambda d: d["nodes"][index].update(fields)
 
 
-# (change to the bundled scenario, the exact message of the invariant it breaks)
-INVARIANTS = {
-    "area-width-inf": (
-        lambda d: d["area"].__setitem__(0, INF), "area width must be finite, got inf"
+def _set_area(index, value):
+    return lambda d: d["area"].__setitem__(index, value)
+
+
+# Each rejected scenario document: a change to the bundled scenario, and the
+# exact message of the rule it breaks. A new rejected document goes here.
+REJECTED_DOCUMENTS = {
+    # the document's shape and keys, which the reader checks
+    "area-not-a-pair": (
+        _set(area=[100, 100, 7]), "area must be [width, height], got [100, 100, 7]"
     ),
-    "area-width-nan": (
-        lambda d: d["area"].__setitem__(0, NAN), "area width must be finite, got nan"
+    "area-null": (_set(area=None), "area must be [width, height], got None"),
+    "nodes-an-object": (
+        _set(nodes={"a": 1}), "nodes must be an array of node objects, got {'a': 1}"
     ),
-    "area-height-inf": (
-        lambda d: d["area"].__setitem__(1, INF), "area height must be finite, got inf"
+    "nodes-null": (_set(nodes=None), "nodes must be an array of node objects, got None"),
+    # not read as an empty network
+    "nodes-an-empty-object": (_set(nodes={}), "nodes must be an array of node objects, got {}"),
+    "node-an-array": (
+        lambda d: d["nodes"].__setitem__(2, [1, 2, 3, 4]),
+        "nodes[2] must be an object, got [1, 2, 3, 4]",
     ),
-    "area-height-nan": (
-        lambda d: d["area"].__setitem__(1, NAN), "area height must be finite, got nan"
+    "pos_t1-not-a-pair": (
+        lambda d: d["nodes"][0]["pos_t1"].append(3),
+        "node 0: pos_t1 and pos_t2 must each be [x, y], got [10, 10, 3] and [10, 10]",
     ),
-    "range-inf": (
-        lambda d: d.update(transmission_range=INF), "transmission_range must be finite, got inf"
+    "pos_t2-not-a-pair": (
+        _set_node(4, pos_t2=[10]),
+        "node 4: pos_t1 and pos_t2 must each be [x, y], got [30, 30] and [10]",
     ),
-    "threshold-minus-inf": (
-        lambda d: d.update(energy_threshold=-INF), "energy_threshold must be finite, got -inf"
+    "pos_t1-a-number": (
+        _set_node(0, pos_t1=5), "node 0: pos_t1 and pos_t2 must each be [x, y], got 5 and [10, 10]"
     ),
-    "negative-area": (
-        lambda d: d.update(area=[-5, 10]), "area width and height must be >= 0, got -5x10"
+    "misspelt-top-level-key": (
+        _set(non_coop_drop_probability=0.5), "scenario: unknown keys 'non_coop_drop_probability'"
     ),
-    "range-zero": (
-        lambda d: d.update(transmission_range=0), "transmission_range must be > 0, got 0"
+    "extra-node-key": (_set_node(2, battery=900), "node 2: unknown keys 'battery'"),
+    # four keys, one misspelt: the node's key count alone does not pass it
+    "misspelt-node-key": (
+        lambda d: d["nodes"][2].update(enrgy=d["nodes"][2].pop("energy")),
+        "node 2: unknown keys 'enrgy'",
     ),
-    "negative-threshold": (
-        lambda d: d.update(energy_threshold=-0.5), "energy_threshold must be >= 0, got -0.5"
+    "node-without-id": (lambda d: d["nodes"][5].pop("id"), "nodes[5]: missing key 'id'"),
+    "node-with-an-unknown-key-for-its-id": (
+        lambda d: (d["nodes"][0].pop("id"), d["nodes"][0].update(zz=1)),
+        "nodes[0]: unknown keys 'zz'",
     ),
-    "drop-prob-above-one": (
-        lambda d: d.update(non_coop_drop_prob=1.5),
-        "non_coop_drop_prob must be in [0, 1], got 1.5",
+    "node-without-energy": (lambda d: d["nodes"][5].pop("energy"), "node 5: missing key 'energy'"),
+    # the reader checks elapsed_time, which no field holds, under its own key
+    "elapsed-nan": (_set(elapsed_time=NAN), "elapsed_time must be finite, got nan"),
+    "infinite-elapsed-time": (_set(elapsed_time=INF), "elapsed_time must be finite, got inf"),
+    "elapsed-zero": (_set(elapsed_time=0), "elapsed_time must be > 0, got 0"),
+    "elapsed-past-float-range": (
+        _set(elapsed_time=BIG), "elapsed_time is an integer too large for a float"
     ),
-    "drop-prob-nan": (
-        lambda d: d.update(non_coop_drop_prob=NAN),
-        "non_coop_drop_prob must be finite, got nan",
+    "string-elapsed-time": (_set(elapsed_time="x"), "elapsed_time must be a number, got 'x'"),
+    # a value of the wrong type
+    "strict-as-string": (
+        _set(threshold_strict="false"), "threshold_strict must be true or false, got 'false'"
     ),
-    "negative-seed": (lambda d: d.update(seed=-2), "seed must be >= 0, got -2"),
-    "negative-id": (_set_node(0, id=-1), "node id must be a nonnegative integer, got -1"),
+    "strict-as-a-word": (
+        _set(threshold_strict="no"), "threshold_strict must be true or false, got 'no'"
+    ),
+    "fractional-seed": (_set(seed=1.9), "seed must be an integer, got 1.9"),
+    "half-integer-seed": (_set(seed=1.5), "seed must be an integer, got 1.5"),
+    "bool-seed": (_set(seed=True), "seed must be an integer, got True"),
+    "infinite-seed": (_set(seed=INF), "seed must be an integer, got inf"),
+    "string-drop-probability": (
+        _set(non_coop_drop_prob="0.5"), "non_coop_drop_prob must be a number, got '0.5'"
+    ),
+    "string-range": (
+        _set(transmission_range="20"), "transmission_range must be a number, got '20'"
+    ),
+    "bool-energy": (
+        _set_node(3, energy=True),
+        "node 3: positions and energy must be numbers, got (30, 10, 34, 10, True)",
+    ),
     "bool-id": (_set_node(0, id=True), "node id must be a nonnegative integer, got True"),
     "float-id": (_set_node(0, id=1.0), "node id must be a nonnegative integer, got 1.0"),
+    "unknown-distance-metric": (
+        _set(distance_metric="x"),
+        "distance_metric must be one of 'manhattan', 'euclidean', got 'x'",
+    ),
+    "unknown-mobility-metric": (
+        _set(mobility_metric="x"),
+        "mobility_metric must be one of 'euclidean_rate', 'manhattan_rate', got 'x'",
+    ),
+    # a number that is not finite
+    "area-width-inf": (_set_area(0, INF), "area width must be finite, got inf"),
+    "area-width-nan": (_set_area(0, NAN), "area width must be finite, got nan"),
+    "area-height-inf": (_set_area(1, INF), "area height must be finite, got inf"),
+    "area-height-nan": (_set_area(1, NAN), "area height must be finite, got nan"),
+    "infinite-area-and-position": (
+        lambda d: (d.update(area=[INF, INF]), d["nodes"][0].update(pos_t1=[INF, 0])),
+        "area width must be finite, got inf",
+    ),
+    "infinite-position": (_set_node(0, pos_t1=[INF, 0]), "node 0 pos_t1 must be finite, got inf"),
+    "nan-position": (_set_node(0, pos_t2=[10, NAN]), "node 0 pos_t2 must be finite, got nan"),
+    "range-inf": (_set(transmission_range=INF), "transmission_range must be finite, got inf"),
+    "nan-range": (_set(transmission_range=NAN), "transmission_range must be finite, got nan"),
+    "infinite-threshold": (_set(energy_threshold=INF), "energy_threshold must be finite, got inf"),
+    "threshold-minus-inf": (
+        _set(energy_threshold=-INF), "energy_threshold must be finite, got -inf"
+    ),
+    "infinite-drop-probability": (
+        _set(non_coop_drop_prob=INF), "non_coop_drop_prob must be finite, got inf"
+    ),
+    "drop-prob-nan": (_set(non_coop_drop_prob=NAN), "non_coop_drop_prob must be finite, got nan"),
+    "energy-inf": (_set_node(3, energy=INF), "node 3 energy must be finite, got inf"),
+    "nan-energy": (_set_node(3, energy=NAN), "node 3 energy must be finite, got nan"),
+    # an integer past float range, named by its key
+    "range-past-float-range": (
+        _set(transmission_range=BIG), "transmission_range is an integer too large for a float"
+    ),
+    "threshold-past-float-range": (
+        _set(energy_threshold=-BIG), "energy_threshold is an integer too large for a float"
+    ),
+    "area-past-float-range": (
+        _set_area(1, BIG), "area height is an integer too large for a float"
+    ),
+    "pos_t1-past-float-range": (
+        lambda d: d["nodes"][3]["pos_t1"].__setitem__(1, BIG),
+        "node 3 pos_t1 is an integer too large for a float",
+    ),
+    "pos_t2-past-float-range": (
+        lambda d: d["nodes"][4]["pos_t2"].__setitem__(0, -BIG),
+        "node 4 pos_t2 is an integer too large for a float",
+    ),
+    "drop-prob-past-float-range": (
+        _set(non_coop_drop_prob=BIG), "non_coop_drop_prob is an integer too large for a float"
+    ),
+    "energy-past-float-range": (
+        _set_node(3, energy=BIG), "node 3 energy is an integer too large for a float"
+    ),
+    # a value outside its bounds
+    "negative-area": (_set(area=[-5, 10]), "area width and height must be >= 0, got -5x10"),
+    "negative-width": (_set(area=[-1, 10]), "area width and height must be >= 0, got -1x10"),
+    "negative-height": (_set(area=[10, -1]), "area width and height must be >= 0, got 10x-1"),
+    "negative-width-and-height": (
+        _set(area=[-5, -5]), "area width and height must be >= 0, got -5x-5"
+    ),
+    "range-zero": (_set(transmission_range=0), "transmission_range must be > 0, got 0"),
+    "negative-threshold": (_set(energy_threshold=-0.5), "energy_threshold must be >= 0, got -0.5"),
+    "drop-prob-above-one": (
+        _set(non_coop_drop_prob=1.5), "non_coop_drop_prob must be in [0, 1], got 1.5"
+    ),
+    "negative-seed": (_set(seed=-2), "seed must be >= 0, got -2"),
+    "negative-id": (_set_node(0, id=-1), "node id must be a nonnegative integer, got -1"),
     "duplicate-id": (_set_node(1, id=0), "duplicate node id 0"),
+    "duplicate-of-a-later-id": (_set_node(1, id=3), "duplicate node id 3"),
     "outside-at-pos-t1": (
         _set_node(3, pos_t1=[150, 10]), "node 3 pos_t1 x 150 outside area [0, 100]"
     ),
     "outside-at-pos-t2": (
         _set_node(3, pos_t2=[10, 101]), "node 3 pos_t2 y 101 outside area [0, 100]"
     ),
-    "energy-inf": (_set_node(3, energy=INF), "node 3 energy must be finite, got inf"),
     "negative-energy": (_set_node(3, energy=-3), "node 3 energy must be >= 0, got -3"),
-    # the reader checks elapsed_time, which no field holds, under its own key
-    "elapsed-nan": (lambda d: d.update(elapsed_time=NAN), "elapsed_time must be finite, got nan"),
-    "elapsed-zero": (lambda d: d.update(elapsed_time=0), "elapsed_time must be > 0, got 0"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(INVARIANTS))
+def _document(case):
+    """The bundled scenario with the change of REJECTED_DOCUMENTS[case] made."""
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    REJECTED_DOCUMENTS[case][0](doc)
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_DOCUMENTS))
 def test_each_invariant_is_rejected_with_its_exact_message(tmp_path, capsys, case):
-    doc = json.loads(PAPER_SCENARIO.read_text())
-    change, message = INVARIANTS[case]
-    change(doc)
-    with pytest.raises(ScenarioValidationError) as excinfo:
-        validate_scenario(scenario_from_dict(doc))
-    assert str(excinfo.value) == message
-    assert _validate(tmp_path, doc) == 2
-    assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
+    doc, message = _document(case), REJECTED_DOCUMENTS[case][1]
+    with _rejects(message):
+        scenario_from_dict(doc)
+    for command in (["validate"], ["compare", "--flows", "0:9:5", "4:9:5"]):
+        assert run_document(tmp_path, doc, *command) == 2
+        assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
 
 
-# the cases that the reader rejects before any config is built
-READER_ONLY = {"elapsed-nan", "elapsed-zero"}
-
-
-@pytest.mark.parametrize("case", sorted(INVARIANTS.keys() - READER_ONLY))
-def test_each_invariant_is_rejected_however_a_config_is_built(monkeypatch, paper_scenario, case):
-    doc = json.loads(PAPER_SCENARIO.read_text())
-    change, message = INVARIANTS[case]
-    change(doc)
-    with monkeypatch.context() as patch:  # a config that skipped its check, to copy
+def _unchecked(doc):
+    """The config that the reader builds from `doc` with validation skipped, or
+    None if the reader rejects `doc` before any config is built."""
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "validate_scenario", lambda config: config)
-        unchecked = scenario_from_dict(doc)
+        try:
+            return scenario_from_dict(doc)
+        except ScenarioValidationError:
+            return None
+
+
+PAST_THE_READER = [c for c in sorted(REJECTED_DOCUMENTS) if _unchecked(_document(c)) is not None]
+
+
+@pytest.mark.parametrize("case", PAST_THE_READER)
+def test_each_invariant_is_rejected_however_a_config_is_built(paper_scenario, case):
+    unchecked, message = _unchecked(_document(case)), REJECTED_DOCUMENTS[case][1]
     values = {f.name: getattr(unchecked, f.name) for f in dataclasses.fields(unchecked)}
     for build in (
         lambda: ScenarioConfig(**values),
@@ -198,6 +314,20 @@ def test_each_invariant_is_rejected_however_a_config_is_built(monkeypatch, paper
     ):
         with _rejects(message):
             build()
+
+
+def _repeated(inputs):
+    """The groups of names in `inputs`, a dict of name to input, that share one input."""
+    groups = {}
+    for name, value in inputs.items():
+        groups.setdefault(value, []).append(name)
+    return [names for names in groups.values() if len(names) > 1]
+
+
+def test_no_two_rows_of_a_rejected_input_table_are_one_input():
+    documents = {c: json.dumps(_document(c), sort_keys=True) for c in REJECTED_DOCUMENTS}
+    assert _repeated(documents) == []
+    assert _repeated({case: tuple(row[0]) for case, row in ARGV.items()}) == []
 
 
 def test_json_round_trip(paper_scenario):
@@ -435,7 +565,7 @@ def test_a_node_built_in_python_is_checked_as_a_file_is(paper_scenario):
 )
 def test_a_type_message_reads_the_same_for_a_file(tmp_path, capsys, change, message):
     doc = {**json.loads(PAPER_SCENARIO.read_text()), **change}
-    assert _validate(tmp_path, doc) == 2
+    assert run_document(tmp_path, doc, "validate") == 2
     assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
 
 
@@ -475,66 +605,6 @@ def test_a_file_keeps_its_numbers_as_written(paper_scenario):
 def test_non_object_document_is_format_error():
     with _rejects("scenario document must be an object, got list"):
         scenario_from_json(json.dumps([1, 2, 3]))
-
-
-BIG = int("1" + "0" * 400)  # a JSON integer that no float can hold
-
-# (change to the bundled scenario, the message that names the key)
-NAMED_KEYS = {
-    "distance_metric": (
-        lambda d: d.update(distance_metric="x"),
-        "distance_metric must be one of 'manhattan', 'euclidean', got 'x'",
-    ),
-    "mobility_metric": (
-        lambda d: d.update(mobility_metric="x"),
-        "mobility_metric must be one of 'euclidean_rate', 'manhattan_rate', got 'x'",
-    ),
-    "transmission_range": (
-        lambda d: d.update(transmission_range=BIG),
-        "transmission_range is an integer too large for a float",
-    ),
-    "energy_threshold": (
-        lambda d: d.update(energy_threshold=-BIG),
-        "energy_threshold is an integer too large for a float",
-    ),
-    "area": (
-        lambda d: d["area"].__setitem__(1, BIG), "area height is an integer too large for a float"
-    ),
-    "elapsed_time": (
-        lambda d: d.update(elapsed_time=BIG), "elapsed_time is an integer too large for a float"
-    ),
-    "pos_t1": (
-        lambda d: d["nodes"][3]["pos_t1"].__setitem__(1, BIG),
-        "node 3 pos_t1 is an integer too large for a float",
-    ),
-    "pos_t2": (
-        lambda d: d["nodes"][4]["pos_t2"].__setitem__(0, -BIG),
-        "node 4 pos_t2 is an integer too large for a float",
-    ),
-    "non_coop_drop_prob": (
-        lambda d: d.update(non_coop_drop_prob=BIG),
-        "non_coop_drop_prob is an integer too large for a float",
-    ),
-    "energy": (
-        lambda d: d["nodes"][3].update(energy=BIG),
-        "node 3 energy is an integer too large for a float",
-    ),
-}
-
-
-def _validate(tmp_path, doc):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    return main(["validate", str(path)])
-
-
-@pytest.mark.parametrize("key", sorted(NAMED_KEYS))
-def test_bad_metric_names_and_oversized_numbers_name_their_key(tmp_path, capsys, key):
-    doc = json.loads(PAPER_SCENARIO.read_text())
-    change, message = NAMED_KEYS[key]
-    change(doc)
-    assert _validate(tmp_path, doc) == 2
-    assert capsys.readouterr().err == f"error: invalid scenario: {message}\n"
 
 
 def test_route_invariants_enforced():

@@ -304,9 +304,14 @@ def test_compare_zero_flows_yields_empty_metrics(paper_scenario):
     assert coaodv_metrics.per_flow == ()
 
 
-def test_compare_requires_a_seed(paper_scenario):
-    with pytest.raises(ValueError):
-        compare(paper_scenario, (Flow(0, 9, 1),), seeds=[])
+@pytest.mark.parametrize(
+    "seeds",
+    [lambda: [], lambda: (), lambda: range(0), lambda: iter([]), lambda: (s for s in ())],
+    ids=["list", "tuple", "range", "iterator", "generator"],
+)
+def test_compare_requires_a_seed(paper_scenario, seeds):
+    with pytest.raises(ValueError, match="^compare requires at least one seed$"):
+        compare(paper_scenario, (Flow(0, 9, 1),), seeds())
 
 
 def _fold(metrics) -> Summary:
