@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ScenarioValidationError
+from .errors import ScenarioValidationError, quoted
 from .model import (
     DistanceMetric,
     MobilityMetric,
@@ -43,7 +43,10 @@ def has_comm_capability(
     transmission_range: float,
     metric: DistanceMetric = DistanceMetric.MANHATTAN,
 ) -> int:
-    """1 if the two positions are within range (boundary inclusive), else 0."""
+    """1 if the two positions are within range (boundary inclusive), else 0.
+    `metric` must be exactly a DistanceMetric."""
+    if type(metric) is not DistanceMetric:
+        raise ValueError(f"distance metric must be a DistanceMetric, got {quoted(metric)}")
     return 1 if DISTANCES[metric](a, b) <= transmission_range else 0
 
 
@@ -52,8 +55,12 @@ def mobility(rec: MobilityRecord, metric: MobilityMetric = MobilityMetric.EUCLID
 
     The default mode divides straight-line displacement by the elapsed time;
     manhattan_rate uses the axis-aligned displacement instead (compatibility
-    mode for integer-grid movement records).
+    mode for integer-grid movement records). `metric` must be exactly a
+    MobilityMetric: "manhattan_rate" would equal its member and still be read
+    as the default.
     """
+    if type(metric) is not MobilityMetric:
+        raise ValueError(f"mobility metric must be a MobilityMetric, got {quoted(metric)}")
     if not rec.elapsed > 0:
         raise ScenarioValidationError("elapsed time between position records must be > 0")
     a, b = rec.pos_t1, rec.pos_t2

@@ -135,6 +135,16 @@ def run(
     """
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {quoted(seed)}")
+    # Exactly a Protocol and a tuple of Flow, checked before the memo answers:
+    # "coaodv" == Protocol.COAODV and (4.0, 9, 5) == Flow(4, 9, 5), so either
+    # would get back a run memoized for another input.
+    if type(proto) is not Protocol:
+        raise ValueError(f"proto must be a Protocol, got {quoted(proto)}")
+    if type(flows) is not tuple:
+        raise ValueError(f"flows must be a tuple, got {quoted(flows)}")
+    for flow in flows:
+        if type(flow) is not Flow:
+            raise ValueError(f"each flow must be a Flow, got {quoted(flow)}")
     if not flows:  # nothing to discover: no topology is built
         return _new(SimMetrics, (proto, ()))
     _, memo = protocol._topology(scenario)

@@ -72,11 +72,14 @@ def package_process(args, env=None, **kw) -> subprocess.CompletedProcess:
                           env={k: v for k, v in env.items() if v is not None}, **kw)
 
 
-def dev_process(args, stdout=subprocess.PIPE, text=True, **env) -> subprocess.CompletedProcess:
-    """A fresh `python -X dev -W error ARGS…` (development mode, warnings as errors), its
-    stderr captured, with default buffering, the package on its path and `env` added."""
+def dev_process(
+    args, stdout=subprocess.PIPE, text=True, cwd=None, **env
+) -> subprocess.CompletedProcess:
+    """A fresh `python -X dev -W error ARGS…` (development mode, warnings as errors) run in
+    `cwd`, its stderr captured, with default buffering, the package on its path and `env`
+    over the environment (a None value unsets its variable)."""
     return package_process(["-X", "dev", "-W", "error", *args], {**env, "PYTHONUNBUFFERED": None},
-                           stdout=stdout, text=text)
+                           stdout=stdout, text=text, cwd=cwd)
 
 
 # what a stdout or stderr write may raise: its reader gone, or its device full

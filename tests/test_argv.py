@@ -219,6 +219,30 @@ ARGV = {
         ["run", SCENARIO, "--protocol", "aodv", "--flows", "4:77:1"], 1, "",
         "error: unknown node id 77\n",
     ),
+    "unknown-node-in-second-flow": (
+        [*RUN, "0:77:1"], 1, "", "error: unknown node id 77\n"
+    ),
+    # a packet count outside [1, sys.maxsize], named with its flow
+    "zero-packets": (
+        ["run", SCENARIO, "--protocol", "aodv", "--flows", "0:9:0"], 1, "",
+        f"error: flow '0:9:0': packets must be from 1 to {sys.maxsize}, got 0\n",
+    ),
+    "negative-packets": (
+        ["run", SCENARIO, "--protocol", "aodv", "--flows", "0:9:-1"], 1, "",
+        f"error: flow '0:9:-1': packets must be from 1 to {sys.maxsize}, got -1\n",
+    ),
+    "packets-past-maxsize": (
+        ["run", SCENARIO, "--protocol", "aodv", "--flows", f"0:9:{sys.maxsize + 1}"], 1, "",
+        f"error: flow '0:9:{sys.maxsize + 1}': packets must be from 1 to {sys.maxsize}, "
+        f"got {sys.maxsize + 1}\n",
+    ),
+    "run-seed-3": (
+        ["run", SCENARIO, "--protocol", "aodv", "--flows", "0:9:100", "4:9:100", "--seed", "3"],
+        0,
+        "flow 0->9 [aodv]: hops=4 sent=100 delivered=0 pdr=0.0\n"
+        "flow 4->9 [aodv]: hops=2 sent=100 delivered=0 pdr=0.0\n",
+        "",
+    ),
     "validate-ok": (["validate", SCENARIO], 0, f"{SCENARIO}: OK\n", ""),
     # argv text goes into the one error line with its line breaks escaped
     "validate-newline-path": (
@@ -276,6 +300,19 @@ ARGV = {
     "weights-above-one": (
         ["classify", "--weights", "0.9,0.4,0.2"], 1, "",
         "error: weights must sum to 1 (within 1e-9), got sum 1.5\n",
+    ),
+    # weights or a sum that the profile rejects as it is built
+    "classify-sum-past-float-range": (
+        ["classify", "--weights", "1e308,1e308,0"], 1, "",
+        "error: weights must sum to 1 (within 1e-9), got sum inf\n",
+    ),
+    "classify-negative-weights": (
+        ["classify", "--weights", "1.5,-0.25,-0.25"], 1, "",
+        "error: w_mobility must be a finite number >= 0, got -0.25\n",
+    ),
+    "non-finite-weights": (
+        ["classify", "--weights", "inf,-inf,1"], 1, "",
+        "error: w_distance must be a finite number >= 0, got inf\n",
     ),
     "distance-sensitive": (
         ["classify", "--weights", "0.5,0.25,0.25"], 0,

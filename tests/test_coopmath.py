@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import struct
 import sys
 from collections import Counter
@@ -102,6 +103,35 @@ def test_mobility_zero_elapsed_raises():
     message = "^elapsed time between position records must be > 0$"
     with pytest.raises(ScenarioValidationError, match=message):
         mobility(rec)
+
+
+# A metric that is not exactly a member of its enum, and how the message shows
+# it: a member's value equals the member, and was read as the Euclidean rate
+# or raised a bare KeyError.
+@pytest.mark.parametrize(
+    "metric, shown",
+    [("manhattan_rate", "'manhattan_rate'"), ("bogus", "'bogus'"), (None, "None"),
+     (DistanceMetric.MANHATTAN, "<DistanceMetric.MANHATTAN: 'manha...")],
+    ids=["member-value", "bogus", "none", "other-enum"],
+)
+def test_mobility_takes_only_a_mobility_metric(metric, shown):
+    rec = MobilityRecord(Position(0, 0), Position(3, 4), elapsed=1.0)
+    assert mobility(rec, MobilityMetric.MANHATTAN_RATE) == 7.0
+    message = f"mobility metric must be a MobilityMetric, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mobility(rec, metric)
+
+
+@pytest.mark.parametrize(
+    "metric, shown",
+    [("manhattan", "'manhattan'"), ("bogus", "'bogus'"), (None, "None"),
+     (MobilityMetric.EUCLIDEAN_RATE, "<MobilityMetric.EUCLIDEAN_RATE: '...")],
+    ids=["member-value", "bogus", "none", "other-enum"],
+)
+def test_has_comm_capability_takes_only_a_distance_metric(metric, shown):
+    message = f"distance metric must be a DistanceMetric, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        has_comm_capability(Position(0, 0), Position(3, 4), 20, metric)
 
 
 def test_low_energy_candidate_is_never_cooperative():

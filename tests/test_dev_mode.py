@@ -1,94 +1,77 @@
 """The CLI under `python -X dev -W error`, where a warning or a file left open fails a command
-and a command that succeeds leaves stderr empty; test_cli.py's stream tests run so too."""
+and a command that succeeds leaves stderr empty; test_cli.py's stream tests run so too.
+
+This file holds no table of inputs: one dev-mode interpreter runs every command line of
+test_argv.py's ARGV and every rejected document of test_model.py's REJECTED_TEXTS, each
+with streams of its own, and each row must end exactly as its table pins."""
 
 import hashlib
 import json
-from functools import reduce
-from operator import getitem
 
 import pytest
 
-from .conftest import MESSAGE_BYTES, PAPER_SCENARIO, dev_process
+from .conftest import PAPER_SCENARIO, REPO_ROOT, dev_process
+from .test_argv import ARGV, _unwrapped
+from .test_model import REJECTED_TEXTS
 
 SCENARIO = str(PAPER_SCENARIO)
 FLOWS = ["--flows", "0:9:100", "4:9:100"]
+# each rejected document goes through both commands that read a scenario
+DOCUMENT_COMMANDS = {"validate": [], "compare": ["--flows", "0:9:5", "4:9:5"]}
 
-INVALID = {  # each a document, or a list of (key, …, value) changes to the bundled scenario
-    "string-energy": [("nodes", 0, "energy", "1000")],
-    "huge-range": [("transmission_range", 10**400)],
-    "huge-position": [("nodes", 3, "pos_t1", 1, 10**400)],
-    "no-node-elapsed": {"nodes": [], "area": [1, 1], "transmission_range": 1,
-                        "energy_threshold": 0, "elapsed_time": -1},
-    "huge-seed": [("seed", -10**400)],
-    "huge-id": [("nodes", 0, "id", -10**400)],
-    "huge-threshold": [("energy_threshold", -10**300)],
-    "long-area": [("area", [100] * 5000)],
-    "long-metric": [("distance_metric", "x" * 20000)],
-    # the longest values a message shows as written, and a coordinate outside them
-    "forty-digit-position": [("nodes", 0, "id", 10**40 - 1), ("area", [10**40 - 2] * 2),
-                             ("nodes", 0, "pos_t1", 1, -(10**40 - 1))],
-}
-# one dev-mode interpreter validates every document, each with streams of its own
-_VALIDATE_EACH = """import contextlib, io, json, sys
+# runs `main` on each argv of the JSON list in the file it is given, and prints
+# each one's [exit code, stdout, stderr] as one JSON list
+_RUN_EACH = """import contextlib, io, json, sys
 from coaodv_sim.cli import main
-def validate(path):
+def ends(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out, \\
             contextlib.redirect_stderr(io.StringIO()) as err:
-        return main(["validate", path]), out.getvalue(), err.getvalue()
-print(json.dumps([validate(path) for path in sys.argv[1:]]))"""
+        return main(argv), out.getvalue(), err.getvalue()
+with open(sys.argv[1], encoding="utf-8") as jobs:
+    argvs = json.load(jobs)
+print(json.dumps([ends(argv) for argv in argvs]))"""
 
 
 @pytest.fixture(scope="module")
-def documents(tmp_path_factory):
-    """The directory of the changed documents, and each invalid one's (code, stdout, stderr)."""
+def ends(tmp_path_factory):
+    """Each row's (exit code, stdout, stderr) from one dev-mode child at the repository root,
+    as `at_root` sets it up: ARGV's by ("argv", case), each rejected document's by (case,
+    command)."""
     root = tmp_path_factory.mktemp("dev-mode")
-    for name, doc in {**INVALID, "zero-range": [("transmission_range", 0)]}.items():
-        if isinstance(doc, list):
-            changes, doc = doc, json.loads(PAPER_SCENARIO.read_text())
-            for *keys, last, value in changes:
-                reduce(getitem, keys, doc)[last] = value
-        (root / f"{name}.json").write_text(json.dumps(doc))
-    paths = [str(root / f"{name}.json") for name in INVALID]
-    done = dev_process(["-c", _VALIDATE_EACH, *paths])
+    jobs = {("argv", case): row[0] for case, row in ARGV.items()}
+    for case, (text, _) in REJECTED_TEXTS.items():
+        path = root / f"{case}.json"
+        path.write_text(text)
+        for command, options in DOCUMENT_COMMANDS.items():
+            jobs[case, command] = [command, str(path), *options]
+    (root / "jobs.json").write_text(json.dumps(list(jobs.values())))
+    done = dev_process(["-c", _RUN_EACH, str(root / "jobs.json")], cwd=REPO_ROOT,
+                       COLUMNS="80", COAODV_SIM_LOG=None)
     assert (done.returncode, done.stderr) == (0, "")
-    return root, dict(zip(INVALID, json.loads(done.stdout)))
+    return dict(zip(jobs, map(tuple, json.loads(done.stdout))))
 
 
-def _ends(result, code, stdout, error):
-    """(code, stdout, stderr) as pinned: stderr empty, or with `error` one short line."""
-    returncode, out, err = result
-    assert returncode == code and (stdout is None or out == stdout)
-    if error is None:
-        assert err == ""
-    else:
-        assert err.count("\n") == 1 and err.endswith("\n") and err.startswith(error), err
-        assert len(err.encode()) < MESSAGE_BYTES and "Traceback" not in err
+@pytest.mark.parametrize("case", ARGV)
+def test_a_command_ends_as_pinned(ends, case):
+    _, code, out, err = ARGV[case]
+    got_code, got_out, got_err = ends["argv", case]
+    assert (got_code, _unwrapped(got_out), got_err) == (code, _unwrapped(out), err)
 
 
-@pytest.mark.parametrize("name", sorted(INVALID))
-def test_an_invalid_document_exits_2_with_one_short_error_line(documents, name):
-    _ends(documents[1][name], 2, "", "error: invalid scenario: ")
+@pytest.mark.parametrize("case", REJECTED_TEXTS)
+def test_an_invalid_document_exits_2_with_one_short_error_line(ends, case):
+    ending = (2, "", f"error: invalid scenario: {REJECTED_TEXTS[case][1]}\n")
+    assert [ends[case, command] for command in DOCUMENT_COMMANDS] == [ending, ending]
 
 
-COMMANDS = {  # argv, exit code, exact stdout (None: any), stderr's one line's start (None: empty)
-    "validate": (["validate", SCENARIO], 0, f"{SCENARIO}: OK\n", None),
-    "run-seed-3": (["run", SCENARIO, "--protocol", "aodv", *FLOWS, "--seed", "3"], 0, None, None),
-    # an override repairs the file's value before the one check
-    "run-repaired-range": (["run", "{root}/zero-range.json", "--protocol", "aodv",
-                            "--flows", "4:9:1", "--range", "20"], 0, None, None),
-    "classify": (["classify", "--weights", "0.2,0.3,0.5"], 0, "Energy Sensitive Network "
-                 "(e.g. sensor networks); dominant criterion: energy\n", None),
-    # weights or a sum that the profile rejects as it is built
-    "classify-sum-past-float-range": (["classify", "--weights", "1e308,1e308,0"], 1, "", "error: "),
-    "classify-negative-weights": (["classify", "--weights", "1.5,-0.25,-0.25"], 1, "", "error: "),
-}
-
-
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_a_command_ends_as_pinned(documents, name):
-    args, code, stdout, error = COMMANDS[name]
-    done = dev_process(["-m", "coaodv_sim.cli", *(a.format(root=documents[0]) for a in args)])
-    _ends((done.returncode, done.stdout, done.stderr), code, stdout, error)
+def test_an_override_repairs_the_file_value_before_the_one_check(tmp_path):
+    path = tmp_path / "zero-range.json"
+    path.write_text(json.dumps({**json.loads(PAPER_SCENARIO.read_text()), "transmission_range": 0}))
+    args = ["run", str(path), "--protocol", "aodv", "--flows", "4:9:1", "--range", "20"]
+    done = dev_process(["-m", "coaodv_sim.cli", *args])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "flow 4->9 [aodv]: hops=2 sent=1 delivered=0 pdr=0.0\n", ""
+    )
 
 
 def test_compare_is_byte_stable_under_any_hash_seed_and_keeps_its_digests(tmp_path):

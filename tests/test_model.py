@@ -187,6 +187,10 @@ REJECTED_DOCUMENTS = {
         _set_node(3, energy=True),
         "node 3: positions and energy must be numbers, got (30, 10, 34, 10, True)",
     ),
+    "string-energy": (
+        _set_node(0, energy="1000"),
+        "node 0: positions and energy must be numbers, got (10, 10, 10, 10, '1000')",
+    ),
     "bool-id": (_set_node(0, id=True), "node id must be a nonnegative integer, got True"),
     "float-id": (_set_node(0, id=1.0), "node id must be a nonnegative integer, got 1.0"),
     "unknown-distance-metric": (
@@ -196,6 +200,15 @@ REJECTED_DOCUMENTS = {
     "unknown-mobility-metric": (
         _set(mobility_metric="x"),
         "mobility_metric must be one of 'euclidean_rate', 'manhattan_rate', got 'x'",
+    ),
+    # a value too long to show whole, cut at 36 characters
+    "long-area": (
+        _set(area=[100] * 5000),
+        "area must be [width, height], got [100, 100, 100, 100, 100, 100, 10...",
+    ),
+    "long-metric": (
+        _set(distance_metric="x" * 20000),
+        "distance_metric must be one of 'manhattan', 'euclidean', got '" + "x" * 32 + "...",
     ),
     # a number that is not finite
     "area-width-inf": (_set_area(0, INF), "area width must be finite, got inf"),
@@ -244,6 +257,25 @@ REJECTED_DOCUMENTS = {
     "energy-past-float-range": (
         _set_node(3, energy=BIG), "node 3 energy is an integer too large for a float"
     ),
+    # an integer of more than 40 digits, described rather than shown
+    "huge-seed": (_set(seed=-BIG), "seed must be >= 0, got an integer of more than 40 digits"),
+    "huge-id": (
+        _set_node(0, id=-BIG),
+        "node id must be a nonnegative integer, got an integer of more than 40 digits",
+    ),
+    "huge-threshold": (
+        _set(energy_threshold=-(10**300)),
+        "energy_threshold must be >= 0, got an integer of more than 40 digits",
+    ),
+    # the longest integers a message shows as written, and a coordinate outside them
+    "forty-digit-position": (
+        lambda d: (
+            d["nodes"][0].update(id=10**40 - 1),
+            d.update(area=[10**40 - 2] * 2),
+            d["nodes"][0]["pos_t1"].__setitem__(1, -(10**40 - 1)),
+        ),
+        f"node {10**40 - 1} pos_t1 y {-(10**40 - 1)} outside area [0, {10**40 - 2}]",
+    ),
     # a value outside its bounds
     "negative-area": (_set(area=[-5, 10]), "area width and height must be >= 0, got -5x10"),
     "negative-width": (_set(area=[-1, 10]), "area width and height must be >= 0, got -1x10"),
@@ -275,6 +307,35 @@ def _document(case):
     doc = json.loads(PAPER_SCENARIO.read_text())
     REJECTED_DOCUMENTS[case][0](doc)
     return doc
+
+
+# elapsed_time in a document with no nodes, which no field holds: (the value
+# as JSON writes it, the message that names it)
+NO_NODE_ELAPSED = {
+    "nan": ("NaN", "elapsed_time must be finite, got nan"),
+    "negative": ("-1", "elapsed_time must be > 0, got -1"),
+    "zero": ("0", "elapsed_time must be > 0, got 0"),
+    "past-float-range": ("1" + "0" * 400, "elapsed_time is an integer too large for a float"),
+}
+
+
+def _no_node_document(value):
+    """The JSON text of a document with no nodes whose elapsed_time is `value`."""
+    return (
+        '{"nodes": [], "area": [1, 1], "transmission_range": 1, "energy_threshold": 0, '
+        f'"elapsed_time": {value}}}'
+    )
+
+
+# Every rejected document of the two tables above, by test id: the text of a
+# file that holds it, and its exact message. tests/test_dev_mode.py runs each.
+REJECTED_TEXTS = {
+    **{c: (json.dumps(_document(c)), row[1]) for c, row in REJECTED_DOCUMENTS.items()},
+    **{
+        f"no-node-elapsed-{c}": (_no_node_document(value), message)
+        for c, (value, message) in NO_NODE_ELAPSED.items()
+    },
+}
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED_DOCUMENTS))
@@ -325,8 +386,9 @@ def _repeated(inputs):
 
 
 def test_no_two_rows_of_a_rejected_input_table_are_one_input():
-    documents = {c: json.dumps(_document(c), sort_keys=True) for c in REJECTED_DOCUMENTS}
-    assert _repeated(documents) == []
+    # the rows of both document tables, each read back from its file's text
+    documents = {c: json.loads(text) for c, (text, _) in REJECTED_TEXTS.items()}
+    assert _repeated({c: json.dumps(d, sort_keys=True) for c, d in documents.items()}) == []
     assert _repeated({case: tuple(row[0]) for case, row in ARGV.items()}) == []
 
 
@@ -569,23 +631,10 @@ def test_a_type_message_reads_the_same_for_a_file(tmp_path, capsys, change, mess
     assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
 
 
-# elapsed_time in a document with no nodes, which no field holds: (the value
-# as JSON writes it, the message that names it)
-NO_NODE_ELAPSED = {
-    "nan": ("NaN", "elapsed_time must be finite, got nan"),
-    "negative": ("-1", "elapsed_time must be > 0, got -1"),
-    "zero": ("0", "elapsed_time must be > 0, got 0"),
-    "past-float-range": ("1" + "0" * 400, "elapsed_time is an integer too large for a float"),
-}
-
-
 @pytest.mark.parametrize("case", sorted(NO_NODE_ELAPSED))
 def test_elapsed_time_is_checked_without_nodes(tmp_path, capsys, case):
     value, message = NO_NODE_ELAPSED[case]
-    text = (
-        '{"nodes": [], "area": [1, 1], "transmission_range": 1, "energy_threshold": 0, '
-        f'"elapsed_time": {value}}}'
-    )
+    text = _no_node_document(value)
     with _rejects(message):
         scenario_from_json(text)
     path = tmp_path / "scenario.json"

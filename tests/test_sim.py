@@ -138,6 +138,36 @@ def test_run_rejects_a_seed_that_is_not_a_non_negative_int(paper_scenario, proto
     assert run(half, proto, flows, 1) == memoized
 
 
+# Each would fail deep in the run, or get back the memoized run of the input
+# it equals: "coaodv" == Protocol.COAODV, and (4.0, 9, 5) == Flow(4, 9, 5).
+BAD_RUN_INPUTS = {
+    "protocol-name": ("coaodv", (Flow(4, 9, 5),), "proto must be a Protocol, got 'coaodv'"),
+    "unknown-protocol": ("xyz", (Flow(4, 9, 5),), "proto must be a Protocol, got 'xyz'"),
+    "no-protocol-no-flows": (None, (), "proto must be a Protocol, got None"),
+    "float-flow": (Protocol.COAODV, ((4.0, 9, 5),), "each flow must be a Flow, got (4.0, 9, 5)"),
+    "plain-tuple-flow": (Protocol.COAODV, ((4, 9, 5),), "each flow must be a Flow, got (4, 9, 5)"),
+    "second-flow": (
+        Protocol.AODV, (Flow(4, 9, 5), [0, 9, 5]), "each flow must be a Flow, got [0, 9, 5]"
+    ),
+    "list-of-flows": (
+        Protocol.COAODV, [Flow(4, 9, 5)],
+        "flows must be a tuple, got [Flow(source=4, destination=9, pa...",
+    ),
+    "empty-list": (Protocol.AODV, [], "flows must be a tuple, got []"),
+}
+
+
+@pytest.mark.parametrize("memoized", [False, True], ids=["fresh", "after-a-memoized-run"])
+@pytest.mark.parametrize("case", BAD_RUN_INPUTS)
+def test_run_rejects_a_protocol_or_flows_of_another_type(paper_scenario, case, memoized):
+    config = dataclasses.replace(paper_scenario)  # a fresh object, nothing memoized
+    if memoized:
+        run(config, Protocol.COAODV, (Flow(4, 9, 5),), 0)
+    proto, flows, message = BAD_RUN_INPUTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(config, proto, flows, 0)
+
+
 @pytest.mark.parametrize("seed", BAD_SEEDS)
 def test_compare_rejects_a_seed_that_is_not_a_non_negative_int(paper_scenario, seed):
     half = dataclasses.replace(paper_scenario, non_coop_drop_prob=0.5)
