@@ -3,7 +3,7 @@ the network class."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import AmbiguousProfile
 from .model import NetworkType, WeightProfile
@@ -15,10 +15,7 @@ _TYPE_BY_CRITERION = {
 }
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    network_type: NetworkType
-    dominant_weight: str
+ClassificationResult = namedtuple("ClassificationResult", "network_type dominant_weight")
 
 
 def classify_network(w: WeightProfile) -> ClassificationResult:

@@ -8,7 +8,7 @@ predicate, and the weighted composite score.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ScenarioValidationError, quoted
 from .model import (

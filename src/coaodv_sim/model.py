@@ -11,9 +11,9 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import ScenarioValidationError, WeightsNotNormalized, quoted
 
@@ -180,16 +180,13 @@ class WeightProfile:
         return (self.w_distance, self.w_mobility, self.w_energy)
 
 
-class FlowMetrics(NamedTuple):
-    """Outcome of one (source, destination, packet_count) flow. A NamedTuple,
+class FlowMetrics(namedtuple("FlowMetrics", "source destination hop_count packets_sent "
+                             "packets_delivered failure", defaults=(None,))):
+    """Outcome of one (source, destination, packet_count) flow: `hop_count` is
+    None on a failed flow, and `failure` None on a routed one. A namedtuple,
     not a dataclass: a run builds one per flow, and a tuple is built faster."""
 
-    source: int
-    destination: int
-    hop_count: int | None
-    packets_sent: int
-    packets_delivered: int
-    failure: str | None = None
+    __slots__ = ()
 
     @property
     def packet_delivery_ratio(self) -> float | None:
@@ -198,12 +195,11 @@ class FlowMetrics(NamedTuple):
         return self.packets_delivered / self.packets_sent
 
 
-class SimMetrics(NamedTuple):
-    """One simulation run: its protocol and the outcome of each flow. The
-    run's totals are read off the flows."""
+class SimMetrics(namedtuple("SimMetrics", "protocol per_flow")):
+    """One simulation run: its `Protocol` and a tuple of one `FlowMetrics`
+    per flow. The run's totals are read off the flows."""
 
-    protocol: Protocol
-    per_flow: tuple[FlowMetrics, ...]
+    __slots__ = ()
 
     @property
     def packets_sent(self) -> int:  # bench/tracer.py reads it off each result of sim.run

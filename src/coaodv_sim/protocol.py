@@ -14,8 +14,8 @@ import logging
 import math
 import sys
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .coopmath import DISTANCES, is_cooperative, mobility_rates
 from .errors import InternalError, NoCooperativeRoute, NoRoute, UnknownNode, quoted

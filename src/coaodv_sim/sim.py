@@ -14,9 +14,9 @@ from __future__ import annotations
 import logging
 import random
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import repeat
-from typing import NamedTuple
 
 from . import protocol
 from .errors import NoCooperativeRoute, NoRoute, quoted
@@ -25,13 +25,7 @@ from .model import FlowMetrics, Protocol, ScenarioConfig, SimMetrics
 log = logging.getLogger("coaodv_sim.sim")
 
 
-class _FlowFields(NamedTuple):
-    source: int
-    destination: int
-    packets: int
-
-
-class Flow(_FlowFields):
+class Flow(namedtuple("Flow", "source destination packets")):
     """One flow of a run: a tuple, so run's memo key hashes and compares in C.
     No two records of equal shape meet: the memo's run keys are
     (protocol, flows) pairs, its route keys (bool, int, int), and a Flow is
@@ -52,7 +46,7 @@ class Flow(_FlowFields):
 
     @classmethod
     def _make(cls, iterable):
-        # NamedTuple's own _make (and _replace, which calls it) builds through
+        # namedtuple's own _make (and _replace, which calls it) builds through
         # tuple.__new__ and would skip the checks above
         return cls(*iterable)
 
@@ -67,7 +61,7 @@ _DISCOVER = {
 _FAILURES = {NoRoute: "no_route", NoCooperativeRoute: "no_cooperative_route"}
 FAILURE_TEXT = {"no_route": "no route", "no_cooperative_route": "no cooperative route"}
 
-# NamedTuple's own _make builds through this, in C; the generated __new__
+# namedtuple's own _make builds through this, in C; the generated __new__
 # is a Python-level call
 _new = tuple.__new__
 

@@ -236,14 +236,20 @@ ARGV = {
         f"error: flow '0:9:{sys.maxsize + 1}': packets must be from 1 to {sys.maxsize}, "
         f"got {sys.maxsize + 1}\n",
     ),
+    # at the bundled drop probability, 1.0, nothing draws and every seed prints
+    # delivered=0; at 0.5 seed 4 prints 18 and 59
     "run-seed-3": (
-        ["run", SCENARIO, "--protocol", "aodv", "--flows", "0:9:100", "4:9:100", "--seed", "3"],
+        ["run", SCENARIO, "--protocol", "aodv", "--flows", "0:9:100", "4:9:100", "--seed", "3",
+         "--drop-prob", "0.5"],
         0,
-        "flow 0->9 [aodv]: hops=4 sent=100 delivered=0 pdr=0.0\n"
-        "flow 4->9 [aodv]: hops=2 sent=100 delivered=0 pdr=0.0\n",
+        "flow 0->9 [aodv]: hops=4 sent=100 delivered=27 pdr=0.27\n"
+        "flow 4->9 [aodv]: hops=2 sent=100 delivered=49 pdr=0.49\n",
         "",
     ),
     "validate-ok": (["validate", SCENARIO], 0, f"{SCENARIO}: OK\n", ""),
+    "validate-absolute-path": (
+        ["validate", str(REPO_ROOT / SCENARIO)], 0, f"{REPO_ROOT / SCENARIO}: OK\n", ""
+    ),
     # argv text goes into the one error line with its line breaks escaped
     "validate-newline-path": (
         ["validate", "new\nline.json"], 1, "", "error: file not found: new\\nline.json\n"
@@ -448,10 +454,11 @@ def test_only_classify_imports_the_classifier(at_root):
     assert child.stdout.splitlines()[1::2] == ["False", "True"], child.stderr
 
 
-# The modules that only a simulation needs, and pathlib, which no command imports.
+# The modules that only a simulation needs, and pathlib and typing, which no command imports.
 SIMULATION_MODULES = (
-    "coaodv_sim.sim", "coaodv_sim.protocol", "coaodv_sim.coopmath", "random", "pathlib",
+    "coaodv_sim.sim", "coaodv_sim.protocol", "coaodv_sim.coopmath", "random", "pathlib", "typing",
 )
+SIMULATION = ["coaodv_sim.sim", "coaodv_sim.protocol", "coaodv_sim.coopmath", "random"]
 
 
 @pytest.mark.parametrize(
@@ -459,10 +466,10 @@ SIMULATION_MODULES = (
     [
         (["validate", SCENARIO], []),
         (["classify", "--weights", "0.5,0.25,0.25"], []),
-        (["compare", SCENARIO, "--flows", "4:9:1"],
-         ["coaodv_sim.sim", "coaodv_sim.protocol", "coaodv_sim.coopmath", "random"]),
+        (RUN, SIMULATION),
+        (["compare", SCENARIO, "--flows", "4:9:1"], SIMULATION),
     ],
-    ids=["validate", "classify", "compare"],
+    ids=["validate", "classify", "run", "compare"],
 )
 def test_a_command_imports_only_what_it_runs(argv, loaded):
     # -S: no site module, so nothing but the interpreter and the command loads modules

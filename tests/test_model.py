@@ -742,10 +742,13 @@ def test_equal_result_records_hash_equal():
     flow, same = FlowMetrics(0, 9, 4, 40, 10), FlowMetrics(0, 9, 4, 40, 10)
     assert flow == same and hash(flow) == hash(same)
     assert flow != FlowMetrics(0, 9, 4, 40, 11)
-    assert flow == (0, 9, 4, 40, 10, None)  # a NamedTuple equals the plain tuple of its values
+    assert flow == (0, 9, 4, 40, 10, None)  # a namedtuple equals the plain tuple of its values
     metrics, again = SimMetrics(Protocol.AODV, (flow,)), SimMetrics(Protocol.AODV, (same,))
     assert metrics == again and hash(metrics) == hash(again)
     assert len({metrics, again, SimMetrics(Protocol.COAODV, (flow,))}) == 2
+    for record in (flow, metrics):
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no instance dict: __slots__ = ()
 
 
 # each node record: its field values, its repr and its signature, as the
