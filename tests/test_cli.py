@@ -96,6 +96,32 @@ def test_run_coaodv_reports_missing_route_as_success(tmp_path, capsys):
     assert "no cooperative route" in capsys.readouterr().out
 
 
+def test_run_unknown_flow_endpoint(capsys):
+    assert main(["run", str(PAPER_SCENARIO), "--protocol", "aodv", "--flows", "0:77:1"]) == 1
+    assert capsys.readouterr() == ("", "error: unknown node id 77\n")
+
+
+def test_usage_error_exit_code(capsys):
+    assert main(["run", str(PAPER_SCENARIO)]) == 1  # missing required flags
+    assert capsys.readouterr() == (
+        "", "error: the following arguments are required: --protocol, --flows\n"
+    )
+
+
+def test_classify_ambiguous_profile(capsys):
+    assert main(["classify", "--weights", "0.4,0.4,0.2"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: no strictly dominant weight in (0.4, 0.4, 0.2); "
+        "network type is undefined for ties\n",
+    )
+
+
+def test_classify_malformed(capsys):
+    assert main(["classify", "--weights", "0.5,0.25"]) == 1
+    assert capsys.readouterr() == ("", "error: --weights must be three finite numbers W1,W2,W3\n")
+
+
 def test_run_drop_prob_override(tmp_path):
     out = tmp_path / "report.csv"
     main(
@@ -629,6 +655,16 @@ def test_repeated_key_is_invalid(tmp_path, capsys, case):
     path = _scenario_file(tmp_path, text.replace(find, replacement).encode())
     assert main(["validate", path]) == 2
     assert f"error: invalid scenario: repeated key {key!r}" in capsys.readouterr().err
+
+
+def test_negative_seed_is_invalid(tmp_path, capsys):
+    doc = json.loads(PAPER_SCENARIO.read_text())
+    doc["seed"] = -2
+    assert run_document(tmp_path, doc, "validate") == 2
+    assert run_document(tmp_path, doc, "compare", "--flows", "4:9:1", "--seeds", "5") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: invalid scenario: seed must be >= 0, got -2\n" * 2
 
 
 # Rows of REJECTED_DOCUMENTS that the run command rejects with the same line as
