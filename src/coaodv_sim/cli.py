@@ -234,9 +234,9 @@ def _report_name(args) -> str:
     name = next((part for part in reversed(args.path.split("/")) if part not in ("", ".")), "")
     if 0 < (dot := name.rfind(".")) < len(name) - 1:
         name = name[:dot]
-    if args.out and _same_file(args.out, args.path):
+    if args.out is not None and _same_file(args.out, args.path):
         raise UsageError(f"cannot write {args.out}: it is the scenario file")
-    if args.out and _shown(name) != name:
+    if args.out is not None and _shown(name) != name:
         raise UsageError(f"cannot write {args.out}: scenario name {_shown(name)} is not UTF-8")
     # the report's own terminator: csv quotes a field for each character in it
     field = io.StringIO()
@@ -306,7 +306,7 @@ def cmd_run(args) -> int:
     flows = _parse_flows(args.flows)
     name = _report_name(args)
     metrics = sim.run(config, args.protocol, flows, config.rng_seed)
-    if args.out:  # before the summary, so a report that cannot be written prints nothing
+    if args.out is not None:  # before the summary: an unwritable report prints nothing
         _write_report(args.out, [_metric_rows(name, config.rng_seed, metrics, {})])
     _flow_summary(metrics)
     return 0
@@ -328,7 +328,7 @@ def cmd_compare(args) -> int:
         for seed, (aodv, coaodv) in zip(seeds, sim.pairs(config, flows, seeds)):
             aodv_summary.add(aodv)  # no seed's runs or lines are kept
             coaodv_summary.add(coaodv)
-            if args.out:
+            if args.out is not None:
                 yield (_metric_rows(name, seed, aodv, tails)
                        + _metric_rows(name, seed, coaodv, tails))
 
@@ -337,7 +337,7 @@ def cmd_compare(args) -> int:
     # Without --out no step yields, so this one call runs every seed.
     rows = steps()
     first = next(rows, None)
-    if args.out:
+    if args.out is not None:
         _write_report(args.out, chain([first], rows))
 
     print(f"{'protocol':<8} {'routed_flows':>12} {'mean_hops':>10} {'mean_pdr':>9}")

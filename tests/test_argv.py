@@ -258,6 +258,14 @@ ARGV = {
         ["compare", SCENARIO, "--flows", "4:9:1", "--out", "/nonexistent/a\nb.csv"], 1, "",
         "error: cannot write /nonexistent/a\\nb.csv: No such file or directory\n",
     ),
+    # an empty --out names no file, like an empty scenario path
+    "run-empty-out": (
+        [*RUN, "--out", ""], 1, "", "error: cannot write : No such file or directory\n"
+    ),
+    "compare-empty-out": (
+        ["compare", SCENARIO, "--flows", "4:9:1", "--out", ""], 1, "",
+        "error: cannot write : No such file or directory\n",
+    ),
     "unrecognized-newline-option": (
         ["validate", SCENARIO, "--bo\r\ngus\x1b"], 1, "",
         "error: unrecognized arguments: --bo\\r\\ngus\\x1b\n",

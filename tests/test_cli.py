@@ -504,6 +504,34 @@ def test_compare_memory_does_not_grow_with_seeds(tmp_path, capsys):
     assert many - few < 100_000, (few, many)
 
 
+def test_an_interrupted_compare_leaves_the_rows_of_every_finished_seed(
+    tmp_path, monkeypatch, capsys
+):
+    def compare(out):
+        flows = ["--flows", "0:9:20", "4:9:20", "--drop-prob", "0.5"]
+        return main(["compare", str(PAPER_SCENARIO), *flows, "--seeds", "5", "--out", str(out)])
+
+    whole = tmp_path / "whole.csv"
+    assert compare(whole) == 0
+    capsys.readouterr()
+    run, calls = sim.run, []
+
+    def interrupted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 5:  # the third seed's aodv run
+            raise KeyboardInterrupt
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "run", interrupted)
+    cut = tmp_path / "cut.csv"
+    with pytest.raises(KeyboardInterrupt):
+        compare(cut)
+    assert capsys.readouterr().out == ""
+    # the header, then seeds 1 and 2: 2 protocols x 2 flows each
+    head = whole.read_bytes().splitlines(keepends=True)[:9]
+    assert cut.read_bytes() == b"".join(head)
+
+
 def test_log_env_accepts_trace(monkeypatch, capsys):
     monkeypatch.setenv("COAODV_SIM_LOG", "trace")
     assert main(["run", str(PAPER_SCENARIO), "--protocol", "aodv", "--flows", "4:9:1"]) == 0

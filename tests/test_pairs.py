@@ -98,3 +98,15 @@ def test_each_mode_has_its_bytecode_rule(tmp_path):
     assert pairs.run_env("argv", tmp_path, environ) == {"PYTHONPATH": str(tmp_path / "src"),
                                                         "HOME": "/h"}
     assert set(pairs.BYTECODE) == {"workload", "argv"}
+
+
+def test_out_is_checked_before_the_first_run(tmp_path, capsys):
+    def parsed(out):
+        return pairs.parse_args(["A", "B", "--out", str(out), "--argv", "validate", "s.json"])
+
+    for bad in (tmp_path, tmp_path / "no" / "such" / "x.json"):
+        with pytest.raises(SystemExit) as exit_:
+            parsed(bad)
+        assert exit_.value.code == 2
+        assert str(bad) in capsys.readouterr().err
+    assert parsed(tmp_path / "x.json").out == tmp_path / "x.json"

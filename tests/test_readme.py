@@ -58,3 +58,13 @@ def test_scenario_file_example_is_valid(tmp_path):
     path = tmp_path / "example.json"
     path.write_text(text, encoding="utf-8")
     assert main(["validate", str(path)]) == 0
+
+
+def test_readme_stays_a_manual_whose_paths_exist():
+    assert README.count("\n") <= 400
+    prose = re.sub(r"^```.*?^```$", "", README, flags=re.MULTILINE | re.DOTALL)
+    spans = re.findall(r"`([^`]+)`", prose)
+    paths = [span.split("::")[0] for span in spans
+             if re.fullmatch(r"[\w./-]+\.(py|json|md|toml|yml)(::\w+)?", span)]
+    assert "tools/pairs.py" in paths  # the pattern still finds what it checks
+    assert [p for p in paths if not (REPO_ROOT / p).exists()] == []

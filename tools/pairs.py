@@ -204,6 +204,12 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         parser.error("--seed and --seconds go with --workload")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    # checked before the first run, so an unwritable --out loses no measurement
+    if args.out.is_dir():
+        parser.error(f"--out {args.out} is a directory")
+    parent = args.out.parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
+        parser.error(f"--out {args.out}: {parent} is not a writable directory")
     return args
 
 
